@@ -4,7 +4,8 @@ Subcommands: decompose, ideal, certify, chordal, components.  Output is a
 single JSON document with rationals serialized as strings, sorted keys, and
 no timestamps, so identical invocations are byte-identical.
 
-Exit codes: 0 success/consistent, 2 parse error, 3 dimension mismatch,
+Exit codes: 0 success/consistent, 2 parse error (including a negative
+--trials or --samples and an all-zero --y), 3 dimension mismatch,
 4 unsupported expression, 5 discrepancy verdict, 6 caps or inconclusive.
 The environment variable ORBITQUAD_MAX_BOX overrides the multi-degree box cap.
 """
@@ -21,7 +22,7 @@ from fractions import Fraction
 from .chordal import ChordalSpec, chordal_ideal, component_analysis
 from .errors import CapExceeded, SpecParseError, UnsupportedExpression
 from .lie import make_sl
-from .linalg import format_scalar, parse_scalar
+from .linalg import format_scalar, parse_scalar, vec_is_zero
 from .orbit import certify_irreducibility, orbit_module, quadric_ideal
 from .reps import Rep, derived_rep, isotypic_decomposition, standard_rep
 
@@ -175,12 +176,17 @@ def _build_argparser() -> argparse.ArgumentParser:
 def parse_spec(argv) -> RunSpec:
     """Parse an argument vector; raises typed errors mapped to exit codes."""
     parser = _build_argparser()
+    # argparse takes the "-1,0" of "--y -1,0" for an option; "--y=-1,0" is one word
+    words = iter(argv)
+    argv = [w + "=" + next(words, "") if w == "--y" else w for w in words]
     try:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         if exc.code in (0, None):
             raise
         raise SpecParseError("bad command line") from None
+    if getattr(ns, "trials", 0) < 0 or getattr(ns, "samples", 0) < 0:
+        raise SpecParseError("--trials and --samples must be >= 0")
     spec = RunSpec(command=ns.command)
     if ns.command == "chordal":
         spec.n, spec.k, spec.p = ns.n, ns.k, ns.p
@@ -195,6 +201,8 @@ def parse_spec(argv) -> RunSpec:
     spec.output = ns.output
     if getattr(ns, "y", None) is not None:
         spec.y = [parse_vector(t) for t in ns.y]
+        if any(vec_is_zero(v) for v in spec.y):
+            raise SpecParseError("--y must be a nonzero vector")
         if ns.command in ("ideal", "certify") and len(spec.y) != 1:
             raise SpecParseError(f"{ns.command} takes exactly one --y")
     return spec

@@ -75,10 +75,6 @@ class LieAlgebra:
     def __repr__(self) -> str:
         return f"sl({self.n})"
 
-    @property
-    def simple_roots(self) -> list[Root]:
-        return [Root(i, i + 1) for i in range(1, self.n)]
-
     def x_symbols(self) -> list[str]:
         return [x_symbol(b) for b in self.positive_roots]
 
@@ -90,12 +86,6 @@ class LieAlgebra:
 
     def xy_symbols(self) -> list[str]:
         return self.x_symbols() + self.y_symbols()
-
-    def simple_symbols(self) -> list[str]:
-        out = []
-        for b in self.simple_roots:
-            out.extend([x_symbol(b), y_symbol(b)])
-        return out + self.h_symbols()
 
     def coroot(self, beta: Root) -> Mat:
         """H_beta = E_ii - E_jj, so that [X_beta, Y_beta] = H_beta."""

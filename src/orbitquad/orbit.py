@@ -76,7 +76,7 @@ def orbit_module(r: Rep, y) -> Subspace:
     """Smallest submodule of S^2(V) containing y y^t, in symmetric coordinates."""
     if vec_is_zero(y):
         raise ValueError("orbit module needs a nonzero vector")
-    key = (r.algebra.n, r.label, tuple(map(QQ, y)))
+    key = (r, tuple(map(QQ, y)))
     if key not in _MODULE_CACHE:
         _MODULE_CACHE[key] = cyclic_closure(r.sym_square(), _yy_coords(r, y)).subspace
     return _MODULE_CACHE[key]
@@ -283,7 +283,7 @@ def generator_sequence(r: Rep, y, max_box: int | None = None,
     """
     if vec_is_zero(y):
         raise ValueError("generator sequence needs a nonzero vector")
-    key = (r.algebra.n, r.label, tuple(map(QQ, y)), max_box, max_len)
+    key = (r, tuple(map(QQ, y)), max_box, max_len)
     if key in _GENSEQ_CACHE:
         return _GENSEQ_CACHE[key]
     cap_len = MAX_SEQ_LEN if max_len is None else max_len

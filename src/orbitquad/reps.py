@@ -1,7 +1,8 @@
 """Finite dimensional modules over sl(n), built functorially.
 
 A :class:`Rep` stores one action matrix per catalog generator and is checked
-to be a Lie algebra homomorphism on construction.  Derived constructions
+on construction to be a Lie algebra homomorphism: exactly over QQ, on every
+generator pair, with sparse products.  Derived constructions
 (dual, wedge and symmetric powers, tensor products, and the symmetric square
 realized on symmetric matrices) all act by the derivation rule, so weights of
 the standard module propagate to integer weights everywhere.
@@ -13,7 +14,6 @@ actions H_1, ..., H_{n-1}.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -32,12 +32,21 @@ from .linalg import (
 
 Weight = tuple[int, ...]
 
-# Above this pairs*dim budget the construction-time homomorphism check runs
-# on the simple generator pairs plus a seeded sample instead of all pairs.
-_FULL_HOM_CHECK_BUDGET = 60_000
-_SAMPLED_HOM_PAIRS = 60
+# standard modules keyed by n, derived ones by (parent Rep, kind, k, other)
+_REP_CACHE: dict = {}
 
-_REP_CACHE: dict[tuple[int, str], "Rep"] = {}
+
+def _nonzero_rows(m: Mat) -> dict[int, list[tuple[int, Fraction | int]]]:
+    """Row index -> [(column, entry)] over the nonzero entries of m.
+
+    Integral entries become ints: exact, and much cheaper to multiply.
+    """
+    out = {}
+    for i, row in enumerate(m.data):
+        nz = [(j, e.numerator if e.denominator == 1 else e) for j, e in enumerate(row) if e]
+        if nz:
+            out[i] = nz
+    return out
 
 
 class Rep:
@@ -77,41 +86,33 @@ class Rep:
             out = self.act(symbol, out)
         return out
 
-    def act_algebra_elem(self, m: Mat) -> Mat:
-        """Action matrix of an arbitrary element of sl(n) (linear extension)."""
-        coeffs = self.algebra.expand_in_catalog(m)
-        out = [[QQ(0)] * self.dim for _ in range(self.dim)]
-        for sym, c in coeffs.items():
-            for i, row in enumerate(self.action[sym].data):
-                orow = out[i]
-                for j, e in enumerate(row):
-                    if e:
-                        orow[j] += c * e
-        return Mat(out)
-
     def verify_homomorphism(self) -> None:
-        """Check action([a,b]) = commutator of actions on generator pairs.
+        """Check rho([a,b]) = rho(a) rho(b) - rho(b) rho(a) exactly over QQ.
 
-        All pairs when affordable; otherwise all simple-generator pairs plus a
-        seeded sample.  A failure is a construction bug and raises.
+        Every unordered pair a < b of the catalog is checked, at every module
+        size: the pair (a, a) reads 0 = 0 and (b, a) is the negative of (a, b).
+        Products run on each action's nonzero entries, read once per check,
+        so no dense matrix is formed.  A failure is a construction bug and
+        raises.
         """
-        catalog = self.algebra.catalog
-        if len(catalog) ** 2 * self.dim <= _FULL_HOM_CHECK_BUDGET:
-            pairs = list(itertools.product(catalog, repeat=2))
-        else:
-            simple = self.algebra.simple_symbols()
-            pairs = list(itertools.product(simple, repeat=2))
-            rng = random.Random(0)
-            for _ in range(_SAMPLED_HOM_PAIRS):
-                pairs.append((rng.choice(catalog), rng.choice(catalog)))
-        gens = self.algebra.generators
-        for sa, sb in pairs:
-            ra, rb = self.action[sa], self.action[sb]
-            lhs = ra * rb - rb * ra
-            rhs = self.act_algebra_elem(bracket(gens[sa], gens[sb]))
-            if lhs != rhs:
-                raise StructuralError(
-                    f"action is not a Lie homomorphism on ({sa}, {sb}) in {self.label}")
+        g = self.algebra
+        rows = {s: _nonzero_rows(m) for s, m in self.action.items()}
+        identity = {k: [(k, 1)] for k in range(self.dim)}
+        for ia, sa in enumerate(g.catalog):
+            for sb in g.catalog[ia + 1:]:
+                # (coefficient, left, right) of rho(a)rho(b) - rho(b)rho(a) - sum c_s rho(s)
+                terms = [(1, rows[sa], rows[sb]), (-1, rows[sb], rows[sa])]
+                ab = bracket(g.generators[sa], g.generators[sb])
+                terms += [(-c, rows[s], identity) for s, c in g.expand_in_catalog(ab).items()]
+                residual: dict[tuple[int, int], Fraction | int] = {}
+                for c, left, right in terms:
+                    for i, row in left.items():
+                        for k, e in row:
+                            for j, f in right.get(k, ()):
+                                residual[i, j] = residual.get((i, j), 0) + c * e * f
+                if any(residual.values()):
+                    raise StructuralError(
+                        f"action is not a Lie homomorphism on ({sa}, {sb}) in {self.label}")
 
     def sym_square(self) -> "Rep":
         """The module S^2(V) on symmetric matrices (memoized)."""
@@ -122,11 +123,10 @@ class Rep:
 # constructions
 
 def standard_rep(g: LieAlgebra) -> Rep:
-    key = (g.n, "std")
-    if key not in _REP_CACHE:
+    if g.n not in _REP_CACHE:
         labels = [f"e{i + 1}" for i in range(g.n)]
-        _REP_CACHE[key] = Rep(g, "std", dict(g.generators), labels, _checked=True)
-    return _REP_CACHE[key]
+        _REP_CACHE[g.n] = Rep(g, "std", dict(g.generators), labels, _checked=True)
+    return _REP_CACHE[g.n]
 
 
 def _dual_action(r: Rep) -> dict[str, Mat]:
@@ -272,8 +272,9 @@ def _sym2_action(r: Rep):
 def derived_rep(r: Rep, kind: str, k: int | None = None, other: "Rep | None" = None) -> Rep:
     """Build dual / wedge k / sym k / tensor / sym2 of a module.
 
-    Results are cached per (algebra, label); modules are immutable so sharing
-    is safe.
+    Results are cached per (module object, kind, k, other), never by label,
+    so a caller's module that shares a label with a built one gets its own
+    answer; modules are immutable so sharing is safe.
     """
     g = r.algebra
     if kind == "dual":
@@ -299,7 +300,7 @@ def derived_rep(r: Rep, kind: str, k: int | None = None, other: "Rep | None" = N
         build = lambda: _sym2_action(r)
     else:
         raise ValueError(f"unknown construction {kind!r}")
-    key = (g.n, label)
+    key = (r, kind, k, other)
     if key not in _REP_CACHE:
         action, labels = build()
         _REP_CACHE[key] = Rep(g, label, action, labels)

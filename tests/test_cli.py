@@ -83,6 +83,33 @@ def test_exit_parse_on_unknown_flag():
     assert code == EXIT_PARSE
 
 
+def test_exit_parse_on_negative_counts():
+    code, out, _ = invoke(["certify", "--alg", "sl:2", "--rep", "sym(2,std)",
+                           "--y", "1,0,0", "--trials", "-3"])
+    assert code == EXIT_PARSE and out == ""
+    code, out, _ = invoke(["chordal", "--n", "4", "--k", "2", "--p", "1",
+                           "--samples", "-1"])
+    assert code == EXIT_PARSE and out == ""
+
+
+def test_exit_parse_on_zero_vector():
+    code, _, err = invoke(["ideal", "--alg", "sl:2", "--rep", "std", "--y", "0,0"])
+    assert code == EXIT_PARSE
+    assert "nonzero" in err
+    code, _, _ = invoke(["components", "--alg", "sl:4", "--rep", "wedge(2,std)",
+                         "--y", "1,0,0,0,0,0", "--y", "0,0,0,0,0,0"])
+    assert code == EXIT_PARSE
+
+
+def test_negative_vector_as_separate_word():
+    base = ["ideal", "--alg", "sl:2", "--rep", "sym(2,std)"]
+    code1, out1, _ = invoke(base + ["--y", "-1,0,0"])
+    code2, out2, _ = invoke(base + ["--y=-1,0,0"])
+    assert code1 == code2 == EXIT_OK
+    assert out1 == out2
+    assert json.loads(out1)["spec"]["y"] == [["-1", "0", "0"]]
+
+
 def test_exit_dimension_on_wrong_length():
     code, _, err = invoke(["ideal", "--alg", "sl:2", "--rep", "sym(3,std)",
                            "--y", "1,0"])

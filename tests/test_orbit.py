@@ -20,7 +20,7 @@ from orbitquad.orbit import (
     rank1_correspondence,
     sym_square,
 )
-from orbitquad.reps import derived_rep, standard_rep
+from orbitquad.reps import Rep, derived_rep, standard_rep
 
 
 def unit(n, i):
@@ -56,6 +56,22 @@ def test_orbit_module_dims():
     assert orbit_module(wedge2_sl4(), E12).dim == 20
     with pytest.raises(ValueError):
         orbit_module(sl2_sym(2), [F(0)] * 3)
+
+
+def _trivial_plus_sym2_labelled_sym3():
+    action = {s: Mat([[F(0)] * 4] + [[F(0)] + list(row) for row in m.data])
+              for s, m in sl2_sym(2).action.items()}
+    return Rep(make_sl(2), "sym(3,std)", action)
+
+
+def test_orbit_caches_keyed_by_module_not_label():
+    # x^3 + y^3 has distinct roots, so its orbit is open and the module is
+    # all of S^2(V), dim 10; on trivial + sym^2 the point is 1 + z^2 with z^2
+    # a null vector, so the module is trivial + V_2 + V_4, dim 9
+    y = [F(1), F(0), F(0), F(1)]
+    assert orbit_module(_trivial_plus_sym2_labelled_sym3(), y).dim == 9
+    assert orbit_module(sl2_sym(3), y).dim == 10
+    assert orbit_module(_trivial_plus_sym2_labelled_sym3(), y).dim == 9
 
 
 def test_quadric_ideal_dims():

@@ -279,8 +279,36 @@ def test_exp_rejects_coroot(sl2):
 def test_homomorphism_guard(sl2):
     action = dict(sl2.generators)
     action["X(1,2)"] = Mat.zero(2, 2)
-    with pytest.raises(StructuralError):
+    with pytest.raises(StructuralError, match=r"\(X\(1,2\), Y\(1,2\)\)"):
         Rep(sl2, "broken", action)
+
+
+def test_homomorphism_guard_catches_a_fault_on_a_non_simple_pair():
+    # sym^2 of sl(7) has dim 28: a check of the simple pairs plus a sample
+    # of the others lets this wrong entry of X(1,5) through
+    real = derived_rep(standard_rep(make_sl(7)), "sym", 2)
+    action = {s: Mat([list(row) for row in m.data]) for s, m in real.action.items()}
+    wrong = action["X(1,5)"].data
+    i, j = next((i, j) for i, row in enumerate(wrong) for j, e in enumerate(row) if e)
+    wrong[i][j] += 1
+    with pytest.raises(StructuralError, match="not a Lie homomorphism"):
+        Rep(real.algebra, "sym(2,std) with one wrong entry", action)
+
+
+@pytest.mark.parametrize(
+    "builder",
+    [
+        lambda: derived_rep(standard_rep(make_sl(3)), "dual"),
+        lambda: derived_rep(standard_rep(make_sl(4)), "wedge", 2),
+        lambda: derived_rep(standard_rep(make_sl(6)), "sym", 3),
+        lambda: derived_rep(standard_rep(make_sl(3)), "tensor",
+                            other=derived_rep(standard_rep(make_sl(3)), "dual")),
+        lambda: derived_rep(derived_rep(standard_rep(make_sl(3)), "sym", 2), "sym2"),
+    ],
+    ids=["dual", "wedge", "sym", "tensor", "sym2"],
+)
+def test_every_construction_is_a_homomorphism(builder):
+    builder().verify_homomorphism()
 
 
 def test_sym_coords_round_trip():
