@@ -52,7 +52,6 @@ from .multimatrix import (
     mu,
     mu_kernel,
     phi_A,
-    rank1_factor,
     rank_one_factor,
 )
 from .orbit import (

@@ -113,33 +113,20 @@ class ChordalSpec:
         return derived_rep(standard_rep(make_sl(self.n)), "wedge", self.k)
 
 
-def _det(rows) -> Fraction:
-    rows = [list(r) for r in rows]
-    n = len(rows)
-    det = QQ(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if rows[r][c]), None)
-        if piv is None:
-            return QQ(0)
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            det = -det
-        det *= rows[c][c]
-        inv = QQ(1) / rows[c][c]
-        for r in range(c + 1, n):
-            if rows[r][c]:
-                f = rows[r][c] * inv
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
-    return det
-
-
 def wedge_coordinates(vectors, n: int) -> list[Fraction]:
-    """Coordinates of v_1 ^ ... ^ v_k in the lexicographic wedge basis."""
-    k = len(vectors)
-    out = []
-    for subset in itertools.combinations(range(n), k):
-        out.append(_det([[v[j] for j in subset] for v in vectors]))
-    return out
+    """Coordinates of v_1 ^ ... ^ v_k in the lexicographic wedge basis.
+
+    Each coordinate is the k x k minor on its columns, expanded along v_1
+    over the coordinates of v_2 ^ ... ^ v_k (Laplace), built up from v_k.
+    """
+    coords = {(): QQ(1)}
+    for m, v in enumerate(reversed(vectors), start=1):
+        coords = {
+            s: sum(((-1) ** t * v[j] * coords[s[:t] + s[t + 1:]]
+                    for t, j in enumerate(s) if v[j]), QQ(0))
+            for s in itertools.combinations(range(n), m)
+        }
+    return list(coords.values())
 
 
 def chordal_sample(spec: ChordalSpec, seed: int) -> list[Fraction]:

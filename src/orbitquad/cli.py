@@ -6,7 +6,8 @@ no timestamps, so identical invocations are byte-identical.
 
 Exit codes: 0 success/consistent, 2 parse error (including a negative
 --trials or --samples and an all-zero --y), 3 dimension mismatch,
-4 unsupported expression, 5 discrepancy verdict, 6 caps or inconclusive.
+4 unsupported expression (including a wedge or sym degree outside its
+range), 5 discrepancy verdict, 6 caps or inconclusive.
 The environment variable ORBITQUAD_MAX_BOX overrides the multi-degree box cap.
 """
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chordal import ChordalSpec, chordal_ideal, component_analysis
-from .errors import CapExceeded, SpecParseError, UnsupportedExpression
+from .errors import CapExceeded, DimensionMismatch, SpecParseError, UnsupportedExpression
 from .lie import make_sl
 from .linalg import format_scalar, parse_scalar, vec_is_zero
 from .orbit import certify_irreducibility, orbit_module, quadric_ideal
@@ -133,7 +134,10 @@ class _RepParser:
 
 
 def parse_rep(text: str, algebra) -> Rep:
-    return _RepParser(text, algebra).parse()
+    try:
+        return _RepParser(text, algebra).parse()
+    except ValueError as exc:  # a degree outside its constructor's domain
+        raise UnsupportedExpression(str(exc)) from None
 
 
 def _build_argparser() -> argparse.ArgumentParser:
@@ -217,13 +221,9 @@ def _rep_and_vectors(spec: RunSpec):
     vectors = spec.y or []
     for v in vectors:
         if len(v) != rep.dim:
-            raise DimensionError(
+            raise DimensionMismatch(
                 f"vector length {len(v)} != module dimension {rep.dim}")
     return rep, vectors
-
-
-class DimensionError(Exception):
-    pass
 
 
 def _cmd_decompose(spec: RunSpec) -> tuple[dict, int]:
@@ -351,7 +351,7 @@ def main(argv=None) -> int:
     except SpecParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except DimensionError as exc:
+    except DimensionMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIMENSION
     except UnsupportedExpression as exc:

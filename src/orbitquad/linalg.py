@@ -6,12 +6,22 @@ subspaces are kept in reduced row echelon form so that equality of subspaces
 is equality of basis matrices.  Everything is exact; there are no tolerances
 anywhere in this package.
 
+Every row operation in the package happens in three functions here:
+
+- ``_rref_rows``, the one Gauss-Jordan elimination, behind ``Subspace``,
+  ``rref``, ``rank``, ``solve`` and ``Mat.inverse``;
+- ``_reduce``, which clears the pivot columns of a vector against echelon
+  rows, behind ``Subspace.reduce`` and ``PivotedSpan``;
+- ``_kernel_rows``, which reads a kernel basis off a reduced matrix, behind
+  ``rref``, ``annihilator`` and ``kernel_combinations``.
+
 All values are treated as immutable after construction and all operations are
 pure, so they can be shared freely between concurrent workers.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
 
 from .errors import DimensionMismatch, SpecParseError
@@ -254,6 +264,23 @@ def _kernel_rows(reduced: list[list[Fraction]], pivots: list[int], ncols: int):
     return out
 
 
+def _reduce(v, rows, pivots) -> list[Fraction]:
+    """Residue of v after clearing each pivot column, in increasing order.
+
+    Each row leads with a 1 in its pivot column; rows need not be zero in the
+    other pivot columns, since clearing column p only touches columns >= p.
+    """
+    v = list(map(QQ, v))
+    n = len(v)
+    for row, pc in zip(rows, pivots):
+        c = v[pc]
+        if c:
+            for j in range(pc, n):
+                if row[j]:
+                    v[j] -= c * row[j]
+    return v
+
+
 class Subspace:
     """A linear subspace of QQ^n in canonical reduced-row-echelon form.
 
@@ -302,14 +329,7 @@ class Subspace:
         """Residue of v after eliminating all pivot coordinates."""
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector length != ambient dimension")
-        v = list(map(QQ, v))
-        for row, pc in zip(self.basis, self.pivots):
-            c = v[pc]
-            if c:
-                for j in range(pc, self.ambient_dim):
-                    if row[j]:
-                        v[j] -= c * row[j]
-        return v
+        return _reduce(v, self.basis, self.pivots)
 
     def contains(self, v) -> bool:
         return vec_is_zero(self.reduce(v))
@@ -351,7 +371,7 @@ def rref(m: Mat):
 
 
 def rank(m: Mat) -> int:
-    return rref(m)[1]
+    return len(_rref_rows([list(r) for r in m.data], m.cols)[1])
 
 
 def subspace_combine(a: Subspace, b: Subspace, mode: str) -> Subspace:
@@ -368,10 +388,28 @@ def annihilator(s: Subspace) -> Subspace:
 
     dim s + dim annihilator(s) = ambient, and the map is an involution.
     """
-    if s.dim == 0:
-        return Subspace.full(s.ambient_dim)
-    rows, pivots = _rref_rows([list(r) for r in s.basis], s.ambient_dim)
-    return Subspace(s.ambient_dim, _kernel_rows(rows, pivots, s.ambient_dim))
+    return Subspace(s.ambient_dim, _kernel_rows(s.basis, s.pivots, s.ambient_dim))
+
+
+def kernel_combinations(vectors, images) -> list[list[Fraction]]:
+    """The kernel of the linear map sending vectors[i] to images[i]: one
+    combination sum c_i vectors[i] per kernel basis vector c of the images.
+
+    The result is a basis of the kernel when ``vectors`` are independent.
+    """
+    d = len(vectors)
+    rows = [list(col) for col in zip(*images)]
+    rows, pivots = _rref_rows(rows, d)
+    out = []
+    for coeff in _kernel_rows(rows, pivots, d):
+        total = [ZERO] * len(vectors[0])
+        for c, v in zip(coeff, vectors):
+            if c:
+                for i, e in enumerate(v):
+                    if e:
+                        total[i] += c * e
+        out.append(total)
+    return out
 
 
 def solve(m: Mat, rhs) -> list[Fraction] | None:
@@ -395,50 +433,39 @@ class PivotedSpan:
     """Incrementally grown span with pivot bookkeeping.
 
     Rows are kept forward-reduced only (each row leads with a 1 in its own
-    pivot column and is zero in all earlier pivot columns), which makes
-    insertion cheap; ``to_subspace`` canonicalizes at the end.
+    pivot column and is zero in all earlier pivot columns), in increasing
+    pivot order, which makes insertion cheap; ``to_subspace`` canonicalizes
+    at the end.
     """
 
-    __slots__ = ("ambient_dim", "rows", "pivots", "_pivot_order")
+    __slots__ = ("ambient_dim", "rows", "pivots")
 
     def __init__(self, ambient_dim: int):
         self.ambient_dim = ambient_dim
-        self.rows: dict[int, list[Fraction]] = {}
-        self.pivots: set[int] = set()
-        self._pivot_order: list[int] = []
+        self.rows: list[list[Fraction]] = []
+        self.pivots: list[int] = []
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def _reduce(self, v) -> list[Fraction]:
-        v = list(map(QQ, v))
-        for pc in self._pivot_order:
-            c = v[pc]
-            if c:
-                row = self.rows[pc]
-                for j in range(pc, self.ambient_dim):
-                    if row[j]:
-                        v[j] -= c * row[j]
-        return v
-
     def contains(self, v) -> bool:
-        return vec_is_zero(self._reduce(v))
+        return vec_is_zero(_reduce(v, self.rows, self.pivots))
 
     def add(self, v) -> bool:
         """Insert v; returns True when it enlarged the span."""
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector length != ambient dimension")
-        res = self._reduce(v)
+        res = _reduce(v, self.rows, self.pivots)
         lead = next((j for j, e in enumerate(res) if e), None)
         if lead is None:
             return False
         c = res[lead]
         if c != 1:
             res = [e / c for e in res]
-        self.rows[lead] = res
-        self.pivots.add(lead)
-        self._pivot_order = sorted(self.pivots)
+        at = bisect(self.pivots, lead)
+        self.pivots.insert(at, lead)
+        self.rows.insert(at, res)
         return True
 
     def add_all(self, vectors) -> bool:
@@ -448,4 +475,4 @@ class PivotedSpan:
         return grew
 
     def to_subspace(self) -> Subspace:
-        return Subspace(self.ambient_dim, [self.rows[p] for p in self._pivot_order])
+        return Subspace(self.ambient_dim, self.rows)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch, RankOneError
-from .linalg import Mat, QQ, Subspace, format_scalar, parse_scalar, rref
+from .linalg import Mat, QQ, Subspace, format_scalar, kernel_combinations, parse_scalar
 
 
 class Box:
@@ -232,10 +232,6 @@ class Catalecticant:
         """Only the defining vector is serialized; the matrix is redundant."""
         return self.b.to_json()
 
-    @staticmethod
-    def from_json(doc: dict) -> "Catalecticant":
-        return catalecticant_from_vector(MultiVector.from_json(doc))
-
 
 def catalecticant_from_vector(b: MultiVector) -> Catalecticant:
     """Build B with B_ij = b_{i+j}; b must live on a box of the form 2N."""
@@ -374,26 +370,9 @@ def mu_kernel(box: Box, s: Subspace) -> Subspace:
     if s.ambient_dim != box.size:
         raise DimensionMismatch("subspace must live on the box space")
     basis = [list(r) for r in s.basis]
-    d = len(basis)
-    if d == 0:
-        return Subspace.zero(box.size * (box.size + 1) // 2)
-    inner_pairs = pair_monomials(d)
-    cols = []
-    for p, q in inner_pairs:
-        coords = pair_coords(basis[p], basis[q])
-        cols.append(list(mu_of_pair_coords(box, coords).data))
-    m = Mat([[cols[c][r] for c in range(len(cols))] for r in range(box.doubled().size)])
-    _, _, ker = rref(m)
-    out_rows = []
-    for coeff in ker.basis:
-        total = [QQ(0)] * (box.size * (box.size + 1) // 2)
-        for c, (p, q) in zip(coeff, inner_pairs):
-            if c:
-                for t, e in enumerate(pair_coords(basis[p], basis[q])):
-                    if e:
-                        total[t] += c * e
-        out_rows.append(total)
-    return Subspace(box.size * (box.size + 1) // 2, out_rows)
+    products = [pair_coords(basis[p], basis[q]) for p, q in pair_monomials(len(basis))]
+    images = [mu_of_pair_coords(box, c).data for c in products]
+    return Subspace(box.size * (box.size + 1) // 2, kernel_combinations(products, images))
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +411,3 @@ def rank_one_factor(m: Mat) -> list[Fraction]:
     if not c:
         raise RankOneError("not rank one")
     return u
-
-
-rank1_factor = rank_one_factor

@@ -29,6 +29,7 @@ from .linalg import (
     Subspace,
     annihilator,
     format_scalar,
+    kernel_combinations,
     rank,
     solve,
     vec_is_zero,
@@ -217,29 +218,20 @@ def nilpotency_bound(r: Rep, symbols, u, max_box: int | None = None) -> Box:
     return Box(bounds)
 
 
-def _normalized_columns(r: Rep, symbols, box: Box, y) -> dict[tuple[int, ...], list[Fraction]]:
-    """Column table i -> D^i y / i!, filled in lexicographic order."""
+def _normalized_table(r: Rep, symbols, box: Box, v) -> dict[tuple[int, ...], list[Fraction]]:
+    """Table i -> D^i v / i! over the box, filled in lexicographic order.
+
+    With r the module and v = y these are the columns of A; with r its
+    symmetric square, v = yy and the doubled box, the monomials D^n(yy) / n!.
+    """
     table: dict[tuple[int, ...], list[Fraction]] = {}
     for idx in box.indices():
         if not any(idx):
-            table[idx] = list(map(QQ, y))
+            table[idx] = list(map(QQ, v))
             continue
         s = next(k for k, e in enumerate(idx) if e)
         prev = idx[:s] + (idx[s] - 1,) + idx[s + 1:]
         table[idx] = [e / idx[s] for e in r.act(symbols[s], table[prev])]
-    return table
-
-
-def _normalized_dyy(s2: Rep, symbols, doubled: Box, yy) -> dict[tuple[int, ...], list[Fraction]]:
-    """Table n -> D^n(yy) / n! over the doubled box, in the symmetric square."""
-    table: dict[tuple[int, ...], list[Fraction]] = {}
-    for idx in doubled.indices():
-        if not any(idx):
-            table[idx] = list(map(QQ, yy))
-            continue
-        s = next(k for k, e in enumerate(idx) if e)
-        prev = idx[:s] + (idx[s] - 1,) + idx[s + 1:]
-        table[idx] = [e / idx[s] for e in s2.act(symbols[s], table[prev])]
     return table
 
 
@@ -260,7 +252,7 @@ def _validate_vanishing(r: Rep, symbols, box: Box, y) -> None:
 
 
 def _monomial_span_dim(s2: Rep, symbols, box: Box, yy) -> int:
-    table = _normalized_dyy(s2, symbols, box.doubled(), yy)
+    table = _normalized_table(s2, symbols, box.doubled(), yy)
     span = PivotedSpan(s2.dim)
     for v in table.values():
         span.add(v)
@@ -341,7 +333,7 @@ def generator_sequence(r: Rep, y, max_box: int | None = None,
 
 def build_A(r: Rep, y, gs: GenSeq) -> MultiMatrix:
     """The dim(V) x box multi-matrix whose column at i is D^i y / i!."""
-    table = _normalized_columns(r, gs.symbols, gs.box, y)
+    table = _normalized_table(r, gs.symbols, gs.box, y)
     idxs = gs.box.indices()
     data = [[table[i][k] for i in idxs] for k in range(r.dim)]
     return MultiMatrix(data, None, gs.box)
@@ -357,8 +349,8 @@ class _SeqData:
         self.s2 = r.sym_square()
         self.yy = _yy_coords(r, y)
         self.doubled = gs.box.doubled()
-        self.columns = _normalized_columns(r, gs.symbols, gs.box, y)
-        self.dyy = _normalized_dyy(self.s2, gs.symbols, self.doubled, self.yy)
+        self.columns = _normalized_table(r, gs.symbols, gs.box, y)
+        self.dyy = _normalized_table(self.s2, gs.symbols, self.doubled, self.yy)
         self._pair_sums: dict[tuple[int, ...], list[Fraction]] | None = None
         self._pivot_positions: list[int] | None = None
         self._pivot_mat: Mat | None = None
@@ -678,13 +670,8 @@ def _hyperplane_from_functional(im_at: Subspace, psi):
     j = next((k for k, c in enumerate(vals) if c), None)
     if j is None:
         return None
-    rows = []
-    for k in range(im_at.dim):
-        if k == j:
-            continue
-        f = vals[k] / vals[j]
-        rows.append([a - f * b for a, b in zip(basis[k], basis[j])])
-    return Subspace(im_at.ambient_dim, rows), basis[j]
+    kernel = kernel_combinations(basis, [[c] for c in vals])
+    return Subspace(im_at.ambient_dim, kernel), basis[j]
 
 
 def _sample_hyperplane(rng: random.Random, im_at: Subspace):

@@ -25,8 +25,8 @@ from .linalg import (
     PivotedSpan,
     QQ,
     Subspace,
+    kernel_combinations,
     rref,
-    solve,
     vec_is_zero,
 )
 
@@ -430,25 +430,10 @@ def highest_weight_vectors(r: Rep) -> list[tuple[Weight, Subspace]]:
     out = []
     for w, space in weight_decomposition(r):
         basis = [list(row) for row in space.basis]
-        d = len(basis)
-        stacked = []
-        for x in xs:
-            images = [x.apply(b) for b in basis]
-            for i in range(r.dim):
-                stacked.append([images[j][i] for j in range(d)])
-        _, _, ker = rref(Mat(stacked))
-        if ker.dim == 0:
-            continue
-        rows = []
-        for coeff in ker.basis:
-            v = [QQ(0)] * r.dim
-            for c, b in zip(coeff, basis):
-                if c:
-                    for i in range(r.dim):
-                        if b[i]:
-                            v[i] += c * b[i]
-            rows.append(v)
-        out.append((w, Subspace(r.dim, rows)))
+        images = [[e for x in xs for e in x.apply(b)] for b in basis]
+        rows = kernel_combinations(basis, images)
+        if rows:
+            out.append((w, Subspace(r.dim, rows)))
     return out
 
 
@@ -498,12 +483,7 @@ def _cartan_inverse(n: int) -> tuple[tuple[Fraction, ...], ...]:
     size = n - 1
     cartan = Mat([[QQ(2) if i == j else (QQ(-1) if abs(i - j) == 1 else QQ(0))
                    for j in range(size)] for i in range(size)])
-    cols = []
-    for j in range(size):
-        e = [QQ(0)] * size
-        e[j] = QQ(1)
-        cols.append(solve(cartan, e))
-    return tuple(tuple(cols[j][i] for j in range(size)) for i in range(size))
+    return tuple(tuple(row) for row in cartan.inverse().data)
 
 
 def dominance_height(n: int, w: Weight) -> Fraction:

@@ -1,6 +1,8 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbitquad.chordal import (
     ChordalSpec,
@@ -93,6 +95,37 @@ def test_wedge_coordinates():
     e2, e3 = unit(4, 1), unit(4, 2)
     mixed = wedge_coordinates([e1_plus, [a + b for a, b in zip(e2, e3)]], 4)
     assert mixed == [F(1), F(1), F(0), F(0), F(0), F(0)]
+
+
+def leibniz_det(rows):
+    """Determinant as the signed sum over permutations; the reference."""
+    total = F(0)
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(1 for a, b in itertools.combinations(perm, 2) if a > b)
+        term = F(-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+@st.composite
+def wedge_cases(draw):
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, min(n, 4)))
+    entry = st.one_of(st.just(F(0)), st.fractions(-5, 5, max_denominator=3))
+    vectors = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                            min_size=k, max_size=k))
+    return vectors, n
+
+
+@given(wedge_cases())
+@settings(deadline=None, max_examples=150)
+def test_wedge_coordinates_are_the_minors(case):
+    vectors, n = case
+    expected = [leibniz_det([[v[j] for j in cols] for v in vectors])
+                for cols in itertools.combinations(range(n), len(vectors))]
+    assert wedge_coordinates(vectors, n) == expected
 
 
 def test_chordal_sample_p1_is_decomposable():

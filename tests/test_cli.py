@@ -15,8 +15,9 @@ from orbitquad.cli import (
     main,
     parse_rep,
     parse_spec,
+    run,
 )
-from orbitquad.errors import SpecParseError, UnsupportedExpression
+from orbitquad.errors import DimensionMismatch, SpecParseError, UnsupportedExpression
 from orbitquad.lie import make_sl
 
 
@@ -111,9 +112,22 @@ def test_negative_vector_as_separate_word():
 
 
 def test_exit_dimension_on_wrong_length():
-    code, _, err = invoke(["ideal", "--alg", "sl:2", "--rep", "sym(3,std)",
-                           "--y", "1,0"])
-    assert code == EXIT_DIMENSION
+    argv = ["ideal", "--alg", "sl:2", "--rep", "sym(3,std)", "--y", "1,0"]
+    code, out, err = invoke(argv)
+    assert code == EXIT_DIMENSION and out == ""
+    assert "vector length 2 != module dimension 4" in err
+    with pytest.raises(DimensionMismatch):
+        run(parse_spec(argv))
+
+
+def test_exit_unsupported_on_degree_out_of_range():
+    for rep, message in (("wedge(5,std)", "wedge degree 5 out of range 1..2"),
+                         ("sym(0,std)", "sym degree 0 must be >= 1")):
+        code, out, err = invoke(["decompose", "--alg", "sl:2", "--rep", rep])
+        assert code == EXIT_UNSUPPORTED and out == ""
+        assert message in err
+        with pytest.raises(UnsupportedExpression):
+            parse_rep(rep, make_sl(2))
 
 
 def test_exit_unsupported_on_unknown_constructor():

@@ -10,6 +10,7 @@ from orbitquad.linalg import (
     Subspace,
     annihilator,
     format_scalar,
+    kernel_combinations,
     parse_scalar,
     rank,
     rref,
@@ -65,6 +66,7 @@ def test_rref_idempotent_and_kernel(m):
 @settings(deadline=None, max_examples=60)
 def test_rank_equals_rank_of_transpose(m):
     assert rank(m) == rank(m.transpose())
+    assert rank(m) + rref(m)[2].dim == m.cols
 
 
 def test_combine_coordinate_axes():
@@ -154,6 +156,34 @@ def test_pivoted_span_matches_subspace():
     assert not span.add([1, 0, 0])  # already in the span
     assert span.contains([2, 3, 3])
     assert span.to_subspace() == Subspace(3, [[0, 1, 1], [1, 1, 1]])
+
+
+@given(st.lists(st.lists(small_fracs, min_size=4, max_size=4), min_size=1, max_size=5),
+       st.randoms(use_true_random=False))
+@settings(deadline=None, max_examples=60)
+def test_pivoted_span_any_insertion_order(rows, rnd):
+    shuffled = list(rows)
+    rnd.shuffle(shuffled)
+    span = PivotedSpan(4)
+    span.add_all(shuffled)
+    assert span.to_subspace() == Subspace(4, rows)
+    assert span.pivots == sorted(span.pivots)
+    assert all(span.contains(r) for r in rows)
+
+
+@given(mats(), st.lists(st.lists(small_fracs, min_size=4, max_size=4), min_size=0, max_size=5))
+@settings(deadline=None, max_examples=60)
+def test_kernel_combinations_map_to_zero(m, vectors):
+    vectors = [(v * m.cols)[: m.cols] for v in vectors]
+    images = [m.apply(v) for v in vectors]
+    kernel = kernel_combinations(vectors, images)
+    for w in kernel:
+        assert all(not e for e in m.apply(w))
+    assert len(kernel) == len(vectors) - rank(Mat(images))
+    if rank(Mat(vectors)) == len(vectors):
+        # independent inputs: the kernel of m on their span, exactly
+        span = Subspace(m.cols, vectors)
+        assert Subspace(m.cols, kernel) == span.intersect(rref(m)[2])
 
 
 def test_inverse():
