@@ -5,7 +5,8 @@ single JSON document with rationals serialized as strings, sorted keys, and
 no timestamps, so identical invocations are byte-identical.
 
 Exit codes: 0 success/consistent, 2 parse error (including a negative
---trials or --samples and an all-zero --y), 3 dimension mismatch,
+--trials or --samples, an all-zero --y, and a chordal --k outside 1..n or
+--p below 1), 3 dimension mismatch,
 4 unsupported expression (including a wedge or sym degree outside its
 range), 5 discrepancy verdict, 6 caps or inconclusive.
 The environment variable ORBITQUAD_MAX_BOX overrides the multi-degree box cap.
@@ -193,6 +194,10 @@ def parse_spec(argv) -> RunSpec:
         raise SpecParseError("--trials and --samples must be >= 0")
     spec = RunSpec(command=ns.command)
     if ns.command == "chordal":
+        if not 1 <= ns.k <= ns.n:
+            raise SpecParseError("need 1 <= k <= n")
+        if ns.p < 1:
+            raise SpecParseError("need p >= 1")
         spec.n, spec.k, spec.p = ns.n, ns.k, ns.p
         spec.samples = ns.samples
         spec.seed = ns.seed

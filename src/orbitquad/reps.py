@@ -9,6 +9,12 @@ the standard module propagate to integer weights everywhere.
 
 Weights are plain tuples of integers: the eigenvalues of the simple coroot
 actions H_1, ..., H_{n-1}.
+
+Each module's action is also read once into a sparse view, kept on the
+object: the nonzero entries of every column, and the weight of every
+coordinate.  Actions, the homomorphism check and the highest weight search
+run on it, and cyclic closures are searched one weight space at a time,
+since a submodule is the direct sum of its weight spaces.
 """
 
 from __future__ import annotations
@@ -34,19 +40,8 @@ Weight = tuple[int, ...]
 
 # standard modules keyed by n, derived ones by (parent Rep, kind, k, other)
 _REP_CACHE: dict = {}
-
-
-def _nonzero_rows(m: Mat) -> dict[int, list[tuple[int, Fraction | int]]]:
-    """Row index -> [(column, entry)] over the nonzero entries of m.
-
-    Integral entries become ints: exact, and much cheaper to multiply.
-    """
-    out = {}
-    for i, row in enumerate(m.data):
-        nz = [(j, e.numerator if e.denominator == 1 else e) for j, e in enumerate(row) if e]
-        if nz:
-            out[i] = nz
-    return out
+# isotypic decompositions keyed by the Rep object
+_ISOTYPIC_CACHE: dict = {}
 
 
 class Rep:
@@ -72,10 +67,15 @@ class Rep:
 
     def act(self, symbol: str, v: list[Fraction]) -> list[Fraction]:
         try:
-            m = self.action[symbol]
+            cols = _sparse(self).columns[symbol]
         except KeyError:
             raise KeyError(f"unknown generator symbol {symbol!r}") from None
-        return m.apply(v)
+        if len(v) != self.dim:
+            raise DimensionMismatch("matrix-vector length mismatch")
+        out = [QQ(0)] * self.dim
+        for i, e in _apply(cols, [(j, x) for j, x in enumerate(v) if x]).items():
+            out[i] = QQ(e)
+        return out
 
     def act_word(self, word, v: list[Fraction]) -> list[Fraction]:
         """Apply a word of generator symbols right-to-left (empty = identity)."""
@@ -91,24 +91,23 @@ class Rep:
 
         Every unordered pair a < b of the catalog is checked, at every module
         size: the pair (a, a) reads 0 = 0 and (b, a) is the negative of (a, b).
-        Products run on each action's nonzero entries, read once per check,
-        so no dense matrix is formed.  A failure is a construction bug and
-        raises.
+        Products run on the sparse columns of the module's view, so no dense
+        matrix is formed.  A failure is a construction bug and raises.
         """
         g = self.algebra
-        rows = {s: _nonzero_rows(m) for s, m in self.action.items()}
-        identity = {k: [(k, 1)] for k in range(self.dim)}
+        cols = _sparse(self).columns
+        identity = [[(k, 1)] for k in range(self.dim)]
         for ia, sa in enumerate(g.catalog):
             for sb in g.catalog[ia + 1:]:
                 # (coefficient, left, right) of rho(a)rho(b) - rho(b)rho(a) - sum c_s rho(s)
-                terms = [(1, rows[sa], rows[sb]), (-1, rows[sb], rows[sa])]
+                terms = [(1, cols[sa], cols[sb]), (-1, cols[sb], cols[sa])]
                 ab = bracket(g.generators[sa], g.generators[sb])
-                terms += [(-c, rows[s], identity) for s, c in g.expand_in_catalog(ab).items()]
+                terms += [(-c, cols[s], identity) for s, c in g.expand_in_catalog(ab).items()]
                 residual: dict[tuple[int, int], Fraction | int] = {}
                 for c, left, right in terms:
-                    for i, row in left.items():
-                        for k, e in row:
-                            for j, f in right.get(k, ()):
+                    for j, col in enumerate(right):
+                        for k, f in col:
+                            for i, e in left[k]:
                                 residual[i, j] = residual.get((i, j), 0) + c * e * f
                 if any(residual.values()):
                     raise StructuralError(
@@ -117,6 +116,62 @@ class Rep:
     def sym_square(self) -> "Rep":
         """The module S^2(V) on symmetric matrices (memoized)."""
         return derived_rep(self, "sym2")
+
+
+class _SparseView:
+    """A module's action read once: the nonzero entries of every column.
+
+    ``columns[s][j]`` lists the (row, entry) pairs of column j of generator
+    s, integral entries as ints.  ``weights[j]`` is the weight of coordinate
+    j, the tuple of its coroot eigenvalues, when every coroot acts
+    diagonally, and None otherwise.  ``frame`` holds the weight-basis
+    conjugate of a module whose coroots are not diagonal, once
+    ``_weight_frame`` has built it.
+    """
+
+    __slots__ = ("columns", "weights", "frame")
+
+    def __init__(self, r: Rep):
+        self.columns = {}
+        for s, m in r.action.items():
+            cols = [[] for _ in range(r.dim)]
+            for i, row in enumerate(m.data):
+                for j, e in enumerate(row):
+                    if e:
+                        cols[j].append((i, _compact(e)))
+            self.columns[s] = cols
+        hs = [self.columns[s] for s in r.algebra.h_symbols()]
+        if all(len(col) <= 1 and all(i == j for i, _ in col)
+               for h in hs for j, col in enumerate(h)):
+            self.weights = [tuple(h[j][0][1] if h[j] else 0 for h in hs)
+                            for j in range(r.dim)]
+        else:
+            self.weights = None
+        self.frame = None
+
+
+def _sparse(r: Rep) -> _SparseView:
+    """The sparse view of r, built on first use and kept on the object."""
+    try:
+        return r._view
+    except AttributeError:
+        r._view = _SparseView(r)
+        return r._view
+
+
+def _compact(x: Fraction) -> Fraction | int:
+    """x, as an int when integral: exact, and much cheaper to multiply."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _apply(cols, v) -> dict[int, Fraction | int]:
+    """Sparse columns times a vector given as (coordinate, entry) pairs; the
+    nonzero entries of the image."""
+    out: dict[int, Fraction | int] = {}
+    for j, x in v:
+        for i, a in cols[j]:
+            out[i] = out.get(i, 0) + a * x
+    return {i: e for i, e in out.items() if e}
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +369,6 @@ def act_word(r: Rep, word, v) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 # weights
 
-def _h_matrices(r: Rep) -> list[Mat]:
-    return [r.action[s] for s in r.algebra.h_symbols()]
-
-
 def _integer_eigenvalue_candidates(h: Mat) -> list[int]:
     """All integers inside the Gershgorin discs of h."""
     import math
@@ -337,24 +388,19 @@ def _integer_eigenvalue_candidates(h: Mat) -> list[int]:
 def weight_decomposition(r: Rep) -> list[tuple[Weight, Subspace]]:
     """Joint eigenspaces of the simple coroot actions, sorted by weight.
 
-    The modules built here carry diagonal coroot actions, which is handled
-    directly; otherwise the integer spectrum is searched inside the
+    The modules built here carry diagonal coroot actions, which the sparse
+    view reads off as one weight per coordinate; otherwise the integer spectrum is searched inside the
     Gershgorin bounds, refining the split one coroot at a time.  If the
     eigenspaces do not exhaust the module the actions were not
     simultaneously diagonalizable with integer spectrum, which flags a bug
     loudly.
     """
-    hmats = _h_matrices(r)
     n = r.dim
-    diagonal = all(
-        all(not h.data[i][j] for i in range(n) for j in range(n) if i != j)
-        for h in hmats
-    )
+    weights = _sparse(r).weights
     spaces: list[tuple[Weight, Subspace]] = []
-    if diagonal:
+    if weights is not None:
         groups: dict[tuple, list[int]] = {}
-        for j in range(n):
-            w = tuple(h.data[j][j] for h in hmats)
+        for j, w in enumerate(weights):
             groups.setdefault(w, []).append(j)
         for w, idxs in groups.items():
             rows = []
@@ -365,7 +411,7 @@ def weight_decomposition(r: Rep) -> list[tuple[Weight, Subspace]]:
             spaces.append((_as_int_weight(w, r), Subspace(n, rows)))
     else:
         partial: list[tuple[tuple[int, ...], Subspace]] = [((), Subspace.full(n))]
-        for h in hmats:
+        for h in (r.action[s] for s in r.algebra.h_symbols()):
             candidates = _integer_eigenvalue_candidates(h)
             refined = []
             for prefix, space in partial:
@@ -415,8 +461,8 @@ def weight_of(r: Rep, v) -> Weight:
         raise ValueError("zero vector has no weight")
     lead = next(i for i, e in enumerate(v) if e)
     out = []
-    for h in _h_matrices(r):
-        hv = h.apply(v)
+    for s in r.algebra.h_symbols():
+        hv = r.act(s, v)
         lam = hv[lead] / v[lead]
         if hv != [lam * e for e in v]:
             raise ValueError("not a weight vector")
@@ -426,11 +472,11 @@ def weight_of(r: Rep, v) -> Weight:
 
 def highest_weight_vectors(r: Rep) -> list[tuple[Weight, Subspace]]:
     """For each weight, the subspace killed by every positive-root action."""
-    xs = [r.action[s] for s in r.algebra.x_symbols()]
+    xs = r.algebra.x_symbols()
     out = []
     for w, space in weight_decomposition(r):
         basis = [list(row) for row in space.basis]
-        images = [[e for x in xs for e in x.apply(b)] for b in basis]
+        images = [[e for x in xs for e in r.act(x, b)] for b in basis]
         rows = kernel_combinations(basis, images)
         if rows:
             out.append((w, Subspace(r.dim, rows)))
@@ -446,31 +492,107 @@ class ClosureResult:
     words: list[tuple[str, ...]]
 
 
-def cyclic_closure(r: Rep, w) -> ClosureResult:
-    """Smallest action-invariant subspace containing w, with provenance words.
+def _weight_frame(r: Rep):
+    """(module, p, p_inv): r in a basis of weight vectors, and the change to it.
 
-    Breadth-first span growth over the X/Y generators (the coroots are their
-    brackets, so invariance under them follows).  Each recorded word, read
-    left to right and applied right-to-left, sends w to a vector that enlarged
-    the span when it was found.
+    For a module whose coroots act diagonally this is (r, None, None).
+    Otherwise the columns of p are the bases of ``weight_decomposition``,
+    in order, and the module is r conjugated by p, built once per object.
     """
-    span = PivotedSpan(r.dim)
+    view = _sparse(r)
+    if view.weights is not None:
+        return r, None, None
+    if view.frame is None:
+        p = Mat([list(row) for _, space in weight_decomposition(r)
+                 for row in space.basis]).transpose()
+        p_inv = p.inverse()
+        action = {s: p_inv * m * p for s, m in r.action.items()}
+        view.frame = (Rep(r.algebra, r.label, action, _checked=True), p, p_inv)
+    return view.frame
+
+
+def _graded_closure(r: Rep, w):
+    """Breadth-first closure of w in a module with diagonal coroots.
+
+    Returns one ``PivotedSpan`` per weight, over the coordinates of that
+    weight in increasing order, with the recorded words.
+    """
+    view = _sparse(r)
+    weights = view.weights
+    coords: dict[Weight, list[int]] = {}
+    local = []
+    for j, mu in enumerate(weights):
+        block = coords.setdefault(mu, [])
+        local.append(len(block))
+        block.append(j)
+    spans = {mu: PivotedSpan(len(block)) for mu, block in coords.items()}
+
+    def insert(v: dict[int, Fraction | int]) -> bool:
+        parts: dict[Weight, list] = {}
+        for j, x in v.items():
+            mu = weights[j]
+            part = parts.get(mu)
+            if part is None:
+                part = parts[mu] = [0] * len(coords[mu])
+            part[local[j]] = x
+        grew = False
+        for mu, part in parts.items():
+            grew |= spans[mu].add(part)
+        return grew
+
+    start = {j: _compact(QQ(x)) for j, x in enumerate(w) if x}
     words: list[tuple[str, ...]] = []
-    if not span.add(w):
-        return ClosureResult(span.to_subspace(), words)
+    if not insert(start):
+        return spans, coords, words
     xy = r.algebra.xy_symbols()
-    frontier: list[tuple[list[Fraction], tuple[str, ...]]] = [(list(map(QQ, w)), ())]
+    frontier = [(start, ())]
     while frontier:
         fresh = []
         for v, word in frontier:
             for sym in xy:
-                u = r.act(sym, v)
-                if span.add(u):
+                u = _apply(view.columns[sym], v.items())
+                if insert(u):
                     new_word = (sym,) + word
                     words.append(new_word)
                     fresh.append((u, new_word))
         frontier = fresh
-    return ClosureResult(span.to_subspace(), words)
+    return spans, coords, words
+
+
+def cyclic_closure(r: Rep, w) -> ClosureResult:
+    """Smallest action-invariant subspace containing w, with provenance words.
+
+    Breadth-first span growth over the X/Y generators, in ``xy_symbols()``
+    order (the coroots are their brackets, so invariance under them
+    follows).  The search is graded by weight: every vector is held as its
+    nonzero coordinates, acted on through the sparse view, and split into
+    its weight components, and each component is reduced against a small
+    echelon of its own weight space.  Each recorded word, read left to right
+    and applied right-to-left, sends w to a vector with a component that
+    enlarged its weight space's span when it was found.
+
+    The weight pieces of all vectors met span the closure: a submodule is
+    the direct sum of its weight spaces, and each X/Y generator shifts every
+    weight by the same root, so it sends each component of a vector to the
+    matching component of the image.  The pieces are assembled into one
+    RREF ``Subspace``, which is canonical.  A module whose coroots are not
+    diagonal is searched in the weight basis of ``_weight_frame`` and the
+    result mapped back.
+    """
+    if len(w) != r.dim:
+        raise DimensionMismatch("vector length != ambient dimension")
+    graded, p, p_inv = _weight_frame(r)
+    spans, coords, words = _graded_closure(graded, w if p_inv is None else p_inv.apply(w))
+    rows = []
+    for mu, span in spans.items():
+        block = coords[mu]
+        for local_row in span.rows:
+            row = [QQ(0)] * r.dim
+            for k, x in enumerate(local_row):
+                if x:
+                    row[block[k]] = x
+            rows.append(row if p is None else p.apply(row))
+    return ClosureResult(Subspace(r.dim, rows), words)
 
 
 def cyclic_module(r: Rep, w) -> Subspace:
@@ -517,8 +639,11 @@ def isotypic_decomposition(r: Rep) -> IsotypicDecomposition:
 
     Each component is the sum of the cyclic modules of that weight's highest
     weight vectors.  Components must be independent and exhaust the module
-    (semisimplicity); any violation aborts, as it can only be a bug.
+    (semisimplicity); any violation aborts, as it can only be a bug.  The
+    result is memoized per module object; treat it as read-only.
     """
+    if r in _ISOTYPIC_CACHE:
+        return _ISOTYPIC_CACHE[r]
     comps = []
     for w, hw_space in highest_weight_vectors(r):
         span = PivotedSpan(r.dim)
@@ -537,7 +662,9 @@ def isotypic_decomposition(r: Rep) -> IsotypicDecomposition:
             f"!= {r.dim}; module is not exhausted")
     comps.sort(key=lambda c: (-dominance_height(r.algebra.n, c.weight), c.weight),
                reverse=False)
-    return IsotypicDecomposition(comps, all(c.multiplicity == 1 for c in comps))
+    decomp = IsotypicDecomposition(comps, all(c.multiplicity == 1 for c in comps))
+    _ISOTYPIC_CACHE[r] = decomp
+    return decomp
 
 
 def exp_nilpotent(r: Rep, symbol: str, t) -> Mat:

@@ -93,6 +93,18 @@ def test_exit_parse_on_negative_counts():
     assert code == EXIT_PARSE and out == ""
 
 
+@pytest.mark.parametrize(
+    "n,k,p,message",
+    [(2, 3, 1, "need 1 <= k <= n"), (4, 2, 0, "need p >= 1")],
+)
+def test_exit_parse_on_chordal_spec_out_of_range(n, k, p, message):
+    code, out, err = invoke(["chordal", "--n", str(n), "--k", str(k), "--p", str(p)])
+    assert code == EXIT_PARSE and out == ""
+    assert err == f"error: {message}\n"
+    with pytest.raises(SpecParseError, match=message):
+        parse_spec(["chordal", "--n", str(n), "--k", str(k), "--p", str(p)])
+
+
 def test_exit_parse_on_zero_vector():
     code, _, err = invoke(["ideal", "--alg", "sl:2", "--rep", "std", "--y", "0,0"])
     assert code == EXIT_PARSE

@@ -192,6 +192,26 @@ def test_generator_sequence_random_y_extends():
     assert orbit_module(r, y).dim == 6
 
 
+# (module builder, y, symbols, N) recorded with the dense, ungraded closure;
+# the symbols go into the certify JSON, so the graded search must keep them
+PINNED_SEQUENCES = [
+    (lambda: sl2_sym(3), (1, -1, 1, 1), ("Y(1,2)", "X(1,2)"), (3, 3)),
+    (lambda: sl2_sym(2), (1, 1, 1), ("Y(1,2)", "X(1,2)"), (2, 2)),
+    (lambda: derived_rep(standard_rep(make_sl(3)), "sym", 2), (1, 0, 0, 1, 0, 0),
+     ("Y(1,2)", "Y(2,3)", "X(1,2)"), (2, 2, 2)),
+    (wedge2_sl4, (1, 0, 0, 0, 0, 0),
+     ("Y(1,2)", "Y(1,3)", "Y(2,3)", "Y(2,4)"), (1, 1, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("builder,y,symbols,bounds", PINNED_SEQUENCES,
+                         ids=["sym3", "sym2", "conic@sl3", "E12@wedge2"])
+def test_generator_sequence_pinned(builder, y, symbols, bounds):
+    gs = generator_sequence(builder(), [F(e) for e in y])
+    assert gs.symbols == symbols
+    assert gs.box.N == bounds
+
+
 def test_generator_sequence_caps():
     r = sl2_sym(2)
     with pytest.raises(CapExceeded):

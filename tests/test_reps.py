@@ -1,10 +1,12 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbitquad.errors import StructuralError
 from orbitquad.lie import make_sl
-from orbitquad.linalg import Mat, Subspace
+from orbitquad.linalg import Mat, PivotedSpan, Subspace
+from orbitquad.orbit import orbit_module
 from orbitquad.reps import (
     Rep,
     cyclic_closure,
@@ -23,6 +25,7 @@ from orbitquad.reps import (
 )
 
 import weyl_oracle
+from closure_reference import dense_closure
 
 
 def unit(n, i):
@@ -118,14 +121,23 @@ def test_weight_decomposition_wedge2(sl4):
     assert sum(s.dim for _, s in decomp) == 6
 
 
-def test_weight_decomposition_non_diagonal(sl2):
-    # base change of S^3 QQ^2: coroot actions stop being diagonal but the
-    # integer spectrum search must still find the same weights
-    base = derived_rep(standard_rep(sl2), "sym", 3)
+def twisted(base, label):
+    """A base change of a 4-dimensional module that makes its coroot action
+    not diagonal."""
     p = Mat([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 2]])
     p_inv = p.inverse()
     action = {sym: p * m * p_inv for sym, m in base.action.items()}
-    twisted = Rep(sl2, "twisted-sym3", action)
+    return Rep(base.algebra, label, action)
+
+
+def twisted_sym3(sl2):
+    return twisted(derived_rep(standard_rep(sl2), "sym", 3), "twisted-sym3")
+
+
+def test_weight_decomposition_non_diagonal(sl2):
+    # base change of S^3 QQ^2: coroot actions stop being diagonal but the
+    # integer spectrum search must still find the same weights
+    twisted = twisted_sym3(sl2)
     decomp = weight_decomposition(twisted)
     assert [w for w, _ in decomp] == [(3,), (1,), (-1,), (-3,)]
     assert all(s.dim == 1 for _, s in decomp)
@@ -223,6 +235,50 @@ def test_closure_words_reproduce_span(sl2):
         assert res.subspace.contains(r.act_word(word, w))
 
 
+CLOSURE_MODULES = {
+    "sym3@sl2": lambda: derived_rep(standard_rep(make_sl(2)), "sym", 3),
+    "sym2@sl3": lambda: derived_rep(standard_rep(make_sl(3)), "sym", 2),
+    "S2(wedge2)@sl4": lambda: derived_rep(
+        derived_rep(standard_rep(make_sl(4)), "wedge", 2), "sym2"),
+    "tensor(std,dual(std))@sl3": lambda: derived_rep(
+        standard_rep(make_sl(3)), "tensor",
+        other=derived_rep(standard_rep(make_sl(3)), "dual")),
+    "twisted-sym3@sl2": lambda: twisted_sym3(make_sl(2)),
+    # reducible (sym^2 + trivial), so closures of w are proper subspaces too
+    "twisted-tensor(std,std)@sl2": lambda: twisted(
+        derived_rep(standard_rep(make_sl(2)), "tensor", other=standard_rep(make_sl(2))),
+        "twisted-tensor"),
+}
+
+
+def coroot_span(r, vectors) -> Subspace:
+    """Span of the vectors closed under the dense coroot actions: the span of
+    their weight components."""
+    span = PivotedSpan(r.dim)
+    frontier = [v for v in vectors if span.add(v)]
+    while frontier:
+        frontier = [u for v in frontier for s in r.algebra.h_symbols()
+                    for u in [r.action[s].apply(v)] if span.add(u)]
+    return span.to_subspace()
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_MODULES))
+@given(data=st.data())
+@settings(deadline=None, max_examples=30)
+def test_graded_closure_matches_dense_reference(name, data):
+    r = CLOSURE_MODULES[name]()
+    w = data.draw(st.lists(st.integers(-2, 2), min_size=r.dim, max_size=r.dim))
+    w = [F(e) for e in w]
+    res = cyclic_closure(r, w)
+    assert res.subspace == dense_closure(r, w)[0]
+    images = [r.act_word(word, w) for word in res.words]
+    for u in images:
+        assert res.subspace.contains(u)
+    # the words are the provenance: their images and w, split into weight
+    # components, span the whole closure
+    assert coroot_span(r, [w] + images) == res.subspace
+
+
 @pytest.mark.parametrize(
     "builder,expected",
     [
@@ -240,6 +296,62 @@ def test_isotypic_dims_against_oracle(builder, expected):
     assert decomp.multiplicity_free
     oracle = weyl_oracle.isotypic_dims(r.algebra.n, weights_multiset(r))
     assert sorted(decomp.dims(), reverse=True) == oracle
+
+
+# Lichtenstein: the orbit module of a highest weight vector of V(lam) is
+# V(2 lam), the Cartan component of S^2 V.  (n, construction, k, lam)
+HIGHEST_WEIGHT_CASES = (
+    [(n, "std", None, (1,) + (0,) * (n - 2)) for n in range(2, 7)]
+    + [(n, "wedge", k, tuple(int(i == k - 1) for i in range(n - 1)))
+       for n in range(3, 6) for k in range(2, n)]
+    + [(6, "wedge", 2, (0, 1, 0, 0, 0))]
+    + [(2, "sym", d, (d,)) for d in range(2, 7)]
+    + [(3, "sym", 2, (2, 0)), (3, "sym", 3, (3, 0)), (4, "sym", 2, (2, 0, 0)),
+       (5, "sym", 2, (2, 0, 0, 0))]
+    + [pytest.param(*case, marks=pytest.mark.slow) for case in
+       [(6, "wedge", 3, (0, 0, 1, 0, 0)), (6, "sym", 2, (2, 0, 0, 0, 0)),
+        (4, "sym", 3, (3, 0, 0))]]
+)
+
+
+@pytest.mark.parametrize("n,kind,k,lam", HIGHEST_WEIGHT_CASES)
+def test_orbit_module_of_highest_weight_vector_is_cartan_component(n, kind, k, lam):
+    std = standard_rep(make_sl(n))
+    r = std if kind == "std" else derived_rep(std, kind, k)
+    y = unit(r.dim, 0)
+    assert weight_of(r, y) == lam
+    assert all(not any(r.act(s, y)) for s in r.algebra.x_symbols())
+    want = weyl_oracle.weyl_dim(n, tuple(2 * c for c in lam))
+    assert orbit_module(r, y).dim == want
+
+
+def _sym2_wedge2_weights(n):
+    """Weight multiset of S^2(wedge^2 QQ^n), from the weights of QQ^n alone."""
+    std = [tuple(int(i == c) - int(i == c + 1) for c in range(n - 1)) for i in range(n)]
+    wedge = [tuple(a + b for a, b in zip(std[i], std[j]))
+             for i in range(n) for j in range(i + 1, n)]
+    out: dict = {}
+    for i in range(len(wedge)):
+        for j in range(i, len(wedge)):
+            w = tuple(a + b for a, b in zip(wedge[i], wedge[j]))
+            out[w] = out.get(w, 0) + 1
+    return out
+
+
+@pytest.mark.parametrize("n", [6, pytest.param(7, marks=pytest.mark.slow)])
+def test_isotypic_sym2_wedge2_against_weyl_peel(n):
+    r = derived_rep(derived_rep(standard_rep(make_sl(n)), "wedge", 2), "sym2")
+    got = sorted((c.weight, c.multiplicity, c.dim)
+                 for c in isotypic_decomposition(r).components)
+    want = sorted(weyl_oracle.peel(n, _sym2_wedge2_weights(n)))
+    assert got == want
+
+
+def test_isotypic_decomposition_is_memoized_per_module(sl2):
+    r = derived_rep(standard_rep(sl2), "sym", 4)
+    assert isotypic_decomposition(r) is isotypic_decomposition(r)
+    same_label = Rep(sl2, r.label, dict(r.action))
+    assert isotypic_decomposition(same_label) is not isotypic_decomposition(r)
 
 
 def test_isotypic_components_are_independent(sl2):
