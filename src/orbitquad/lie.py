@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DimensionMismatch
 from .linalg import Mat, QQ, bracket_mats
@@ -94,6 +95,24 @@ class LieAlgebra:
         h.data[beta.j - 1][beta.j - 1] = QQ(-1)
         return h
 
+    @cached_property
+    def structure_constants(self) -> dict[tuple[str, str], dict[str, Fraction]]:
+        """[a, b] expanded in the catalog, for each pair a before b in catalog
+        order; computed once per algebra, from the nonzero entries alone."""
+        nonzero = {s: [(i, j, e) for i, row in enumerate(m.data) for j, e in enumerate(row) if e]
+                   for s, m in self.generators.items()}
+        out = {}
+        for ia, a in enumerate(self.catalog):
+            for b in self.catalog[ia + 1:]:
+                entries: dict[tuple[int, int], Fraction] = {}
+                for sign, left, right in ((1, a, b), (-1, b, a)):
+                    for i, k, e in nonzero[left]:
+                        for k2, j, f in nonzero[right]:
+                            if k == k2:
+                                entries[i, j] = entries.get((i, j), 0) + sign * e * f
+                out[a, b] = self._expand(entries)
+        return out
+
     def expand_in_catalog(self, m: Mat) -> dict[str, Fraction]:
         """Write a traceless n x n matrix as a combination of catalog entries.
 
@@ -104,17 +123,22 @@ class LieAlgebra:
             raise DimensionMismatch("matrix is not n x n")
         if m.trace() != 0:
             raise ValueError("matrix is not traceless, cannot lie in sl(n)")
+        return self._expand({(i, j): e for i, row in enumerate(m.data)
+                             for j, e in enumerate(row) if e})
+
+    def _expand(self, entries: dict[tuple[int, int], Fraction]) -> dict[str, Fraction]:
+        """``expand_in_catalog`` of the traceless matrix with these entries."""
         coeffs: dict[str, Fraction] = {}
         for beta in self.positive_roots:
-            a = m.data[beta.i - 1][beta.j - 1]
+            a = entries.get((beta.i - 1, beta.j - 1))
             if a:
                 coeffs[x_symbol(beta)] = a
-            b = m.data[beta.j - 1][beta.i - 1]
+            b = entries.get((beta.j - 1, beta.i - 1))
             if b:
                 coeffs[y_symbol(beta)] = b
         partial = QQ(0)
         for i in range(1, self.n):
-            partial += m.data[i - 1][i - 1]
+            partial += entries.get((i - 1, i - 1), 0)
             if partial:
                 coeffs[h_symbol(i)] = partial
         return coeffs

@@ -38,16 +38,14 @@ from .multimatrix import (
     Box,
     MultiMatrix,
     MultiVector,
-    catalecticant_from_vector,
     mu,
     mu_image_span,
-    phi_A,
     rank_one_factor,
 )
 from .reps import (
     Rep,
     cyclic_closure,
-    exp_nilpotent,
+    exp_act,
     mat_to_sym_coords,
     sym_coords_to_mat,
     sym_pairs,
@@ -170,15 +168,6 @@ class GenSeq:
         return len(self.symbols)
 
 
-def _check_xy(r: Rep, symbols) -> list[Mat]:
-    mats = []
-    for s in symbols:
-        if s.startswith("H"):
-            raise ValueError(f"{s} is a coroot; the sequence needs nilpotent letters")
-        mats.append(r.action[s])
-    return mats
-
-
 def nilpotency_bound(r: Rep, symbols, u, max_box: int | None = None) -> Box:
     """Per-axis degree bounds after which the iterated action annihilates u.
 
@@ -187,16 +176,17 @@ def nilpotency_bound(r: Rep, symbols, u, max_box: int | None = None) -> Box:
     D_{s+1}^{i_{s+1}} ... D_r^{i_r} u alive.
     """
     cap = MAX_BOX if max_box is None else max_box
-    mats = _check_xy(r, symbols)
+    for s in symbols:
+        if s.startswith("H"):
+            raise ValueError(f"{s} is a coroot; the sequence needs nilpotent letters")
     tails = [list(map(QQ, u))]
-    bounds = [0] * len(mats)
-    for s in range(len(mats) - 1, -1, -1):
-        m = mats[s]
+    bounds = [0] * len(symbols)
+    for s in range(len(symbols) - 1, -1, -1):
         frontier = [v for v in tails if not vec_is_zero(v)]
         grown = list(tails)
         k = 0
         while frontier:
-            frontier = [m.apply(v) for v in frontier]
+            frontier = [r.act(symbols[s], v) for v in frontier]
             frontier = [v for v in frontier if not vec_is_zero(v)]
             if not frontier:
                 break
@@ -237,14 +227,10 @@ def _normalized_table(r: Rep, symbols, box: Box, v) -> dict[tuple[int, ...], lis
 
 def _validate_vanishing(r: Rep, symbols, box: Box, y) -> None:
     """Exact check that raising any single exponent past its bound kills y."""
-    mats = [r.action[s] for s in symbols]
     for j in range(len(symbols)):
-        v = list(map(QQ, y))
-        for s in range(len(symbols) - 1, -1, -1):
-            times = box.N[s] + (1 if s == j else 0)
-            for _ in range(times):
-                v = mats[s].apply(v)
-        if not vec_is_zero(v):
+        word = [sym for s, sym in enumerate(symbols)
+                for _ in range(box.N[s] + (1 if s == j else 0))]
+        if not vec_is_zero(r.act_word(word, y)):
             raise StructuralError(
                 f"nilpotency bound violated on axis {j}",
                 {"symbols": list(symbols), "N": list(box.N)},
@@ -344,43 +330,32 @@ class _SeqData:
 
     def __init__(self, r: Rep, y, gs: GenSeq):
         self.rep = r
-        self.y = list(map(QQ, y))
-        self.gs = gs
         self.s2 = r.sym_square()
         self.yy = _yy_coords(r, y)
         self.doubled = gs.box.doubled()
         self.columns = _normalized_table(r, gs.symbols, gs.box, y)
         self.dyy = _normalized_table(self.s2, gs.symbols, self.doubled, self.yy)
-        self._pair_sums: dict[tuple[int, ...], list[Fraction]] | None = None
+        # n -> sum over i + j = n of the symmetric product of columns i and j
+        self._pair_sums = {n: [QQ(0)] * self.s2.dim for n in self.doubled.indices()}
+        idxs = gs.box.indices()
+        for a, i in enumerate(idxs):
+            for j in idxs[a:]:
+                acc = self._pair_sums[tuple(x + z for x, z in zip(i, j))]
+                weight = 1 if i == j else 2
+                for t, e in enumerate(sym_product_coords(self.columns[i], self.columns[j])):
+                    if e:
+                        acc[t] += weight * e
         self._pivot_positions: list[int] | None = None
         self._pivot_mat: Mat | None = None
 
     def pair_sum(self, n) -> list[Fraction]:
         """sum over i + j = n of the symmetric product of columns i and j."""
-        self._ensure_pairs()
         return self._pair_sums[tuple(n)]
-
-    def _ensure_pairs(self) -> None:
-        if self._pair_sums is not None:
-            return
-        sums = {n: [QQ(0)] * self.s2.dim for n in self.doubled.indices()}
-        idxs = self.gs.box.indices()
-        for a, i in enumerate(idxs):
-            ci = self.columns[i]
-            for j in idxs[a:]:
-                n = tuple(x + z for x, z in zip(i, j))
-                acc = sums[n]
-                weight = 1 if i == j else 2
-                for t, e in enumerate(sym_product_coords(ci, self.columns[j])):
-                    if e:
-                        acc[t] += weight * e
-        self._pair_sums = sums
 
     def _ensure_solver(self) -> None:
         """Lex-earliest independent coefficient columns; enough for one solution."""
         if self._pivot_positions is not None:
             return
-        self._ensure_pairs()
         span = PivotedSpan(self.s2.dim)
         pivots = []
         for pos, n in enumerate(self.doubled.indices()):
@@ -409,7 +384,6 @@ class _SeqData:
 
     def phi_of_coefficients(self, b) -> Mat:
         """A B A^t for the catalecticant defined by b, via sum b_n C_n."""
-        self._ensure_pairs()
         acc = [QQ(0)] * self.s2.dim
         for pos, n in enumerate(self.doubled.indices()):
             c = b[pos]
@@ -419,31 +393,35 @@ class _SeqData:
                         acc[t] += c * e
         return sym_coords_to_mat(acc, self.rep.dim)
 
-    def system_matrix(self) -> Mat:
-        """Columns indexed by the doubled box: the coefficient vectors C_n."""
-        self._ensure_pairs()
-        cols = [self._pair_sums[n] for n in self.doubled.indices()]
-        return Mat([[cols[c][t] for c in range(len(cols))]
-                    for t in range(self.s2.dim)])
+
+_SEQDATA_CACHE: dict[tuple, _SeqData] = {}
 
 
-def leibniz_check(r: Rep, y, gs: GenSeq, n, _data: _SeqData | None = None) -> bool:
+def _seq_data(r: Rep, y, gs: GenSeq) -> _SeqData:
+    """The shared artifacts of (module object, y, gs), built once."""
+    key = (r, tuple(map(QQ, y)), gs)
+    if key not in _SEQDATA_CACHE:
+        _SEQDATA_CACHE[key] = _SeqData(r, y, gs)
+    return _SEQDATA_CACHE[key]
+
+
+def leibniz_check(r: Rep, y, gs: GenSeq, n) -> bool:
     """Exact identity D^n(yy)/n! = sum_{i+j=n} (D^i y/i!)(D^j y/j!)."""
     n = tuple(int(k) for k in n)
     if n not in gs.box.doubled():
         raise ValueError(f"{n} is outside the doubled box {gs.box.doubled().N}")
-    data = _data or _SeqData(r, y, gs)
+    data = _seq_data(r, y, gs)
     return data.dyy[n] == data.pair_sum(n)
 
 
-def decompose_Q(r: Rep, y, gs: GenSeq, word, _data: _SeqData | None = None) -> MultiVector:
+def decompose_Q(r: Rep, y, gs: GenSeq, word) -> MultiVector:
     """Coefficients b on the doubled box with Q(yy) = sum b_{i+j} A_i A_j.
 
     Solved exactly with free variables at zero; the residual is re-verified.
     An unsolvable system means the sequence violated its span contract, which
     is reported loudly with diagnostics.
     """
-    data = _data or _SeqData(r, y, gs)
+    data = _seq_data(r, y, gs)
     target = data.s2.act_word(word, data.yy)
     b = data.solve_coefficients(target)
     if b is None:
@@ -515,8 +493,7 @@ class ReverseOutcome:
 
 
 def _forward(r: Rep, y, gs: GenSeq, a: MultiMatrix, w: Subspace, v,
-             _data: _SeqData | None = None, _full: Subspace | None = None,
-             _part: Subspace | None = None) -> ForwardOutcome:
+             _full: Subspace | None = None, _part: Subspace | None = None) -> ForwardOutcome:
     box = a.col_box
     im_at = a.row_space()
     if w.dim != im_at.dim - 1 or not im_at.contains_subspace(w):
@@ -545,10 +522,7 @@ def _forward(r: Rep, y, gs: GenSeq, a: MultiMatrix, w: Subspace, v,
     for p, val in zip(pivots, t):
         b_data[p] = val
     b = MultiVector(gs.box.doubled(), tuple(b_data))
-    if _data is not None:
-        phi = _data.phi_of_coefficients(list(b.data))
-    else:
-        phi = phi_A(a, catalecticant_from_vector(b))
+    phi = _seq_data(r, y, gs).phi_of_coefficients(b_data)
     rk = rank(phi)
     if rk > 1:
         return ForwardOutcome(
@@ -571,11 +545,10 @@ def _forward(r: Rep, y, gs: GenSeq, a: MultiMatrix, w: Subspace, v,
     return ForwardOutcome(ok=True, kind="rank1", rank=1, b=b, factor=factor, membership=True)
 
 
-def _reverse(r: Rep, y, gs: GenSeq, a: MultiMatrix, x,
-             _data: _SeqData | None = None) -> ReverseOutcome:
+def _reverse(r: Rep, y, gs: GenSeq, a: MultiMatrix, x) -> ReverseOutcome:
     if not my_membership(r, y, x):
         raise ValueError("reverse direction needs a point with x x^t in the orbit module")
-    data = _data or _SeqData(r, y, gs)
+    data = _seq_data(r, y, gs)
     target = _yy_coords(r, x)
     b = data.solve_coefficients(target)
     if b is None:
@@ -714,7 +687,7 @@ def _orbit_sample(rng: random.Random, r: Rep, y) -> tuple[list[Fraction], list]:
     for _ in range(rng.randint(1, 4)):
         sym = rng.choice(xy)
         t = QQ(rng.choice([-2, -1, 1, 2]))
-        x = exp_nilpotent(r, sym, t).apply(x)
+        x = exp_act(r, sym, t, x)
         recipe.append([sym, format_scalar(t)])
     return x, recipe
 
@@ -733,7 +706,7 @@ def certify_irreducibility(r: Rep, y, trials: int = 25, seed: int = 0,
         raise ValueError("certification needs a nonzero vector")
     rng = random.Random(seed)
     gs = generator_sequence(r, y, max_box=max_box)
-    data = _SeqData(r, y, gs)
+    data = _seq_data(r, y, gs)
     a = build_A(r, y, gs)
     module = orbit_module(r, y)
     ideal = quadric_ideal(r, y, module=module)
@@ -753,7 +726,7 @@ def certify_irreducibility(r: Rep, y, trials: int = 25, seed: int = 0,
         ns = [ns[0]] + rng.sample(ns[1:], _LEIBNIZ_SAMPLE - 1)
     for n in ns:
         report.leibniz_trials += 1
-        if leibniz_check(r, y, gs, n, _data=data):
+        if leibniz_check(r, y, gs, n):
             report.leibniz_passes += 1
         else:
             report.witnesses.append({"check": "leibniz", "n": list(n)})
@@ -763,7 +736,7 @@ def certify_irreducibility(r: Rep, y, trials: int = 25, seed: int = 0,
         word = tuple(rng.choice(catalog) for _ in range(rng.randint(0, 4)))
         report.decompose_trials += 1
         try:
-            decompose_Q(r, y, gs, word, _data=data)
+            decompose_Q(r, y, gs, word)
             report.decompose_passes += 1
             report.trial_log.append({"check": "decompose", "word": list(word),
                                      "ok": True})
@@ -791,8 +764,7 @@ def certify_irreducibility(r: Rep, y, trials: int = 25, seed: int = 0,
             return
         report.hyperplane_good += 1
         report.forward_trials += 1
-        out = _forward(r, y, gs, a, w, v, _data=data, _full=full_image,
-                       _part=part_image)
+        out = _forward(r, y, gs, a, w, v, _full=full_image, _part=part_image)
         if out.kind == "rank0":
             report.forward_rank0 += 1
         report.trial_log.append({"check": "forward", "source": source,
@@ -827,7 +799,7 @@ def certify_irreducibility(r: Rep, y, trials: int = 25, seed: int = 0,
             report.witnesses.append({"check": "reverse-membership", "recipe": recipe,
                                      "x": [format_scalar(e) for e in x]})
             continue
-        out = _reverse(r, y, gs, a, x, _data=data)
+        out = _reverse(r, y, gs, a, x)
         report.trial_log.append({"check": "reverse", "recipe": recipe, "ok": out.ok})
         if out.ok:
             report.reverse_passes += 1

@@ -1,20 +1,20 @@
 """Finite dimensional modules over sl(n), built functorially.
 
-A :class:`Rep` stores one action matrix per catalog generator and is checked
-on construction to be a Lie algebra homomorphism: exactly over QQ, on every
-generator pair, with sparse products.  Derived constructions
-(dual, wedge and symmetric powers, tensor products, and the symmetric square
-realized on symmetric matrices) all act by the derivation rule, so weights of
-the standard module propagate to integer weights everywhere.
+A :class:`Rep` stores its action in one format: for each catalog generator,
+the nonzero (row, entry) pairs of every column, integral entries as ints,
+plus the weight of every coordinate when the coroots act diagonally.  Only
+this module reads that format.  Derived constructions (dual, wedge and
+symmetric powers, tensor products, and the symmetric square realized on
+symmetric matrices) build their columns straight from the parent's columns
+by the derivation rule, so weights of the standard module propagate to
+integer weights everywhere.  A module is checked on construction to be a
+Lie algebra homomorphism: exactly over QQ, on every generator pair, with
+sparse products.  Dense ``Mat`` copies of the action are made only on
+request, through ``Rep.action``.
 
 Weights are plain tuples of integers: the eigenvalues of the simple coroot
-actions H_1, ..., H_{n-1}.
-
-Each module's action is also read once into a sparse view, kept on the
-object: the nonzero entries of every column, and the weight of every
-coordinate.  Actions, the homomorphism check and the highest weight search
-run on it, and cyclic closures are searched one weight space at a time,
-since a submodule is the direct sum of its weight spaces.
+actions H_1, ..., H_{n-1}.  Cyclic closures are searched one weight space
+at a time, since a submodule is the direct sum of its weight spaces.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import DimensionMismatch, StructuralError
-from .lie import LieAlgebra, bracket
+from .lie import LieAlgebra
 from .linalg import (
     Mat,
     PivotedSpan,
@@ -45,29 +45,55 @@ _ISOTYPIC_CACHE: dict = {}
 
 
 class Rep:
-    """A finite-dimensional sl(n)-module given by explicit action matrices."""
+    """A finite-dimensional sl(n)-module given by the sparse columns of its action.
 
-    def __init__(self, algebra: LieAlgebra, label: str, action: dict[str, Mat],
+    ``action`` maps every catalog symbol to either a square ``Mat`` (read
+    once into columns) or the columns themselves: ``columns[j]`` lists the
+    (row, entry) pairs of the nonzero entries of column j.
+    """
+
+    def __init__(self, algebra: LieAlgebra, label: str, action: dict,
                  basis_labels: list[str] | None = None, *, _checked: bool = False):
         self.algebra = algebra
         self.label = label
-        self.action = action
-        dims = {m.rows for m in action.values()} | {m.cols for m in action.values()}
+        self.columns = {s: _columns_of(m) if isinstance(m, Mat) else m
+                        for s, m in action.items()}
+        dims = {len(cols) for cols in self.columns.values()}
         if len(dims) != 1:
             raise DimensionMismatch("action matrices of mixed sizes")
         self.dim = dims.pop()
         self.basis_labels = basis_labels or [f"b{i}" for i in range(self.dim)]
         if set(action) != set(algebra.catalog):
             raise ValueError("action must cover exactly the generator catalog")
+        # the weight of each coordinate, when every coroot acts diagonally
+        hs = [self.columns[s] for s in algebra.h_symbols()]
+        if all(len(col) <= 1 and all(i == j for i, _ in col)
+               for h in hs for j, col in enumerate(h)):
+            self.weights = [tuple(h[j][0][1] if h[j] else 0 for h in hs)
+                            for j in range(self.dim)]
+        else:
+            self.weights = None
         if not _checked:
             self.verify_homomorphism()
 
     def __repr__(self) -> str:
         return f"Rep({self.label} of {self.algebra}, dim {self.dim})"
 
+    @cached_property
+    def action(self) -> dict[str, Mat]:
+        """The action as dense matrices, built on first use; treat as read-only."""
+        out = {}
+        for s, cols in self.columns.items():
+            data = [[0] * self.dim for _ in range(self.dim)]
+            for j, col in enumerate(cols):
+                for i, e in col:
+                    data[i][j] = e
+            out[s] = Mat(data)
+        return out
+
     def act(self, symbol: str, v: list[Fraction]) -> list[Fraction]:
         try:
-            cols = _sparse(self).columns[symbol]
+            cols = self.columns[symbol]
         except KeyError:
             raise KeyError(f"unknown generator symbol {symbol!r}") from None
         if len(v) != self.dim:
@@ -91,72 +117,57 @@ class Rep:
 
         Every unordered pair a < b of the catalog is checked, at every module
         size: the pair (a, a) reads 0 = 0 and (b, a) is the negative of (a, b).
-        Products run on the sparse columns of the module's view, so no dense
-        matrix is formed.  A failure is a construction bug and raises.
+        Products run on the sparse columns, so no dense matrix is formed.  A
+        failure is a construction bug and raises.
         """
-        g = self.algebra
-        cols = _sparse(self).columns
+        cols = self.columns
         identity = [[(k, 1)] for k in range(self.dim)]
-        for ia, sa in enumerate(g.catalog):
-            for sb in g.catalog[ia + 1:]:
-                # (coefficient, left, right) of rho(a)rho(b) - rho(b)rho(a) - sum c_s rho(s)
-                terms = [(1, cols[sa], cols[sb]), (-1, cols[sb], cols[sa])]
-                ab = bracket(g.generators[sa], g.generators[sb])
-                terms += [(-c, cols[s], identity) for s, c in g.expand_in_catalog(ab).items()]
-                residual: dict[tuple[int, int], Fraction | int] = {}
-                for c, left, right in terms:
-                    for j, col in enumerate(right):
-                        for k, f in col:
-                            for i, e in left[k]:
-                                residual[i, j] = residual.get((i, j), 0) + c * e * f
-                if any(residual.values()):
-                    raise StructuralError(
-                        f"action is not a Lie homomorphism on ({sa}, {sb}) in {self.label}")
+        for (sa, sb), ab in self.algebra.structure_constants.items():
+            # (coefficient, left, right) of rho(a)rho(b) - rho(b)rho(a) - sum c_s rho(s)
+            terms = [(1, cols[sa], cols[sb]), (-1, cols[sb], cols[sa])]
+            terms += [(-_compact(c), cols[s], identity) for s, c in ab.items()]
+            residual: dict[tuple[int, int], Fraction | int] = {}
+            for c, left, right in terms:
+                for j, col in enumerate(right):
+                    for k, f in col:
+                        for i, e in left[k]:
+                            residual[i, j] = residual.get((i, j), 0) + c * e * f
+            if any(residual.values()):
+                raise StructuralError(
+                    f"action is not a Lie homomorphism on ({sa}, {sb}) in {self.label}")
 
     def sym_square(self) -> "Rep":
         """The module S^2(V) on symmetric matrices (memoized)."""
         return derived_rep(self, "sym2")
 
+    @cached_property
+    def _weight_frame(self):
+        """(module, p, p_inv): this module in a basis of weight vectors, and the
+        change to it.
 
-class _SparseView:
-    """A module's action read once: the nonzero entries of every column.
-
-    ``columns[s][j]`` lists the (row, entry) pairs of column j of generator
-    s, integral entries as ints.  ``weights[j]`` is the weight of coordinate
-    j, the tuple of its coroot eigenvalues, when every coroot acts
-    diagonally, and None otherwise.  ``frame`` holds the weight-basis
-    conjugate of a module whose coroots are not diagonal, once
-    ``_weight_frame`` has built it.
-    """
-
-    __slots__ = ("columns", "weights", "frame")
-
-    def __init__(self, r: Rep):
-        self.columns = {}
-        for s, m in r.action.items():
-            cols = [[] for _ in range(r.dim)]
-            for i, row in enumerate(m.data):
-                for j, e in enumerate(row):
-                    if e:
-                        cols[j].append((i, _compact(e)))
-            self.columns[s] = cols
-        hs = [self.columns[s] for s in r.algebra.h_symbols()]
-        if all(len(col) <= 1 and all(i == j for i, _ in col)
-               for h in hs for j, col in enumerate(h)):
-            self.weights = [tuple(h[j][0][1] if h[j] else 0 for h in hs)
-                            for j in range(r.dim)]
-        else:
-            self.weights = None
-        self.frame = None
+        For a module whose coroots act diagonally this is (self, None, None).
+        Otherwise the columns of p are the bases of ``weight_decomposition``,
+        in order, and the module is this one conjugated by p.
+        """
+        if self.weights is not None:
+            return self, None, None
+        p = Mat([list(row) for _, space in weight_decomposition(self)
+                 for row in space.basis]).transpose()
+        p_inv = p.inverse()
+        action = {s: p_inv * m * p for s, m in self.action.items()}
+        return Rep(self.algebra, self.label, action, _checked=True), p, p_inv
 
 
-def _sparse(r: Rep) -> _SparseView:
-    """The sparse view of r, built on first use and kept on the object."""
-    try:
-        return r._view
-    except AttributeError:
-        r._view = _SparseView(r)
-        return r._view
+def _columns_of(m: Mat) -> list[list[tuple[int, Fraction | int]]]:
+    """The nonzero (row, entry) pairs of each column of a square matrix."""
+    if m.rows != m.cols:
+        raise DimensionMismatch("action matrices of mixed sizes")
+    cols = [[] for _ in range(m.cols)]
+    for i, row in enumerate(m.data):
+        for j, e in enumerate(row):
+            if e:
+                cols[j].append((i, _compact(e)))
+    return cols
 
 
 def _compact(x: Fraction) -> Fraction | int:
@@ -174,8 +185,13 @@ def _apply(cols, v) -> dict[int, Fraction | int]:
     return {i: e for i, e in out.items() if e}
 
 
+def _emit(accum: dict[int, Fraction | int]) -> list[tuple[int, Fraction | int]]:
+    """One column from accumulated entries: the nonzero ones, by row."""
+    return sorted((i, e) for i, e in accum.items() if e)
+
+
 # ---------------------------------------------------------------------------
-# constructions
+# constructions, each from the parent's columns to the new module's columns
 
 def standard_rep(g: LieAlgebra) -> Rep:
     if g.n not in _REP_CACHE:
@@ -184,32 +200,40 @@ def standard_rep(g: LieAlgebra) -> Rep:
     return _REP_CACHE[g.n]
 
 
-def _dual_action(r: Rep) -> dict[str, Mat]:
-    return {s: m.transpose().scale(QQ(-1)) for s, m in r.action.items()}
+def _dual_action(r: Rep):
+    """-rho^t: column i of the dual lists row i of rho, negated."""
+    action = {}
+    for sym, cols in r.columns.items():
+        out = [[] for _ in range(r.dim)]
+        for k, col in enumerate(cols):
+            for i, e in col:
+                out[i].append((k, -e))
+        action[sym] = out
+    return action, [f"{x}'" for x in r.basis_labels]
 
 
 def _wedge_action(r: Rep, k: int):
     basis = list(itertools.combinations(range(r.dim), k))
     index = {b: i for i, b in enumerate(basis)}
     action = {}
-    for sym, rho in r.action.items():
-        out = [[QQ(0)] * len(basis) for _ in range(len(basis))]
+    for sym, cols in r.columns.items():
+        out = []
         for cidx, subset in enumerate(basis):
+            accum: dict[int, Fraction | int] = {}
             for pos, s in enumerate(subset):
-                for m in range(r.dim):
-                    a = rho.data[m][s]
-                    if not a:
-                        continue
+                for m, a in cols[s]:
                     if m == s:
-                        out[cidx][cidx] += a
+                        accum[cidx] = accum.get(cidx, 0) + a
                         continue
                     if m in subset:
                         continue
                     rest = subset[:pos] + subset[pos + 1:]
                     new = tuple(sorted(rest + (m,)))
-                    sign = (-1) ** (pos - new.index(m))
-                    out[index[new]][cidx] += sign * a
-        action[sym] = Mat(out)
+                    row = index[new]
+                    sign = -1 if (pos - new.index(m)) % 2 else 1
+                    accum[row] = accum.get(row, 0) + sign * a
+            out.append(_emit(accum))
+        action[sym] = out
     labels = ["^".join(r.basis_labels[i] for i in b) for b in basis]
     return action, labels
 
@@ -218,39 +242,38 @@ def _sym_action(r: Rep, k: int):
     basis = list(itertools.combinations_with_replacement(range(r.dim), k))
     index = {b: i for i, b in enumerate(basis)}
     action = {}
-    for sym, rho in r.action.items():
-        out = [[QQ(0)] * len(basis) for _ in range(len(basis))]
-        for cidx, mon in enumerate(basis):
+    for sym, cols in r.columns.items():
+        out = []
+        for mon in basis:
+            accum: dict[int, Fraction | int] = {}
             for s in set(mon):
                 mult = mon.count(s)
                 pos = mon.index(s)
                 rest = mon[:pos] + mon[pos + 1:]
-                for m in range(r.dim):
-                    a = rho.data[m][s]
-                    if a:
-                        new = tuple(sorted(rest + (m,)))
-                        out[index[new]][cidx] += mult * a
-        action[sym] = Mat(out)
+                for m, a in cols[s]:
+                    row = index[tuple(sorted(rest + (m,)))]
+                    accum[row] = accum.get(row, 0) + mult * a
+            out.append(_emit(accum))
+        action[sym] = out
     labels = [".".join(r.basis_labels[i] for i in b) for b in basis]
     return action, labels
 
 
 def _tensor_action(r1: Rep, r2: Rep):
-    n1, n2 = r1.dim, r2.dim
+    n2 = r2.dim
     action = {}
     for sym in r1.algebra.catalog:
-        a, b = r1.action[sym], r2.action[sym]
-        out = [[QQ(0)] * (n1 * n2) for _ in range(n1 * n2)]
-        for i in range(n1):
+        a, b = r1.columns[sym], r2.columns[sym]
+        out = []
+        for i in range(r1.dim):
             for j in range(n2):
-                col = i * n2 + j
-                for m in range(n1):
-                    if a.data[m][i]:
-                        out[m * n2 + j][col] += a.data[m][i]
-                for m in range(n2):
-                    if b.data[m][j]:
-                        out[i * n2 + m][col] += b.data[m][j]
-        action[sym] = Mat(out)
+                accum: dict[int, Fraction | int] = {}
+                for m, e in a[i]:
+                    accum[m * n2 + j] = accum.get(m * n2 + j, 0) + e
+                for m, e in b[j]:
+                    accum[i * n2 + m] = accum.get(i * n2 + m, 0) + e
+                out.append(_emit(accum))
+        action[sym] = out
     labels = [f"{x}(x){y}" for x in r1.basis_labels for y in r2.basis_labels]
     return action, labels
 
@@ -258,10 +281,6 @@ def _tensor_action(r1: Rep, r2: Rep):
 def sym_pairs(n: int) -> list[tuple[int, int]]:
     """Index pairs (k, m) with k <= m, in lexicographic order."""
     return [(k, m) for k in range(n) for m in range(k, n)]
-
-
-def sym_pair_index(n: int) -> dict[tuple[int, int], int]:
-    return {p: i for i, p in enumerate(sym_pairs(n))}
 
 
 def mat_to_sym_coords(m: Mat) -> list[Fraction]:
@@ -291,37 +310,18 @@ def sym_product_coords(u, w) -> list[Fraction]:
 
 
 def _sym2_action(r: Rep):
-    """Action on S^2(V) realized as symmetric matrices, M -> rho M + M rho^t."""
-    n = r.dim
-    pairs = sym_pairs(n)
-    index = sym_pair_index(n)
-    action = {}
-    for sym, rho in r.action.items():
-        out = [[QQ(0)] * len(pairs) for _ in range(len(pairs))]
-        for cidx, (k, m) in enumerate(pairs):
-            # C = rho . (E_km + E_mk); the result is C + C^t
-            c_entries: dict[tuple[int, int], Fraction] = {}
-            for a in range(n):
-                v = rho.data[a][k]
-                if v:
-                    c_entries[(a, m)] = c_entries.get((a, m), QQ(0)) + v
-                if k != m:
-                    v = rho.data[a][m]
-                    if v:
-                        c_entries[(a, k)] = c_entries.get((a, k), QQ(0)) + v
-            accum: dict[tuple[int, int], Fraction] = {}
-            for (a, b), v in c_entries.items():
-                if a == b:
-                    # C and C^t both contribute on the diagonal
-                    accum[(a, a)] = accum.get((a, a), QQ(0)) + 2 * v
-                else:
-                    key = (a, b) if a < b else (b, a)
-                    accum[key] = accum.get(key, QQ(0)) + v
-            for key, v in accum.items():
-                out[index[key]][cidx] += v
-        action[sym] = Mat(out)
-    labels = [f"{r.basis_labels[k]}.{r.basis_labels[m]}" for k, m in pairs]
-    return action, labels
+    """Action on S^2(V) realized as symmetric matrices, M -> rho M + M rho^t.
+
+    This is sym^2 in other coordinates: the symmetric matrix M is the quadric
+    x^t M x = sum over k <= m of c_km M_km x_k x_m, with c_km = 1 on the
+    diagonal and 2 off it, so entry (i, j) of the sym^2 action is scaled by
+    c_j / c_i.  The basis labels are the same.
+    """
+    action, labels = _sym_action(r, 2)
+    c = [1 if k == m else 2 for k, m in sym_pairs(r.dim)]
+    return {sym: [[(i, _compact(QQ(e * c[j], c[i]))) for i, e in col]
+                  for j, col in enumerate(cols)]
+            for sym, cols in action.items()}, labels
 
 
 def derived_rep(r: Rep, kind: str, k: int | None = None, other: "Rep | None" = None) -> Rep:
@@ -334,7 +334,7 @@ def derived_rep(r: Rep, kind: str, k: int | None = None, other: "Rep | None" = N
     g = r.algebra
     if kind == "dual":
         label = f"dual({r.label})"
-        build = lambda: (_dual_action(r), [f"{x}'" for x in r.basis_labels])
+        build = lambda: _dual_action(r)
     elif kind == "wedge":
         if k is None or not 1 <= k <= r.dim:
             raise ValueError(f"wedge degree {k} out of range 1..{r.dim}")
@@ -388,15 +388,15 @@ def _integer_eigenvalue_candidates(h: Mat) -> list[int]:
 def weight_decomposition(r: Rep) -> list[tuple[Weight, Subspace]]:
     """Joint eigenspaces of the simple coroot actions, sorted by weight.
 
-    The modules built here carry diagonal coroot actions, which the sparse
-    view reads off as one weight per coordinate; otherwise the integer spectrum is searched inside the
+    The modules built here carry diagonal coroot actions, read off as one
+    weight per coordinate; otherwise the integer spectrum is searched inside the
     Gershgorin bounds, refining the split one coroot at a time.  If the
     eigenspaces do not exhaust the module the actions were not
     simultaneously diagonalizable with integer spectrum, which flags a bug
     loudly.
     """
     n = r.dim
-    weights = _sparse(r).weights
+    weights = r.weights
     spaces: list[tuple[Weight, Subspace]] = []
     if weights is not None:
         groups: dict[tuple, list[int]] = {}
@@ -492,33 +492,13 @@ class ClosureResult:
     words: list[tuple[str, ...]]
 
 
-def _weight_frame(r: Rep):
-    """(module, p, p_inv): r in a basis of weight vectors, and the change to it.
-
-    For a module whose coroots act diagonally this is (r, None, None).
-    Otherwise the columns of p are the bases of ``weight_decomposition``,
-    in order, and the module is r conjugated by p, built once per object.
-    """
-    view = _sparse(r)
-    if view.weights is not None:
-        return r, None, None
-    if view.frame is None:
-        p = Mat([list(row) for _, space in weight_decomposition(r)
-                 for row in space.basis]).transpose()
-        p_inv = p.inverse()
-        action = {s: p_inv * m * p for s, m in r.action.items()}
-        view.frame = (Rep(r.algebra, r.label, action, _checked=True), p, p_inv)
-    return view.frame
-
-
 def _graded_closure(r: Rep, w):
     """Breadth-first closure of w in a module with diagonal coroots.
 
     Returns one ``PivotedSpan`` per weight, over the coordinates of that
     weight in increasing order, with the recorded words.
     """
-    view = _sparse(r)
-    weights = view.weights
+    weights = r.weights
     coords: dict[Weight, list[int]] = {}
     local = []
     for j, mu in enumerate(weights):
@@ -550,7 +530,7 @@ def _graded_closure(r: Rep, w):
         fresh = []
         for v, word in frontier:
             for sym in xy:
-                u = _apply(view.columns[sym], v.items())
+                u = _apply(r.columns[sym], v.items())
                 if insert(u):
                     new_word = (sym,) + word
                     words.append(new_word)
@@ -565,7 +545,7 @@ def cyclic_closure(r: Rep, w) -> ClosureResult:
     Breadth-first span growth over the X/Y generators, in ``xy_symbols()``
     order (the coroots are their brackets, so invariance under them
     follows).  The search is graded by weight: every vector is held as its
-    nonzero coordinates, acted on through the sparse view, and split into
+    nonzero coordinates, acted on through the sparse columns, and split into
     its weight components, and each component is reduced against a small
     echelon of its own weight space.  Each recorded word, read left to right
     and applied right-to-left, sends w to a vector with a component that
@@ -576,12 +556,12 @@ def cyclic_closure(r: Rep, w) -> ClosureResult:
     weight by the same root, so it sends each component of a vector to the
     matching component of the image.  The pieces are assembled into one
     RREF ``Subspace``, which is canonical.  A module whose coroots are not
-    diagonal is searched in the weight basis of ``_weight_frame`` and the
+    diagonal is searched in the weight basis of ``Rep._weight_frame`` and the
     result mapped back.
     """
     if len(w) != r.dim:
         raise DimensionMismatch("vector length != ambient dimension")
-    graded, p, p_inv = _weight_frame(r)
+    graded, p, p_inv = r._weight_frame
     spans, coords, words = _graded_closure(graded, w if p_inv is None else p_inv.apply(w))
     rows = []
     for mu, span in spans.items():
@@ -667,20 +647,26 @@ def isotypic_decomposition(r: Rep) -> IsotypicDecomposition:
     return decomp
 
 
-def exp_nilpotent(r: Rep, symbol: str, t) -> Mat:
-    """Exact exponential sum of t times a nilpotent generator action."""
+def exp_act(r: Rep, symbol: str, t, v) -> list[Fraction]:
+    """exp(t rho(symbol)) v, exactly: the sum of t^k/k! rho(symbol)^k v, which
+    ends because X/Y generators act nilpotently."""
     if symbol.startswith("H"):
         raise ValueError(f"{symbol} is not nilpotent; only X/Y generators allowed")
-    m = r.action[symbol]
     t = QQ(t)
-    out = Mat.identity(r.dim)
-    power = Mat.identity(r.dim)
+    out = list(map(QQ, v))
+    power = out
     coeff = QQ(1)
     for k in range(1, r.dim + 2):
-        power = m * power
-        if power.is_zero():
+        power = r.act(symbol, power)
+        if vec_is_zero(power):
             return out
         coeff = coeff * t / k
-        out = out + power.scale(coeff)
+        out = [o + coeff * e for o, e in zip(out, power)]
     raise StructuralError(f"action of {symbol} on {r.label} is not nilpotent")
 
+
+def exp_nilpotent(r: Rep, symbol: str, t) -> Mat:
+    """Exact exponential of t times a nilpotent generator action, as a matrix
+    whose column j is ``exp_act`` of the j-th unit vector."""
+    cols = [exp_act(r, symbol, t, [int(i == j) for i in range(r.dim)]) for j in range(r.dim)]
+    return Mat([[col[i] for col in cols] for i in range(r.dim)])

@@ -1,0 +1,34 @@
+"""CLI output pinned byte for byte.
+
+Each ``golden/*.json`` holds a command line and the stdout, stderr and exit
+code the CLI gave for it before the action storage was rewritten: the five
+README examples, ``certify`` of the binary cubic (1,-1,1,1), ``ideal`` of
+E12 in wedge^2 of sl(4), and a seeded ``chordal`` run.  Each command is
+run in a fresh interpreter, so every module is built cold.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = sorted((ROOT / "tests" / "golden").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", GOLDEN, ids=[p.stem for p in GOLDEN])
+def test_cli_output_is_byte_identical(path):
+    case = json.loads(path.read_text())
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "orbitquad.cli", *case["argv"]],
+        capture_output=True, cwd=ROOT, env=env, timeout=60,
+    )
+    assert proc.returncode == case["exit"], proc.stderr.decode()
+    assert proc.stderr == case["stderr"].encode()
+    assert proc.stdout == case["stdout"].encode()

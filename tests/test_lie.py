@@ -95,6 +95,17 @@ def test_expand_in_catalog_round_trip():
     assert total == m
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_structure_constants_expand_the_brackets(n):
+    g = make_sl(n)
+    cat = g.catalog
+    for i, a in enumerate(cat):
+        for b in cat[i + 1:]:
+            want = g.expand_in_catalog(bracket(g.generators[a], g.generators[b]))
+            assert g.structure_constants[a, b] == want, (a, b)
+    assert len(g.structure_constants) == len(cat) * (len(cat) - 1) // 2
+
+
 def test_expand_rejects_trace():
     g = make_sl(2)
     with pytest.raises(ValueError):

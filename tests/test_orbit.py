@@ -391,7 +391,9 @@ def test_solver_shortcut_matches_full_reduction():
     y = E12_34
     gs = generator_sequence(r, y)
     data = _SeqData(r, y, gs)
-    full_system = data.system_matrix()
+    # columns indexed by the doubled box: the coefficient vectors C_n
+    cols = [data.pair_sum(n) for n in data.doubled.indices()]
+    full_system = Mat([[col[t] for col in cols] for t in range(data.s2.dim)])
     rng = random.Random(21)
     s2 = r.sym_square()
     module = orbit_module(r, y)

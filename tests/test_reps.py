@@ -26,6 +26,7 @@ from orbitquad.reps import (
 
 import weyl_oracle
 from closure_reference import dense_closure
+from construction_reference import dense_construction
 
 
 def unit(n, i):
@@ -151,12 +152,7 @@ def test_weight_decomposition_non_diagonal(sl2):
 def test_weight_decomposition_rejects_non_integer_spectrum(sl2):
     action = {sym: Mat.zero(2, 2) for sym in sl2.catalog}
     action["H(1)"] = Mat([[0, 1], [0, 0]])  # nilpotent, not diagonalizable
-    broken = Rep.__new__(Rep)
-    broken.algebra = sl2
-    broken.label = "broken-h"
-    broken.action = action
-    broken.dim = 2
-    broken.basis_labels = ["a", "b"]
+    broken = Rep(sl2, "broken-h", action, ["a", "b"], _checked=True)
     with pytest.raises(StructuralError):
         weight_decomposition(broken)
 
@@ -421,6 +417,54 @@ def test_homomorphism_guard_catches_a_fault_on_a_non_simple_pair():
 )
 def test_every_construction_is_a_homomorphism(builder):
     builder().verify_homomorphism()
+
+
+# Module expressions as trees: "std", or (kind, degree, module, other module).
+_STD = "std"
+_DUAL = ("dual", None, _STD, None)
+_WEDGE2 = ("wedge", 2, _STD, None)
+CONSTRUCTION_TREES = {
+    "dual(std)": _DUAL,
+    "wedge(2,std)": _WEDGE2,
+    "wedge(3,std)": ("wedge", 3, _STD, None),
+    "sym(2,std)": ("sym", 2, _STD, None),
+    "sym(3,std)": ("sym", 3, _STD, None),
+    "tensor(std,dual(std))": ("tensor", None, _STD, _DUAL),
+    "sym2(std)": ("sym2", None, _STD, None),
+    "sym2(wedge(2,std))": ("sym2", None, _WEDGE2, None),
+    "wedge(2,dual(std))": ("wedge", 2, _DUAL, None),
+    "sym(2,wedge(2,std))": ("sym", 2, _WEDGE2, None),
+    "dual(sym2(std))": ("dual", None, ("sym2", None, _STD, None), None),
+    "tensor(wedge(2,std),std)": ("tensor", None, _WEDGE2, _STD),
+}
+
+
+def _checked_build(g, tree, name):
+    """The library's module of a tree, each construction in it compared entry
+    by entry with the dense reference built from the same parent."""
+    if tree == _STD:
+        return standard_rep(g)
+    kind, k, inner, other = tree
+    r = _checked_build(g, inner, name)
+    o = None if other is None else _checked_build(g, other, name)
+    if kind == "wedge" and k > r.dim:
+        return None
+    built = derived_rep(r, kind, k, o)
+    action, labels = dense_construction(r, kind, k, o)
+    for sym, m in action.items():
+        assert built.action[sym] == m, (name, kind, sym)
+    assert built.basis_labels == labels, name
+    # exact entries only: a float would compare equal above once wrapped in a Mat
+    assert all(type(e) in (int, F) for cols in built.columns.values()
+               for col in cols for _, e in col), name
+    return built
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
+def test_constructions_match_dense_reference(n):
+    g = make_sl(n)
+    for name, tree in CONSTRUCTION_TREES.items():
+        _checked_build(g, tree, name)
 
 
 def test_sym_coords_round_trip():
