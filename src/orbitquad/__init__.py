@@ -27,6 +27,7 @@ from .linalg import (
     rref,
     solve,
     subspace_combine,
+    sym_square,
 )
 from .lie import LieAlgebra, Root, bracket, make_sl
 from .reps import (
@@ -70,7 +71,6 @@ from .orbit import (
     orbit_module,
     quadric_ideal,
     rank1_correspondence,
-    sym_square,
 )
 from .chordal import (
     ChordalSpec,

@@ -18,7 +18,7 @@ from math import comb
 
 from .errors import CapExceeded, GenericVectorError
 from .lie import make_sl
-from .linalg import Mat, PivotedSpan, QQ, rank, solve, vec_is_zero
+from .linalg import Mat, PivotedSpan, QQ, rank, solve, vec_is_zero, yy_coords
 from .orbit import QuadraticIdeal, ideal_of_module, orbit_module
 from .reps import (
     IsotypicDecomposition,
@@ -263,15 +263,13 @@ def generic_vector(r: Rep, sampler, decomp: IsotypicDecomposition,
     """
     if not decomp.multiplicity_free:
         raise ValueError("decomposition must be multiplicity free")
-    from .orbit import _yy_coords  # symmetric-square coordinates of the sample
-
     s2_dim = sum(c.dim for c in decomp.components)
     reachable: set[int] = set()
     for t in range(tries):
         y = sampler(t)
         if vec_is_zero(y):
             continue
-        flags = _projection_flags(s2_dim, decomp.components, _yy_coords(r, y))
+        flags = _projection_flags(s2_dim, decomp.components, yy_coords(y))
         reachable |= {i for i, f in enumerate(flags) if f}
         if all(flags):
             return list(map(QQ, y))
@@ -306,11 +304,9 @@ def component_analysis(r: Rep, points) -> ComponentReport:
     decomp = isotypic_decomposition(s2)
     if not decomp.multiplicity_free:
         raise ValueError("symmetric square is not multiplicity free")
-    from .orbit import _yy_coords
-
     sets = []
     for x in points:
-        flags = _projection_flags(s2.dim, decomp.components, _yy_coords(r, x))
+        flags = _projection_flags(s2.dim, decomp.components, yy_coords(x))
         sets.append(frozenset(i for i, f in enumerate(flags) if f))
     groups: dict[frozenset[int], list[int]] = {}
     for i, s in enumerate(sets):

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import DimensionMismatch
-from .linalg import Mat, QQ, bracket_mats
+from .linalg import Mat, QQ
 
 
 @dataclass(frozen=True, order=True)
@@ -150,4 +150,6 @@ def make_sl(n: int) -> LieAlgebra:
 
 def bracket(a: Mat, b: Mat) -> Mat:
     """Lie bracket ab - ba of two square matrices of equal size."""
-    return bracket_mats(a, b)
+    if a.rows != a.cols or (a.rows, a.cols) != (b.rows, b.cols):
+        raise DimensionMismatch("bracket needs two square matrices of equal size")
+    return a * b - b * a

@@ -68,18 +68,6 @@ def vec_sub(a, b) -> list[Fraction]:
     return [x - y for x, y in zip(a, b, strict=True)]
 
 
-def vec_scale(c, v) -> list[Fraction]:
-    return [c * x for x in v]
-
-
-def vec_dot(a, b) -> Fraction:
-    total = ZERO
-    for x, y in zip(a, b, strict=True):
-        if x and y:
-            total += x * y
-    return total
-
-
 # ---------------------------------------------------------------------------
 # matrices
 
@@ -192,18 +180,70 @@ class Mat:
     def trace(self) -> Fraction:
         return sum((self.data[i][i] for i in range(min(self.rows, self.cols))), ZERO)
 
-    def row(self, i) -> list[Fraction]:
-        return list(self.data[i])
 
-    def col(self, j) -> list[Fraction]:
-        return [row[j] for row in self.data]
+# ---------------------------------------------------------------------------
+# symmetric-square coordinates
+#
+# S^2(QQ^n) has one coordinate per index pair (k, l), k <= l, listed by
+# ``sym_pairs``.  Two conventions read these coordinates, and they differ by
+# a factor of 2 off the diagonal:
+# - matrix entries: the symmetric matrix M has coordinates M_kl, so the
+#   symmetric product u.w = (u w^t + w u^t)/2 has (u_k w_l + u_l w_k)/2 off
+#   the diagonal (``sym_product_coords``);
+# - monomials: (sum u_p z_p)(sum w_q z_q) has the coefficient
+#   u_k w_l + u_l w_k on z_k z_l (``pair_coords``).
+# A functional on matrix-entry coordinates is the full trace pairing with the
+# symmetric matrix ``trace_pairing_mat``, whose off-diagonal entries are
+# halved for the same reason.
+
+def sym_pairs(n: int) -> list[tuple[int, int]]:
+    """Index pairs (k, l) with k <= l, in lexicographic order."""
+    return [(k, l) for k in range(n) for l in range(k, n)]
 
 
-def bracket_mats(a: Mat, b: Mat) -> Mat:
-    """Commutator ab - ba."""
-    if a.rows != a.cols or (a.rows, a.cols) != (b.rows, b.cols):
-        raise DimensionMismatch("bracket needs two square matrices of equal size")
-    return a * b - b * a
+def sym_square(x) -> Mat:
+    """The symmetric matrix x x^t."""
+    return Mat([[a * b for b in x] for a in x])
+
+
+def yy_coords(y) -> list[Fraction]:
+    """Matrix-entry coordinates of y y^t."""
+    y = list(map(QQ, y))
+    return [y[k] * y[l] for k, l in sym_pairs(len(y))]
+
+
+def mat_to_sym_coords(m: Mat) -> list[Fraction]:
+    """Upper-triangle coordinates of a symmetric matrix."""
+    return [m.data[k][l] for k, l in sym_pairs(m.rows)]
+
+
+def sym_coords_to_mat(coords, n: int) -> Mat:
+    m = Mat.zero(n, n)
+    for (k, l), c in zip(sym_pairs(n), coords, strict=True):
+        m.data[k][l] = m.data[l][k] = QQ(c)
+    return m
+
+
+def _products(u, w, off) -> list[Fraction]:
+    return [u[k] * w[k] if k == l else off * (u[k] * w[l] + u[l] * w[k])
+            for k, l in sym_pairs(len(u))]
+
+
+def sym_product_coords(u, w) -> list[Fraction]:
+    """Matrix-entry coordinates of the symmetric product (u w^t + w u^t)/2."""
+    return _products(u, w, QQ(1, 2))
+
+
+def pair_coords(u, w) -> list[Fraction]:
+    """Monomial coefficients of the polynomial (sum u_p z_p)(sum w_q z_q)."""
+    return _products(u, w, 1)
+
+
+def trace_pairing_mat(row, n: int) -> Mat:
+    """The symmetric Phi with sum_ij Phi_ij M_ij = sum_(k<=l) row_kl M_kl."""
+    half = QQ(1, 2)
+    return sym_coords_to_mat([c if k == l else half * c
+                              for (k, l), c in zip(sym_pairs(n), row, strict=True)], n)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch, RankOneError
-from .linalg import Mat, QQ, Subspace, format_scalar, kernel_combinations, parse_scalar
+from .linalg import (
+    Mat,
+    QQ,
+    Subspace,
+    format_scalar,
+    kernel_combinations,
+    pair_coords,
+    parse_scalar,
+    sym_pairs,
+)
 
 
 class Box:
@@ -121,20 +130,16 @@ class MultiVector:
         return MultiVector.from_entries(box, [parse_scalar(s) for s in doc["data"]])
 
 
-class MultiMatrix:
-    """A matrix whose rows/columns are indexed by a box or by a plain range."""
+class MultiMatrix(Mat):
+    """A ``Mat`` whose rows and/or columns are indexed by a box."""
 
-    __slots__ = ("row_box", "col_box", "nrows", "ncols", "data")
+    __slots__ = ("row_box", "col_box")
 
     def __init__(self, data, row_box: Box | None = None, col_box: Box | None = None):
-        self.data = [[QQ(e) for e in row] for row in data]
-        self.nrows = len(self.data)
-        self.ncols = len(self.data[0]) if self.data else 0
-        if any(len(r) != self.ncols for r in self.data):
-            raise DimensionMismatch("ragged multi-matrix")
-        if row_box is not None and row_box.size != self.nrows:
+        super().__init__(data)
+        if row_box is not None and row_box.size != self.rows:
             raise DimensionMismatch("row box size != number of rows")
-        if col_box is not None and col_box.size != self.ncols:
+        if col_box is not None and col_box.size != self.cols:
             raise DimensionMismatch("column box size != number of columns")
         self.row_box = row_box
         self.col_box = col_box
@@ -153,56 +158,29 @@ class MultiMatrix:
             isinstance(other, MultiMatrix)
             and self.row_box == other.row_box
             and self.col_box == other.col_box
-            and self.data == other.data
+            and super().__eq__(other)
         )
-
-    def __repr__(self) -> str:
-        return f"MultiMatrix({self.nrows}x{self.ncols}, rows={self.row_box}, cols={self.col_box})"
 
     def as_mat(self) -> Mat:
         return Mat(self.data)
 
     def row_space(self) -> Subspace:
         """Span of the rows, i.e. the image of the transpose."""
-        return Subspace(self.ncols, self.data)
-
-
-def mm_add(a: MultiMatrix, b: MultiMatrix) -> MultiMatrix:
-    if (a.nrows, a.ncols) != (b.nrows, b.ncols) or a.row_box != b.row_box or a.col_box != b.col_box:
-        raise DimensionMismatch("multi-matrix addition: shape mismatch")
-    data = [[x + y for x, y in zip(r, s)] for r, s in zip(a.data, b.data)]
-    return MultiMatrix(data, a.row_box, a.col_box)
-
-
-def mm_mul(a: MultiMatrix, b: MultiMatrix) -> MultiMatrix:
-    if a.ncols != b.nrows or a.col_box != b.row_box:
-        raise DimensionMismatch("multi-matrix product: inner spaces differ")
-    out = [[QQ(0)] * b.ncols for _ in range(a.nrows)]
-    for i, arow in enumerate(a.data):
-        orow = out[i]
-        for k, x in enumerate(arow):
-            if not x:
-                continue
-            brow = b.data[k]
-            for j, y in enumerate(brow):
-                if y:
-                    orow[j] += x * y
-    return MultiMatrix(out, a.row_box, b.col_box)
-
-
-def mm_transpose(a: MultiMatrix) -> MultiMatrix:
-    data = [[a.data[i][j] for i in range(a.nrows)] for j in range(a.ncols)]
-    return MultiMatrix(data, a.col_box, a.row_box)
+        return Subspace(self.cols, self.data)
 
 
 def mm_algebra(a: MultiMatrix, b: MultiMatrix | None, op: str) -> MultiMatrix:
-    """Addition, product, or transpose of multi-matrices."""
+    """Addition, product, or transpose of multi-matrices, boxes checked."""
     if op == "add":
-        return mm_add(a, b)
+        if (a.row_box, a.col_box) != (b.row_box, b.col_box):
+            raise DimensionMismatch("multi-matrix addition: box mismatch")
+        return MultiMatrix((a + b).data, a.row_box, a.col_box)
     if op == "mul":
-        return mm_mul(a, b)
+        if a.col_box != b.row_box:
+            raise DimensionMismatch("multi-matrix product: inner spaces differ")
+        return MultiMatrix((a * b).data, a.row_box, b.col_box)
     if op == "transpose":
-        return mm_transpose(a)
+        return MultiMatrix(a.transpose().data, a.col_box, a.row_box)
     raise ValueError(f"unknown op {op!r}")
 
 
@@ -292,31 +270,12 @@ def mu(f: MultiVector, g: MultiVector) -> MultiVector:
     return MultiVector(doubled, tuple(out))
 
 
-def pair_monomials(size: int) -> list[tuple[int, int]]:
-    """Basis z_p z_q (p <= q) of the symmetric square of a box space."""
-    return [(p, q) for p in range(size) for q in range(p, size)]
-
-
-def pair_coords(u, w) -> list[Fraction]:
-    """Monomial coefficients of the symmetric product u.w: the polynomial
-    (sum u_p z_p)(sum w_q z_q)."""
-    n = len(u)
-    out = []
-    for p in range(n):
-        for q in range(p, n):
-            if p == q:
-                out.append(u[p] * w[p])
-            else:
-                out.append(u[p] * w[q] + u[q] * w[p])
-    return out
-
-
 def mu_of_pair_coords(box: Box, coords) -> MultiVector:
     """Linear extension of z_p z_q -> basis vector at i_p + i_q."""
     doubled = box.doubled()
     idxs = box.indices()
     out = [QQ(0)] * doubled.size
-    for (p, q), c in zip(pair_monomials(box.size), coords, strict=True):
+    for (p, q), c in zip(sym_pairs(box.size), coords, strict=True):
         if c:
             out[doubled.position(idx_add(idxs[p], idxs[q]))] += c
     return MultiVector(doubled, tuple(out))
@@ -370,7 +329,7 @@ def mu_kernel(box: Box, s: Subspace) -> Subspace:
     if s.ambient_dim != box.size:
         raise DimensionMismatch("subspace must live on the box space")
     basis = [list(r) for r in s.basis]
-    products = [pair_coords(basis[p], basis[q]) for p, q in pair_monomials(len(basis))]
+    products = [pair_coords(basis[p], basis[q]) for p, q in sym_pairs(len(basis))]
     images = [mu_of_pair_coords(box, c).data for c in products]
     return Subspace(box.size * (box.size + 1) // 2, kernel_combinations(products, images))
 
@@ -382,8 +341,7 @@ def phi_A(a: MultiMatrix, b: Catalecticant) -> Mat:
     """The symmetric matrix A B A^t."""
     if a.col_box != b.box:
         raise DimensionMismatch("column box of A must match the catalecticant box")
-    prod = mm_mul(mm_mul(a, b.as_multimatrix()), mm_transpose(a))
-    return prod.as_mat()
+    return a * b.as_multimatrix() * a.transpose()
 
 
 def rank_one_factor(m: Mat) -> list[Fraction]:

@@ -32,40 +32,28 @@ from .linalg import (
     kernel_combinations,
     rank,
     solve,
+    sym_coords_to_mat,
+    sym_pairs,
+    sym_product_coords,
+    sym_square,
+    trace_pairing_mat,
     vec_is_zero,
+    yy_coords,
 )
 from .multimatrix import (
     Box,
     MultiMatrix,
     MultiVector,
+    idx_add,
     mu,
     mu_image_span,
     rank_one_factor,
 )
-from .reps import (
-    Rep,
-    cyclic_closure,
-    exp_act,
-    mat_to_sym_coords,
-    sym_coords_to_mat,
-    sym_pairs,
-    sym_product_coords,
-)
+from .reps import Rep, cyclic_closure, exp_act
 
 MAX_BOX = 20000
 MAX_SEQ_LEN = 40
 _LEIBNIZ_SAMPLE = 200
-
-
-def sym_square(x) -> Mat:
-    """The symmetric matrix x x^t."""
-    return Mat([[a * b for b in x] for a in x])
-
-
-def _yy_coords(r: Rep, y) -> list[Fraction]:
-    if len(y) != r.dim:
-        raise ValueError("vector length != module dimension")
-    return mat_to_sym_coords(sym_square(list(map(QQ, y))))
 
 
 _MODULE_CACHE: dict[tuple, Subspace] = {}
@@ -77,7 +65,7 @@ def orbit_module(r: Rep, y) -> Subspace:
         raise ValueError("orbit module needs a nonzero vector")
     key = (r, tuple(map(QQ, y)))
     if key not in _MODULE_CACHE:
-        _MODULE_CACHE[key] = cyclic_closure(r.sym_square(), _yy_coords(r, y)).subspace
+        _MODULE_CACHE[key] = cyclic_closure(r.sym_square(), yy_coords(y)).subspace
     return _MODULE_CACHE[key]
 
 
@@ -113,22 +101,10 @@ class QuadraticIdeal:
         return all(not self.evaluate(k, x) for k in range(len(self.basis)))
 
 
-def _dual_row_to_matrix(row, n: int) -> Mat:
-    phi = Mat.zero(n, n)
-    half = QQ(1, 2)
-    for (k, l), c in zip(sym_pairs(n), row, strict=True):
-        if k == l:
-            phi.data[k][k] = QQ(c)
-        else:
-            phi.data[k][l] = half * c
-            phi.data[l][k] = half * c
-    return phi
-
-
 def ideal_of_module(r: Rep, module: Subspace) -> QuadraticIdeal:
     """Annihilator of a submodule of S^2(V), as trace-pairing symmetric matrices."""
     dual = annihilator(module)
-    basis = [_dual_row_to_matrix(list(row), r.dim) for row in dual.basis]
+    basis = [trace_pairing_mat(row, r.dim) for row in dual.basis]
     return QuadraticIdeal(r, module, dual, basis)
 
 
@@ -143,7 +119,7 @@ def my_membership(r: Rep, y, x) -> bool:
     """Whether x x^t lies in the orbit module of y (scale invariant in x)."""
     if vec_is_zero(y):
         raise ValueError("membership needs a nonzero reference vector")
-    return orbit_module(r, y).contains(_yy_coords(r, x))
+    return orbit_module(r, y).contains(yy_coords(x))
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +242,7 @@ def generator_sequence(r: Rep, y, max_box: int | None = None,
         return _GENSEQ_CACHE[key]
     cap_len = MAX_SEQ_LEN if max_len is None else max_len
     s2 = r.sym_square()
-    yy = _yy_coords(r, y)
+    yy = yy_coords(y)
     closure = cyclic_closure(s2, yy)
     target = closure.subspace.dim
     words = tuple(closure.words)
@@ -319,10 +295,9 @@ def generator_sequence(r: Rep, y, max_box: int | None = None,
 
 def build_A(r: Rep, y, gs: GenSeq) -> MultiMatrix:
     """The dim(V) x box multi-matrix whose column at i is D^i y / i!."""
-    table = _normalized_table(r, gs.symbols, gs.box, y)
-    idxs = gs.box.indices()
-    data = [[table[i][k] for i in idxs] for k in range(r.dim)]
-    return MultiMatrix(data, None, gs.box)
+    columns = _seq_data(r, y, gs).columns
+    return MultiMatrix([[columns[i][k] for i in gs.box.indices()] for k in range(r.dim)],
+                       None, gs.box)
 
 
 class _SeqData:
@@ -331,20 +306,20 @@ class _SeqData:
     def __init__(self, r: Rep, y, gs: GenSeq):
         self.rep = r
         self.s2 = r.sym_square()
-        self.yy = _yy_coords(r, y)
+        self.yy = yy_coords(y)
         self.doubled = gs.box.doubled()
         self.columns = _normalized_table(r, gs.symbols, gs.box, y)
         self.dyy = _normalized_table(self.s2, gs.symbols, self.doubled, self.yy)
         # n -> sum over i + j = n of the symmetric product of columns i and j
         self._pair_sums = {n: [QQ(0)] * self.s2.dim for n in self.doubled.indices()}
         idxs = gs.box.indices()
-        for a, i in enumerate(idxs):
-            for j in idxs[a:]:
-                acc = self._pair_sums[tuple(x + z for x, z in zip(i, j))]
-                weight = 1 if i == j else 2
-                for t, e in enumerate(sym_product_coords(self.columns[i], self.columns[j])):
-                    if e:
-                        acc[t] += weight * e
+        for p, q in sym_pairs(len(idxs)):
+            i, j = idxs[p], idxs[q]
+            acc = self._pair_sums[idx_add(i, j)]
+            weight = 1 if p == q else 2
+            for t, e in enumerate(sym_product_coords(self.columns[i], self.columns[j])):
+                if e:
+                    acc[t] += weight * e
         self._pivot_positions: list[int] | None = None
         self._pivot_mat: Mat | None = None
 
@@ -382,8 +357,8 @@ class _SeqData:
             b[p] = val
         return b
 
-    def phi_of_coefficients(self, b) -> Mat:
-        """A B A^t for the catalecticant defined by b, via sum b_n C_n."""
+    def combination(self, b) -> list[Fraction]:
+        """sum b_n C_n, in symmetric coordinates."""
         acc = [QQ(0)] * self.s2.dim
         for pos, n in enumerate(self.doubled.indices()):
             c = b[pos]
@@ -391,7 +366,11 @@ class _SeqData:
                 for t, e in enumerate(self._pair_sums[n]):
                     if e:
                         acc[t] += c * e
-        return sym_coords_to_mat(acc, self.rep.dim)
+        return acc
+
+    def phi_of_coefficients(self, b) -> Mat:
+        """A B A^t for the catalecticant defined by b, via sum b_n C_n."""
+        return sym_coords_to_mat(self.combination(b), self.rep.dim)
 
 
 _SEQDATA_CACHE: dict[tuple, _SeqData] = {}
@@ -429,14 +408,7 @@ def decompose_Q(r: Rep, y, gs: GenSeq, word) -> MultiVector:
             "decomposition inconsistent: generator sequence span contract violated",
             {"word": list(word), "symbols": list(gs.symbols), "N": list(gs.box.N)},
         )
-    residual = list(target)
-    for pos, n in enumerate(data.doubled.indices()):
-        c = b[pos]
-        if c:
-            for t, e in enumerate(data.pair_sum(n)):
-                if e:
-                    residual[t] -= c * e
-    if not vec_is_zero(residual):
+    if data.combination(b) != target:
         raise StructuralError("decomposition residual nonzero", {"word": list(word)})
     return MultiVector(data.doubled, tuple(b))
 
@@ -450,14 +422,15 @@ class HyperplaneReport:
     codim: int
 
 
-def hyperplane_check(a: MultiMatrix, w: Subspace,
-                     _full: Subspace | None = None) -> HyperplaneReport:
-    """Codimension of mu(W . im A^t) inside mu(im A^t . im A^t).
+def _hyperplane_report(full: Subspace, part: Subspace) -> HyperplaneReport:
+    codim = full.dim - part.dim
+    return HyperplaneReport(
+        "hyperplane" if codim == 1 else ("full" if codim == 0 else "smaller"), codim)
 
-    Whether a hyperplane W of im A^t keeps codimension one after taking
-    products and convolving varies with W, so the property is measured per
-    instance and reported, never assumed.
-    """
+
+def _product_spans(a: MultiMatrix, w: Subspace) -> tuple[Subspace, Subspace, Subspace]:
+    """im A^t, mu(im A^t . im A^t) and mu(W . im A^t), once W is checked to be
+    a hyperplane of im A^t."""
     if a.col_box is None:
         raise ValueError("A must carry a column box")
     im_at = a.row_space()
@@ -465,12 +438,18 @@ def hyperplane_check(a: MultiMatrix, w: Subspace,
         raise ValueError("W must be a subspace of im A^t")
     if w.dim != im_at.dim - 1:
         raise ValueError("W must have codimension one in im A^t")
-    box = a.col_box
-    full = _full if _full is not None else mu_image_span(box, im_at, im_at)
-    part = mu_image_span(box, w, im_at)
-    codim = full.dim - part.dim
-    kind = "hyperplane" if codim == 1 else ("full" if codim == 0 else "smaller")
-    return HyperplaneReport(kind, codim)
+    return im_at, mu_image_span(a.col_box, im_at, im_at), mu_image_span(a.col_box, w, im_at)
+
+
+def hyperplane_check(a: MultiMatrix, w: Subspace) -> HyperplaneReport:
+    """Codimension of mu(W . im A^t) inside mu(im A^t . im A^t).
+
+    Whether a hyperplane W of im A^t keeps codimension one after taking
+    products and convolving varies with W, so the property is measured per
+    instance and reported, never assumed.
+    """
+    _, full, part = _product_spans(a, w)
+    return _hyperplane_report(full, part)
 
 
 @dataclass
@@ -492,20 +471,10 @@ class ReverseOutcome:
     failure: str | None = None
 
 
-def _forward(r: Rep, y, gs: GenSeq, a: MultiMatrix, w: Subspace, v,
-             _full: Subspace | None = None, _part: Subspace | None = None) -> ForwardOutcome:
-    box = a.col_box
-    im_at = a.row_space()
-    if w.dim != im_at.dim - 1 or not im_at.contains_subspace(w):
-        raise ValueError("W must be a hyperplane of im A^t")
-    full = _full if _full is not None else mu_image_span(box, im_at, im_at)
-    part = _part if _part is not None else mu_image_span(box, w, im_at)
-    if full.dim - part.dim != 1:
-        raise ValueError(
-            f"forward direction needs a hyperplane W, got codimension {full.dim - part.dim}")
-    if not im_at.contains(v) or w.contains(v):
-        raise ValueError("v must span a complement of W in im A^t")
-    mvv = mu(MultiVector.from_entries(box, v), MultiVector.from_entries(box, v))
+def _forward(r: Rep, y, gs: GenSeq, v, full: Subspace, part: Subspace) -> ForwardOutcome:
+    """The forward direction for a complement v of a hyperplane W of im A^t,
+    given mu(im A^t . im A^t) and mu(W . im A^t), a hyperplane of it."""
+    mvv = mu(MultiVector.from_entries(gs.box, v), MultiVector.from_entries(gs.box, v))
     pivots = list(full.pivots)
     rows = [[row[p] for p in pivots] for row in part.basis]
     rhs = [QQ(0)] * len(rows)
@@ -549,7 +518,7 @@ def _reverse(r: Rep, y, gs: GenSeq, a: MultiMatrix, x) -> ReverseOutcome:
     if not my_membership(r, y, x):
         raise ValueError("reverse direction needs a point with x x^t in the orbit module")
     data = _seq_data(r, y, gs)
-    target = _yy_coords(r, x)
+    target = yy_coords(x)
     b = data.solve_coefficients(target)
     if b is None:
         return ReverseOutcome(ok=False, failure="no catalecticant preimage: system inconsistent")
@@ -569,7 +538,13 @@ def rank1_correspondence(r: Rep, y, gs: GenSeq, a: MultiMatrix, direction: str,
     if direction == "forward":
         if W is None or v is None:
             raise ValueError("forward direction needs W and v")
-        return _forward(r, y, gs, a, W, v)
+        im_at, full, part = _product_spans(a, W)
+        hyp = _hyperplane_report(full, part)
+        if hyp.kind != "hyperplane":
+            raise ValueError(f"forward direction needs a hyperplane W, got codimension {hyp.codim}")
+        if not im_at.contains(v) or W.contains(v):
+            raise ValueError("v must span a complement of W in im A^t")
+        return _forward(r, y, gs, v, full, part)
     if direction == "reverse":
         if x is None:
             raise ValueError("reverse direction needs x")
@@ -714,7 +689,7 @@ def certify_irreducibility(r: Rep, y, trials: int = 25, seed: int = 0,
     report = CertReport(
         rep_label=r.label,
         dims={"V": r.dim, "S2V": s2dim, "module": module.dim, "ideal": ideal.dim},
-        rank_A=rank(a.as_mat()),
+        rank_A=rank(a),
         symbols=list(gs.symbols),
         N=list(gs.box.N),
         seed=seed,
@@ -752,19 +727,15 @@ def certify_irreducibility(r: Rep, y, trials: int = 25, seed: int = 0,
     def process_hyperplane(w, v, source):
         report.hyperplane_trials += 1
         part_image = mu_image_span(gs.box, w, im_at)
-        codim = full_image.dim - part_image.dim
-        if codim != 1:
+        hyp = _hyperplane_report(full_image, part_image)
+        if hyp.kind != "hyperplane":
             report.hyperplane_bad += 1
-            report.trial_log.append({
-                "check": "hyperplane",
-                "source": source,
-                "kind": "full" if codim == 0 else "smaller",
-                "codim": codim,
-            })
+            report.trial_log.append({"check": "hyperplane", "source": source,
+                                     "kind": hyp.kind, "codim": hyp.codim})
             return
         report.hyperplane_good += 1
         report.forward_trials += 1
-        out = _forward(r, y, gs, a, w, v, _full=full_image, _part=part_image)
+        out = _forward(r, y, gs, v, full_image, part_image)
         if out.kind == "rank0":
             report.forward_rank0 += 1
         report.trial_log.append({"check": "forward", "source": source,

@@ -33,6 +33,7 @@ from .linalg import (
     Subspace,
     kernel_combinations,
     rref,
+    sym_pairs,
     vec_is_zero,
 )
 
@@ -276,37 +277,6 @@ def _tensor_action(r1: Rep, r2: Rep):
         action[sym] = out
     labels = [f"{x}(x){y}" for x in r1.basis_labels for y in r2.basis_labels]
     return action, labels
-
-
-def sym_pairs(n: int) -> list[tuple[int, int]]:
-    """Index pairs (k, m) with k <= m, in lexicographic order."""
-    return [(k, m) for k in range(n) for m in range(k, n)]
-
-
-def mat_to_sym_coords(m: Mat) -> list[Fraction]:
-    """Upper-triangle coordinates of a symmetric matrix."""
-    return [m.data[k][l] for k, l in sym_pairs(m.rows)]
-
-
-def sym_coords_to_mat(coords, n: int) -> Mat:
-    m = Mat.zero(n, n)
-    for (k, l), c in zip(sym_pairs(n), coords, strict=True):
-        m.data[k][l] = QQ(c)
-        m.data[l][k] = QQ(c)
-    return m
-
-
-def sym_product_coords(u, w) -> list[Fraction]:
-    """Coordinates of the symmetric product u.w = (u w^t + w u^t)/2."""
-    n = len(u)
-    half = QQ(1, 2)
-    out = []
-    for k, l in sym_pairs(n):
-        if k == l:
-            out.append(u[k] * w[k])
-        else:
-            out.append(half * (u[k] * w[l] + u[l] * w[k]))
-    return out
 
 
 def _sym2_action(r: Rep):

@@ -10,8 +10,8 @@ coordinate convention of the symmetric square.
 import itertools
 from fractions import Fraction
 
-from orbitquad.linalg import Mat, QQ
-from orbitquad.reps import Rep, sym_pairs
+from orbitquad.linalg import Mat, QQ, sym_pairs
+from orbitquad.reps import Rep
 
 
 def sym_pair_index(n: int) -> dict[tuple[int, int], int]:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitquad.errors import DimensionMismatch, RankOneError
-from orbitquad.linalg import Mat, Subspace, rank
+from orbitquad.linalg import Mat, Subspace, pair_coords, rank
 from orbitquad.multimatrix import (
     Box,
     MultiMatrix,
@@ -17,7 +17,6 @@ from orbitquad.multimatrix import (
     mu,
     mu_kernel,
     mu_of_pair_coords,
-    pair_coords,
     phi_A,
     rank_one_factor,
 )
@@ -68,6 +67,17 @@ def test_mm_shape_errors():
         mm_algebra(a, c, "add")
     with pytest.raises(DimensionMismatch):
         mm_algebra(a, c, "mul")
+    # equal sizes, different shapes: only the box check can tell them apart
+    square, line = Box((1, 1)), Box((3,))
+    assert square.size == line.size == 4
+    p = MultiMatrix(Mat.identity(4).data, square, line)
+    q = MultiMatrix(Mat.identity(4).data, line, line)
+    with pytest.raises(DimensionMismatch):
+        mm_algebra(p, q, "add")
+    with pytest.raises(DimensionMismatch):
+        mm_algebra(q, p, "mul")
+    pt = mm_algebra(p, None, "transpose")
+    assert (pt.row_box, pt.col_box) == (line, square)
 
 
 @given(st.data())

@@ -4,7 +4,7 @@ import pytest
 
 from orbitquad.errors import CapExceeded
 from orbitquad.lie import make_sl
-from orbitquad.linalg import Mat, Subspace, rank
+from orbitquad.linalg import Mat, Subspace, rank, sym_coords_to_mat, sym_square, yy_coords
 from orbitquad.multimatrix import Box, MultiMatrix, MultiVector, catalecticant_from_vector, phi_A
 from orbitquad.orbit import (
     build_A,
@@ -18,7 +18,6 @@ from orbitquad.orbit import (
     orbit_module,
     quadric_ideal,
     rank1_correspondence,
-    sym_square,
 )
 from orbitquad.reps import Rep, derived_rep, standard_rep
 
@@ -88,7 +87,6 @@ def test_quadric_ideal_annihilates_module():
     for phi in ideal.basis:
         for row in ideal.module.basis:
             m = row
-            from orbitquad.reps import sym_coords_to_mat
             mat = sym_coords_to_mat(list(m), r.dim)
             pairing = sum(phi.data[i][j] * mat.data[i][j]
                           for i in range(r.dim) for j in range(r.dim))
@@ -172,10 +170,10 @@ def test_generator_sequence_wedge2():
     gs = generator_sequence(r, E12)
     assert set(gs.symbols) >= set()  # construction succeeded
     # span contract re-verified here by hand
-    from orbitquad.orbit import _normalized_table, _yy_coords
+    from orbitquad.orbit import _normalized_table
     from orbitquad.linalg import PivotedSpan
     s2 = r.sym_square()
-    yy = _yy_coords(r, E12)
+    yy = yy_coords(E12)
     table = _normalized_table(s2, gs.symbols, gs.box.doubled(), yy)
     span = PivotedSpan(s2.dim)
     for v in table.values():
@@ -230,6 +228,25 @@ def test_build_A_sym3():
     assert rank(a.as_mat()) == 4
     # column at the origin is y itself
     assert [row[0] for row in a.data] == unit(4, 0)
+
+
+def test_build_A_wedge2_multi_axis_box():
+    from math import factorial
+
+    from orbitquad.reps import act_word
+
+    r = wedge2_sl4()
+    gs = generator_sequence(r, E12_34)
+    assert gs.box.r > 1
+    a = build_A(r, E12_34, gs)
+    assert isinstance(a, Mat) and a.col_box == gs.box and a.row_box is None
+    for i in gs.box.indices():
+        word = [sym for sym, k in zip(gs.symbols, i) for _ in range(k)]
+        scale = 1
+        for k in i:
+            scale *= factorial(k)
+        column = [e / scale for e in act_word(r, word, E12_34)]
+        assert [a.entry(k, i) for k in range(r.dim)] == column
 
 
 def test_leibniz_trivial_and_derived():
@@ -295,6 +312,28 @@ def test_hyperplane_check_preconditions():
     a = full_box_A(2)
     with pytest.raises(ValueError):
         hyperplane_check(a, Subspace(3, [[1, 0, 0]]))  # codim 2
+
+
+def test_forward_correspondence_preconditions():
+    r = sl2_sym(2)
+    y = unit(3, 0)
+    gs = generator_sequence(r, y)
+
+    def forward(a, w, v):
+        return rank1_correspondence(r, y, gs, a, "forward", W=w, v=v)
+
+    # W is not inside im A^t
+    narrow = MultiMatrix([[1, 0, 0], [0, 1, 0]], None, gs.box)
+    with pytest.raises(ValueError, match=r"im A\^t"):
+        forward(narrow, Subspace(3, [[0, 0, 1]]), [F(1), F(0), F(0)])
+    # the product span of W = span{1, x^2} has codimension 0, as in
+    # test_hyperplane_check_quadratics
+    a = full_box_A(2)
+    with pytest.raises(ValueError, match="codimension 0"):
+        forward(a, Subspace(3, [[1, 0, 0], [0, 0, 1]]), [F(0), F(1), F(0)])
+    # v lies inside W
+    with pytest.raises(ValueError, match="complement"):
+        forward(a, Subspace(3, [[0, 1, 0], [0, 0, 1]]), [F(0), F(1), F(1)])
 
 
 def test_forward_correspondence_sym2():

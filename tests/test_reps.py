@@ -5,7 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 from orbitquad.errors import StructuralError
 from orbitquad.lie import make_sl
-from orbitquad.linalg import Mat, PivotedSpan, Subspace
+from orbitquad.linalg import (
+    Mat,
+    PivotedSpan,
+    Subspace,
+    mat_to_sym_coords,
+    sym_coords_to_mat,
+    sym_product_coords,
+)
 from orbitquad.orbit import orbit_module
 from orbitquad.reps import (
     Rep,
@@ -15,10 +22,7 @@ from orbitquad.reps import (
     exp_nilpotent,
     highest_weight_vectors,
     isotypic_decomposition,
-    mat_to_sym_coords,
     standard_rep,
-    sym_coords_to_mat,
-    sym_product_coords,
     weight_decomposition,
     weight_of,
     weights_multiset,
