@@ -8,7 +8,8 @@ Exit codes: 0 success/consistent, 2 parse error (including a negative
 --trials or --samples, an all-zero --y, and a chordal --k outside 1..n or
 --p below 1), 3 dimension mismatch,
 4 unsupported expression (including a wedge or sym degree outside its
-range), 5 discrepancy verdict, 6 caps or inconclusive.
+range), 5 discrepancy verdict or a StructuralError or RankOneError (one
+``error:`` line on stderr, empty stdout), 6 caps or inconclusive.
 The environment variable ORBITQUAD_MAX_BOX overrides the multi-degree box cap.
 """
 
@@ -22,7 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chordal import ChordalSpec, chordal_ideal, component_analysis
-from .errors import CapExceeded, DimensionMismatch, SpecParseError, UnsupportedExpression
+from .errors import (CapExceeded, DimensionMismatch, RankOneError, SpecParseError,
+                     StructuralError, UnsupportedExpression)
 from .lie import make_sl
 from .linalg import format_scalar, parse_scalar, vec_is_zero
 from .orbit import certify_irreducibility, orbit_module, quadric_ideal
@@ -362,6 +364,9 @@ def main(argv=None) -> int:
     except UnsupportedExpression as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
+    except (StructuralError, RankOneError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DISCREPANCY
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIMENSION

@@ -9,8 +9,13 @@ conjugates A B A^t of catalecticants and points x with x x^t in the orbit
 module.  ``certify_irreducibility`` runs the whole chain on seeded samples
 and reports exact per-check verdicts.
 
+For U = im A^t and a hyperplane W = ker psi of U, S^2 U / (W.U) = S^2(U/W)
+is a line, so mu(W.U) has codimension 1 in mu(U.U) exactly when psi (x) psi
+vanishes on ker(mu|S^2 U), and 0 otherwise (Iarrobino-Kanev, LNM 1721); the
+products of U are reduced once per A and answer every hyperplane.
+
 Degenerate observations that the theory leaves open are recorded rather than
-judged: hyperplanes W whose product span is not a hyperplane are counted, and
+judged: hyperplanes W whose product span has codimension 0 are counted, and
 conjugates with phi_A(B) = 0 are logged (the zero matrix has no projective
 rank-one factor, so it is excluded from the Veronese locus).
 """
@@ -20,6 +25,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import prod
 
 from .errors import CapExceeded, StructuralError
 from .linalg import (
@@ -31,7 +38,6 @@ from .linalg import (
     format_scalar,
     kernel_combinations,
     rank,
-    solve,
     sym_coords_to_mat,
     sym_pairs,
     sym_product_coords,
@@ -46,7 +52,6 @@ from .multimatrix import (
     MultiVector,
     idx_add,
     mu,
-    mu_image_span,
     rank_one_factor,
 )
 from .reps import Rep, cyclic_closure, exp_act
@@ -184,8 +189,8 @@ def nilpotency_bound(r: Rep, symbols, u, max_box: int | None = None) -> Box:
     return Box(bounds)
 
 
-def _normalized_table(r: Rep, symbols, box: Box, v) -> dict[tuple[int, ...], list[Fraction]]:
-    """Table i -> D^i v / i! over the box, filled in lexicographic order.
+def _normalized_entries(r: Rep, symbols, box: Box, v):
+    """The pairs (i, D^i v / i!) over the box, in lexicographic order.
 
     With r the module and v = y these are the columns of A; with r its
     symmetric square, v = yy and the doubled box, the monomials D^n(yy) / n!.
@@ -194,11 +199,11 @@ def _normalized_table(r: Rep, symbols, box: Box, v) -> dict[tuple[int, ...], lis
     for idx in box.indices():
         if not any(idx):
             table[idx] = list(map(QQ, v))
-            continue
-        s = next(k for k, e in enumerate(idx) if e)
-        prev = idx[:s] + (idx[s] - 1,) + idx[s + 1:]
-        table[idx] = [e / idx[s] for e in r.act(symbols[s], table[prev])]
-    return table
+        else:
+            s = next(k for k, e in enumerate(idx) if e)
+            prev = idx[:s] + (idx[s] - 1,) + idx[s + 1:]
+            table[idx] = [e / idx[s] for e in r.act(symbols[s], table[prev])]
+        yield idx, table[idx]
 
 
 def _validate_vanishing(r: Rep, symbols, box: Box, y) -> None:
@@ -213,11 +218,14 @@ def _validate_vanishing(r: Rep, symbols, box: Box, y) -> None:
             )
 
 
-def _monomial_span_dim(s2: Rep, symbols, box: Box, yy) -> int:
-    table = _normalized_table(s2, symbols, box.doubled(), yy)
+def _monomial_span_dim(s2: Rep, symbols, box: Box, yy, target: int | None = None) -> int:
+    """Dimension of the span of the D^n(yy) over the doubled box, filled and
+    reduced in one pass that stops once the span reaches ``target``."""
     span = PivotedSpan(s2.dim)
-    for v in table.values():
+    for _, v in _normalized_entries(s2, symbols, box.doubled(), yy):
         span.add(v)
+        if span.dim == target:
+            break
     return span.dim
 
 
@@ -250,7 +258,7 @@ def generator_sequence(r: Rep, y, max_box: int | None = None,
     next_word = 0
     while True:
         box = nilpotency_bound(r, symbols, y, max_box=max_box)
-        if _monomial_span_dim(s2, symbols, box, yy) == target:
+        if _monomial_span_dim(s2, symbols, box, yy, target) == target:
             break
         while next_word < len(words):
             fresh = [s for s in words[next_word] if not s.startswith("H")]
@@ -283,7 +291,7 @@ def generator_sequence(r: Rep, y, max_box: int | None = None,
                 cand_box = nilpotency_bound(r, candidate, y, max_box=max_box)
             except CapExceeded:
                 continue
-            if _monomial_span_dim(s2, candidate, cand_box, yy) == target:
+            if _monomial_span_dim(s2, candidate, cand_box, yy, target) == target:
                 symbols = candidate
                 changed = True
     box = nilpotency_bound(r, symbols, y, max_box=max_box)
@@ -308,8 +316,8 @@ class _SeqData:
         self.s2 = r.sym_square()
         self.yy = yy_coords(y)
         self.doubled = gs.box.doubled()
-        self.columns = _normalized_table(r, gs.symbols, gs.box, y)
-        self.dyy = _normalized_table(self.s2, gs.symbols, self.doubled, self.yy)
+        self.columns = dict(_normalized_entries(r, gs.symbols, gs.box, y))
+        self.dyy = dict(_normalized_entries(self.s2, gs.symbols, self.doubled, self.yy))
         # n -> sum over i + j = n of the symmetric product of columns i and j
         self._pair_sums = {n: [QQ(0)] * self.s2.dim for n in self.doubled.indices()}
         idxs = gs.box.indices()
@@ -320,45 +328,39 @@ class _SeqData:
             for t, e in enumerate(sym_product_coords(self.columns[i], self.columns[j])):
                 if e:
                     acc[t] += weight * e
-        self._pivot_positions: list[int] | None = None
-        self._pivot_mat: Mat | None = None
 
     def pair_sum(self, n) -> list[Fraction]:
         """sum over i + j = n of the symmetric product of columns i and j."""
         return self._pair_sums[tuple(n)]
 
-    def _ensure_solver(self) -> None:
-        """Lex-earliest independent coefficient columns; enough for one solution."""
-        if self._pivot_positions is not None:
-            return
+    @cached_property
+    def _solver(self) -> tuple[list[int], Mat, list[int], Mat]:
+        """The lex-earliest independent coefficient columns, the matrix they
+        form, and the inverse of a square block of its rows: the pivots of
+        the columns' span pick rows on which they stay independent."""
         span = PivotedSpan(self.s2.dim)
-        pivots = []
-        for pos, n in enumerate(self.doubled.indices()):
-            if span.add(self._pair_sums[n]):
-                pivots.append(pos)
-        self._pivot_positions = pivots
         idxs = self.doubled.indices()
-        cols = [self._pair_sums[idxs[p]] for p in pivots]
-        self._pivot_mat = Mat([[cols[c][t] for c in range(len(cols))]
-                               for t in range(self.s2.dim)])
+        positions = [p for p, n in enumerate(idxs) if span.add(self._pair_sums[n])]
+        mat = Mat([[self._pair_sums[idxs[p]][t] for p in positions]
+                   for t in range(self.s2.dim)])
+        return positions, mat, span.pivots, Mat([mat.data[t] for t in span.pivots]).inverse()
 
     def solve_coefficients(self, target) -> list[Fraction] | None:
         """One b with sum b_n C_n = target, free variables at zero, or None.
 
         Restricting to the lex-earliest independent columns gives exactly the
-        particular solution full row reduction would produce.
+        particular solution full row reduction would produce.  It is read off
+        the inverted block and checked exactly against every row.
         """
-        self._ensure_solver()
-        small = solve(self._pivot_mat, target)
-        if small is None:
+        positions, mat, rows, inverse = self._solver
+        small = inverse.apply([target[t] for t in rows])
+        if mat.apply(small) != list(target):
             return None
-        b = [QQ(0)] * self.doubled.size
-        for p, val in zip(self._pivot_positions, small):
-            b[p] = val
-        return b
+        at = dict(zip(positions, small))
+        return [at.get(p, QQ(0)) for p in range(self.doubled.size)]
 
-    def combination(self, b) -> list[Fraction]:
-        """sum b_n C_n, in symmetric coordinates."""
+    def phi_of_coefficients(self, b) -> Mat:
+        """A B A^t for the catalecticant defined by b, via sum b_n C_n."""
         acc = [QQ(0)] * self.s2.dim
         for pos, n in enumerate(self.doubled.indices()):
             c = b[pos]
@@ -366,11 +368,7 @@ class _SeqData:
                 for t, e in enumerate(self._pair_sums[n]):
                     if e:
                         acc[t] += c * e
-        return acc
-
-    def phi_of_coefficients(self, b) -> Mat:
-        """A B A^t for the catalecticant defined by b, via sum b_n C_n."""
-        return sym_coords_to_mat(self.combination(b), self.rep.dim)
+        return sym_coords_to_mat(acc, self.rep.dim)
 
 
 _SEQDATA_CACHE: dict[tuple, _SeqData] = {}
@@ -396,7 +394,7 @@ def leibniz_check(r: Rep, y, gs: GenSeq, n) -> bool:
 def decompose_Q(r: Rep, y, gs: GenSeq, word) -> MultiVector:
     """Coefficients b on the doubled box with Q(yy) = sum b_{i+j} A_i A_j.
 
-    Solved exactly with free variables at zero; the residual is re-verified.
+    Solved exactly with free variables at zero, the residual checked exactly.
     An unsolvable system means the sequence violated its span contract, which
     is reported loudly with diagnostics.
     """
@@ -408,8 +406,6 @@ def decompose_Q(r: Rep, y, gs: GenSeq, word) -> MultiVector:
             "decomposition inconsistent: generator sequence span contract violated",
             {"word": list(word), "symbols": list(gs.symbols), "N": list(gs.box.N)},
         )
-    if data.combination(b) != target:
-        raise StructuralError("decomposition residual nonzero", {"word": list(word)})
     return MultiVector(data.doubled, tuple(b))
 
 
@@ -418,38 +414,74 @@ def decompose_Q(r: Rep, y, gs: GenSeq, word) -> MultiVector:
 
 @dataclass(frozen=True)
 class HyperplaneReport:
-    kind: str  # "hyperplane" | "full" | "smaller"
+    kind: str  # "hyperplane" | "full"
     codim: int
 
 
-def _hyperplane_report(full: Subspace, part: Subspace) -> HyperplaneReport:
-    codim = full.dim - part.dim
-    return HyperplaneReport(
-        "hyperplane" if codim == 1 else ("full" if codim == 0 else "smaller"), codim)
+class _Products:
+    """The products mu(e_a e_b), a <= b, of the RREF basis e of U = im A^t,
+    reduced once: their kernel in pair coordinates, their image F, and the
+    inverse of an independent subset restricted to F's pivot columns."""
+
+    def __init__(self, box: Box, u: Subspace):
+        basis = [MultiVector(box, row) for row in u.basis]
+        self.u = u
+        self.doubled_size = box.doubled().size
+        self.pairs = sym_pairs(len(basis))
+        products = [mu(basis[a], basis[b]).data for a, b in self.pairs]
+        self.kernel = kernel_combinations(Mat.identity(len(products)).data, products)
+        image = PivotedSpan(self.doubled_size)
+        self.independent = [s for s, p in enumerate(products) if image.add(p)]
+        self.pivots = image.pivots
+        # a product on F's pivots is its coordinate vector on F's RREF basis
+        self.coords = [[p[c] for c in self.pivots] for p in products]
+        self.inverse = Mat([self.coords[s] for s in self.independent]).inverse()
+
+    def report(self, psi) -> HyperplaneReport:
+        """Codimension of mu(W.U) in mu(U.U) for W = ker psi, psi on e."""
+        for kappa in self.kernel:
+            if sum(k * psi[a] * psi[b] for k, (a, b) in zip(kappa, self.pairs) if k):
+                return HyperplaneReport("full", 0)
+        return HyperplaneReport("hyperplane", 1)
+
+    def functional(self, psi, v) -> list[Fraction] | None:
+        """The b supported on F's pivots with b(mu(e_a e_b)) = psi_a psi_b /
+        psi(v)^2 for all a <= b, checked exactly, or None; so b vanishes on
+        mu(W.U) and b(mu(v.v)) = 1."""
+        pv = sum(p * v[c] for p, c in zip(psi, self.u.pivots))
+        want = [psi[a] * psi[b] / (pv * pv) for a, b in self.pairs]
+        x = self.inverse.apply([want[s] for s in self.independent])
+        if any(sum(t * e for t, e in zip(x, row) if e) != w
+               for row, w in zip(self.coords, want)):
+            return None
+        at = dict(zip(self.pivots, x))
+        return [at.get(c, QQ(0)) for c in range(self.doubled_size)]
 
 
-def _product_spans(a: MultiMatrix, w: Subspace) -> tuple[Subspace, Subspace, Subspace]:
-    """im A^t, mu(im A^t . im A^t) and mu(W . im A^t), once W is checked to be
-    a hyperplane of im A^t."""
+def _hyperplane_functional(a: MultiMatrix, w: Subspace) -> tuple[_Products, list[Fraction]]:
+    """The products of im A^t and a psi on its RREF basis with W = ker psi,
+    once W is checked to be a hyperplane of im A^t."""
     if a.col_box is None:
         raise ValueError("A must carry a column box")
-    im_at = a.row_space()
-    if w.ambient_dim != im_at.ambient_dim or not im_at.contains_subspace(w):
+    u = a.row_space()
+    if w.ambient_dim != u.ambient_dim or not u.contains_subspace(w):
         raise ValueError("W must be a subspace of im A^t")
-    if w.dim != im_at.dim - 1:
+    if w.dim != u.dim - 1:
         raise ValueError("W must have codimension one in im A^t")
-    return im_at, mu_image_span(a.col_box, im_at, im_at), mu_image_span(a.col_box, w, im_at)
+    coords = Subspace(u.dim, [[row[c] for c in u.pivots] for row in w.basis])
+    return _Products(a.col_box, u), list(annihilator(coords).basis[0])
 
 
 def hyperplane_check(a: MultiMatrix, w: Subspace) -> HyperplaneReport:
     """Codimension of mu(W . im A^t) inside mu(im A^t . im A^t).
 
-    Whether a hyperplane W of im A^t keeps codimension one after taking
-    products and convolving varies with W, so the property is measured per
-    instance and reported, never assumed.
+    For U = im A^t and W = ker psi, S^2 U / (W.U) = S^2(U/W) is a line, so the
+    codimension is 1 (``hyperplane``) when sum kappa_ab psi_a psi_b = 0 for
+    every kappa in ker(mu|S^2 U), and 0 (``full``) otherwise, never more.
+    Which holds varies with W, so it is measured per instance, never assumed.
     """
-    _, full, part = _product_spans(a, w)
-    return _hyperplane_report(full, part)
+    prods, psi = _hyperplane_functional(a, w)
+    return prods.report(psi)
 
 
 @dataclass
@@ -471,25 +503,16 @@ class ReverseOutcome:
     failure: str | None = None
 
 
-def _forward(r: Rep, y, gs: GenSeq, v, full: Subspace, part: Subspace) -> ForwardOutcome:
-    """The forward direction for a complement v of a hyperplane W of im A^t,
-    given mu(im A^t . im A^t) and mu(W . im A^t), a hyperplane of it."""
-    mvv = mu(MultiVector.from_entries(gs.box, v), MultiVector.from_entries(gs.box, v))
-    pivots = list(full.pivots)
-    rows = [[row[p] for p in pivots] for row in part.basis]
-    rhs = [QQ(0)] * len(rows)
-    rows.append([mvv.data[p] for p in pivots])
-    rhs.append(QQ(1))
-    t = solve(Mat(rows), rhs)
-    if t is None:
+def _forward(r: Rep, y, gs: GenSeq, prods: _Products, psi, v) -> ForwardOutcome:
+    """The forward direction for W = ker psi (psi on the RREF basis of im A^t)
+    and a complement v, once hyperplane_check has found codimension 1."""
+    b_data = prods.functional(psi, v)
+    if b_data is None:
         return ForwardOutcome(
             ok=False, kind="discrepancy",
-            failure="mu(v.v) lies inside mu(W.im A^t); functional normalization impossible",
+            failure="the forward functional failed its exact check on mu(im A^t . im A^t)",
             witness={"v": [format_scalar(e) for e in v]},
         )
-    b_data = [QQ(0)] * gs.box.doubled().size
-    for p, val in zip(pivots, t):
-        b_data[p] = val
     b = MultiVector(gs.box.doubled(), tuple(b_data))
     phi = _seq_data(r, y, gs).phi_of_coefficients(b_data)
     rk = rank(phi)
@@ -538,13 +561,13 @@ def rank1_correspondence(r: Rep, y, gs: GenSeq, a: MultiMatrix, direction: str,
     if direction == "forward":
         if W is None or v is None:
             raise ValueError("forward direction needs W and v")
-        im_at, full, part = _product_spans(a, W)
-        hyp = _hyperplane_report(full, part)
+        prods, psi = _hyperplane_functional(a, W)
+        hyp = prods.report(psi)
         if hyp.kind != "hyperplane":
             raise ValueError(f"forward direction needs a hyperplane W, got codimension {hyp.codim}")
-        if not im_at.contains(v) or W.contains(v):
+        if not prods.u.contains(v) or W.contains(v):
             raise ValueError("v must span a complement of W in im A^t")
-        return _forward(r, y, gs, v, full, part)
+        return _forward(r, y, gs, prods, psi, v)
     if direction == "reverse":
         if x is None:
             raise ValueError("reverse direction needs x")
@@ -611,25 +634,27 @@ class CertReport:
         }
 
 
-def _hyperplane_from_functional(im_at: Subspace, psi):
-    """Kernel of a functional inside im A^t plus a complement vector, or None."""
-    basis = [list(row) for row in im_at.basis]
-    vals = [sum(p * e for p, e in zip(psi, row)) for row in basis]
-    j = next((k for k, c in enumerate(vals) if c), None)
-    if j is None:
-        return None
-    kernel = kernel_combinations(basis, [[c] for c in vals])
-    return Subspace(im_at.ambient_dim, kernel), basis[j]
+def _on_basis(im_at: Subspace, psi):
+    """psi on the RREF basis of im A^t, or None when it vanishes there."""
+    vals = [sum(p * e for p, e in zip(psi, row)) for row in im_at.basis]
+    return vals if any(vals) else None
 
 
-def _sample_hyperplane(rng: random.Random, im_at: Subspace):
-    """A random hyperplane of im A^t with a complement vector, or None."""
+def _sample_functional(rng: random.Random, im_at: Subspace):
+    """A random functional nonzero on im A^t, on its RREF basis, or None."""
     for _ in range(50):
-        psi = [QQ(rng.randint(-3, 3)) for _ in range(im_at.ambient_dim)]
-        found = _hyperplane_from_functional(im_at, psi)
-        if found is not None:
-            return found
+        psi = _on_basis(im_at, [QQ(rng.randint(-3, 3)) for _ in range(im_at.ambient_dim)])
+        if psi is not None:
+            return psi
     return None
+
+
+def _evaluation(box: Box | None, point) -> list[Fraction]:
+    """The functional f -> f(point) on multi-vectors over the box."""
+    if box is None or len(point) != box.r:
+        raise ValueError("point length must match the number of box axes")
+    point = [QQ(t) for t in point]
+    return [prod((t ** k for t, k in zip(point, idx)), start=QQ(1)) for idx in box.indices()]
 
 
 def evaluation_hyperplane(a: MultiMatrix, point):
@@ -641,17 +666,13 @@ def evaluation_hyperplane(a: MultiMatrix, point):
     samples; random functionals mostly land outside it.  Returns None when
     the evaluation vanishes on all of im A^t.
     """
-    box = a.col_box
-    if box is None or len(point) != box.r:
-        raise ValueError("point length must match the number of box axes")
-    point = [QQ(t) for t in point]
-    psi = []
-    for idx in box.indices():
-        val = QQ(1)
-        for t, k in zip(point, idx):
-            val *= t ** k
-        psi.append(val)
-    return _hyperplane_from_functional(a.row_space(), psi)
+    im_at = a.row_space()
+    psi = _on_basis(im_at, _evaluation(a.col_box, point))
+    if psi is None:
+        return None
+    basis = [list(row) for row in im_at.basis]
+    kernel = kernel_combinations(basis, [[c] for c in psi])
+    return Subspace(im_at.ambient_dim, kernel), basis[next(k for k, c in enumerate(psi) if c)]
 
 
 def _orbit_sample(rng: random.Random, r: Rep, y) -> tuple[list[Fraction], list]:
@@ -722,12 +743,11 @@ def certify_irreducibility(r: Rep, y, trials: int = 25, seed: int = 0,
                                      "detail": str(exc)})
 
     im_at = a.row_space()
-    full_image = mu_image_span(gs.box, im_at, im_at)
+    prods = _Products(gs.box, im_at)
 
-    def process_hyperplane(w, v, source):
+    def process_hyperplane(psi, source):
         report.hyperplane_trials += 1
-        part_image = mu_image_span(gs.box, w, im_at)
-        hyp = _hyperplane_report(full_image, part_image)
+        hyp = prods.report(psi)
         if hyp.kind != "hyperplane":
             report.hyperplane_bad += 1
             report.trial_log.append({"check": "hyperplane", "source": source,
@@ -735,7 +755,8 @@ def certify_irreducibility(r: Rep, y, trials: int = 25, seed: int = 0,
             return
         report.hyperplane_good += 1
         report.forward_trials += 1
-        out = _forward(r, y, gs, v, full_image, part_image)
+        v = im_at.basis[next(k for k, c in enumerate(psi) if c)]
+        out = _forward(r, y, gs, prods, psi, v)
         if out.kind == "rank0":
             report.forward_rank0 += 1
         report.trial_log.append({"check": "forward", "source": source,
@@ -748,9 +769,9 @@ def certify_irreducibility(r: Rep, y, trials: int = 25, seed: int = 0,
 
     # random functionals populate the good/bad ledger
     for _ in range(trials):
-        sampled = _sample_hyperplane(rng, im_at)
-        if sampled is not None:
-            process_hyperplane(*sampled, "random")
+        psi = _sample_functional(rng, im_at)
+        if psi is not None:
+            process_hyperplane(psi, "random")
     # evaluation-point hyperplanes top up the forward coverage, since random
     # functionals mostly miss the locus where the product span is a hyperplane
     attempts = 0
@@ -758,9 +779,9 @@ def certify_irreducibility(r: Rep, y, trials: int = 25, seed: int = 0,
         attempts += 1
         point = tuple(QQ(rng.randint(-3, 3), rng.choice([1, 1, 2]))
                       for _ in range(gs.box.r))
-        sampled = evaluation_hyperplane(a, point)
-        if sampled is not None:
-            process_hyperplane(*sampled, "evaluation")
+        psi = _on_basis(im_at, _evaluation(gs.box, point))
+        if psi is not None:
+            process_hyperplane(psi, "evaluation")
 
     for _ in range(trials):
         x, recipe = _orbit_sample(rng, r, y)

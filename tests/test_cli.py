@@ -17,7 +17,13 @@ from orbitquad.cli import (
     parse_spec,
     run,
 )
-from orbitquad.errors import DimensionMismatch, SpecParseError, UnsupportedExpression
+from orbitquad.errors import (
+    DimensionMismatch,
+    RankOneError,
+    SpecParseError,
+    StructuralError,
+    UnsupportedExpression,
+)
 from orbitquad.lie import make_sl
 
 
@@ -189,6 +195,23 @@ def test_certify_discrepancy_maps_to_exit_5(monkeypatch):
     code, out, _ = invoke(["certify", "--alg", "sl:2", "--rep", "std", "--y", "1,0"])
     assert code == EXIT_DISCREPANCY
     assert json.loads(out)["result"]["verdict"] == "discrepancy"
+
+
+@pytest.mark.parametrize("error", [
+    StructuralError("decomposition inconsistent", {"word": []}),
+    RankOneError("not rank one"),
+], ids=["structural", "rank_one"])
+def test_library_errors_map_to_exit_5(monkeypatch, error):
+    import orbitquad.cli as cli
+
+    def raise_error(spec):
+        raise error
+
+    monkeypatch.setitem(cli._DISPATCH, "certify", raise_error)
+    code, out, err = invoke(["certify", "--alg", "sl:2", "--rep", "std", "--y", "1,0"])
+    assert code == EXIT_DISCREPANCY
+    assert out == ""
+    assert err == f"error: {error}\n"
 
 
 def test_certify_box_cap_exit_6():

@@ -3,8 +3,12 @@
 Each ``golden/*.json`` holds a command line and the stdout, stderr and exit
 code the CLI gave for it before the action storage was rewritten: the five
 README examples, ``certify`` of the binary cubic (1,-1,1,1), ``ideal`` of
-E12 in wedge^2 of sl(4), and a seeded ``chordal`` run.  Each command is
-run in a fresh interpreter, so every module is built cold.
+E12 in wedge^2 of sl(4), and a seeded ``chordal`` run.  Two more were
+written before hyperplanes were read off ker mu: ``certify`` of the binary
+quartic (1,0,0,-1,0) on a two-axis box, whose log holds both ``full`` and
+``hyperplane`` verdicts, and of the conic (1,0,0,1,0,0) of sl(3) on a
+three-axis box, both with seed 3 and 25 trials.  Each command is run in a
+fresh interpreter, so every module is built cold.
 """
 
 import json

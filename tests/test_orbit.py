@@ -4,9 +4,27 @@ import pytest
 
 from orbitquad.errors import CapExceeded
 from orbitquad.lie import make_sl
-from orbitquad.linalg import Mat, Subspace, rank, sym_coords_to_mat, sym_square, yy_coords
-from orbitquad.multimatrix import Box, MultiMatrix, MultiVector, catalecticant_from_vector, phi_A
+from orbitquad.linalg import (
+    Mat,
+    Subspace,
+    kernel_combinations,
+    rank,
+    solve,
+    sym_coords_to_mat,
+    sym_square,
+    yy_coords,
+)
+from orbitquad.multimatrix import (
+    Box,
+    MultiMatrix,
+    MultiVector,
+    catalecticant_from_vector,
+    mu,
+    mu_image_span,
+    phi_A,
+)
 from orbitquad.orbit import (
+    HyperplaneReport,
     build_A,
     certify_irreducibility,
     decompose_Q,
@@ -170,11 +188,11 @@ def test_generator_sequence_wedge2():
     gs = generator_sequence(r, E12)
     assert set(gs.symbols) >= set()  # construction succeeded
     # span contract re-verified here by hand
-    from orbitquad.orbit import _normalized_table
+    from orbitquad.orbit import _normalized_entries
     from orbitquad.linalg import PivotedSpan
     s2 = r.sym_square()
     yy = yy_coords(E12)
-    table = _normalized_table(s2, gs.symbols, gs.box.doubled(), yy)
+    table = dict(_normalized_entries(s2, gs.symbols, gs.box.doubled(), yy))
     span = PivotedSpan(s2.dim)
     for v in table.values():
         span.add(v)
@@ -397,7 +415,6 @@ def test_extension_independence():
     gs = generator_sequence(r, y)
     a = build_A(r, y, gs)
     from orbitquad.linalg import annihilator
-    from orbitquad.multimatrix import mu_image_span
 
     im_at = a.row_space()
     m_full = mu_image_span(gs.box, im_at, im_at)
@@ -419,35 +436,135 @@ def test_extension_independence():
 
 
 def test_solver_shortcut_matches_full_reduction():
-    # the pivot-column solver must reproduce the free-variables-at-zero
-    # particular solution of full row reduction, coordinate for coordinate
+    # the inverted-block solver must reproduce the free-variables-at-zero
+    # particular solution of full row reduction, coordinate for coordinate,
+    # and agree on which targets are inconsistent; one- to four-axis boxes
     import random
 
-    from orbitquad.linalg import solve
     from orbitquad.orbit import _SeqData
 
-    r = wedge2_sl4()
-    y = E12_34
-    gs = generator_sequence(r, y)
-    data = _SeqData(r, y, gs)
-    # columns indexed by the doubled box: the coefficient vectors C_n
-    cols = [data.pair_sum(n) for n in data.doubled.indices()]
-    full_system = Mat([[col[t] for col in cols] for t in range(data.s2.dim)])
+    cases = [
+        (wedge2_sl4(), E12_34, 4),
+        (sl2_sym(3), [F(1), F(-1), F(1), F(1)], 2),
+        (sl2_sym(4), [F(1), F(0), F(0), F(-1), F(0)], 2),
+        (derived_rep(standard_rep(make_sl(3)), "sym", 2),
+         [F(1), F(0), F(0), F(1), F(0), F(0)], 3),
+    ]
     rng = random.Random(21)
-    s2 = r.sym_square()
-    module = orbit_module(r, y)
-    for _ in range(10):
-        coeffs = [F(rng.randint(-3, 3)) for _ in range(module.dim)]
-        target = [F(0)] * s2.dim
-        for c, row in zip(coeffs, module.basis):
-            if c:
-                target = [t + c * e for t, e in zip(target, row)]
-        assert data.solve_coefficients(target) == solve(full_system, target)
-    # unsolvable targets agree too
-    outside = [F(1)] + [F(0)] * (s2.dim - 1)
-    if not module.contains(outside):
-        assert data.solve_coefficients(outside) is None
-        assert solve(full_system, outside) is None
+    for r, y, axes in cases:
+        gs = generator_sequence(r, y)
+        assert gs.box.r == axes
+        data = _SeqData(r, y, gs)
+        # columns indexed by the doubled box: the coefficient vectors C_n
+        cols = [data.pair_sum(n) for n in data.doubled.indices()]
+        full_system = Mat([[col[t] for col in cols] for t in range(data.s2.dim)])
+        module = orbit_module(r, y)
+        targets = []
+        for _ in range(8):
+            coeffs = [F(rng.randint(-3, 3)) for _ in range(module.dim)]
+            target = [F(0)] * data.s2.dim
+            for c, row in zip(coeffs, module.basis):
+                if c:
+                    target = [t + c * e for t, e in zip(target, row)]
+            targets.append(target)
+        targets += [[F(rng.randint(-3, 3)) for _ in range(data.s2.dim)] for _ in range(4)]
+        targets += [unit(data.s2.dim, k) for k in range(data.s2.dim)]
+        outside = 0
+        for target in targets:
+            want = solve(full_system, target)
+            assert data.solve_coefficients(target) == want
+            outside += want is None
+        # unsolvable targets are exercised wherever the module is proper
+        assert (outside > 0) == (module.dim < data.s2.dim)
+
+
+def _hyperplane_of(im_at, psi):
+    """W = ker psi inside im A^t and a complement vector, or None."""
+    basis = [list(row) for row in im_at.basis]
+    vals = [sum(p * e for p, e in zip(psi, row)) for row in basis]
+    if not any(vals):
+        return None
+    w = Subspace(im_at.ambient_dim, kernel_combinations(basis, [[c] for c in vals]))
+    return w, basis[next(k for k, c in enumerate(vals) if c)]
+
+
+def _product_span_forward(box, full, part, v):
+    """The functional of the forward direction by one solve: zero on part,
+    one on mu(v.v), supported on the pivots of full."""
+    mvv = mu(MultiVector.from_entries(box, v), MultiVector.from_entries(box, v))
+    pivots = list(full.pivots)
+    rows = [[row[p] for p in pivots] for row in part.basis]
+    rows.append([mvv.data[p] for p in pivots])
+    t = solve(Mat(rows), [F(0)] * len(part.basis) + [F(1)])
+    b = [F(0)] * box.doubled().size
+    for p, val in zip(pivots, t):
+        b[p] = val
+    return b
+
+
+def test_hyperplane_criterion_matches_product_span():
+    # the ker mu criterion and the forward functional read off the reduced
+    # products of im A^t, against the product spans row-reduced per W
+    import random
+
+    from orbitquad.orbit import _hyperplane_functional, evaluation_hyperplane
+    from orbitquad.reps import exp_act
+
+    def translate(r, steps):
+        x = unit(r.dim, 0)
+        for sym, t in steps:
+            x = exp_act(r, sym, F(t), x)
+        return x
+
+    sl3_sym2 = derived_rep(standard_rep(make_sl(3)), "sym", 2)
+    modules = [
+        (sl2_sym(3), translate(sl2_sym(3), [("Y(1,2)", 1), ("X(1,2)", -1)])),
+        (sl2_sym(3), [F(1), F(-1), F(1), F(1)]),
+        (sl2_sym(4), translate(sl2_sym(4), [("Y(1,2)", 2), ("X(1,2)", 1)])),
+        (sl2_sym(4), [F(1), F(0), F(0), F(-1), F(0)]),
+        (sl3_sym2, translate(sl3_sym2, [("Y(1,2)", 1), ("Y(2,3)", -1), ("X(1,3)", 2)])),
+        (sl3_sym2, [F(1), F(0), F(0), F(1), F(0), F(1)]),
+        (wedge2_sl4(), translate(wedge2_sl4(), [("Y(2,3)", 1), ("Y(1,2)", -1)])),
+        (wedge2_sl4(), E12_34),
+    ]
+    cases = []
+    for r, y in modules:
+        gs = generator_sequence(r, y)
+        cases.append((build_A(r, y, gs), (r, y, gs)))
+    cases += [(full_box_A(n), None) for n in (2, 3, 4)]
+    rng = random.Random(1723)
+    kinds = set()
+    for a, module in cases:
+        box = a.col_box
+        im_at = a.row_space()
+        full = mu_image_span(box, im_at, im_at)
+        sampled = [_hyperplane_of(im_at, [F(rng.randint(-3, 3)) for _ in range(box.size)])
+                   for _ in range(5)]
+        sampled += [evaluation_hyperplane(
+            a, [F(rng.randint(-3, 3), rng.choice([1, 2])) for _ in range(box.r)])
+            for _ in range(5)]
+        for w, v in filter(None, sampled):
+            # a complement off the RREF basis, where psi(v) is not 1
+            scale = rng.choice([2, -3, F(1, 2)])
+            v = [scale * e for e in v]
+            for row in w.basis:
+                c = F(rng.randint(-2, 2))
+                v = [e + c * f for e, f in zip(v, row)]
+            part = mu_image_span(box, w, im_at)
+            codim = full.dim - part.dim
+            # S^2 U / (W.U) is a line, so no other codimension can occur
+            want = HyperplaneReport({1: "hyperplane", 0: "full"}[codim], codim)
+            assert hyperplane_check(a, w) == want
+            kinds.add(want.kind)
+            if want.kind != "hyperplane":
+                continue
+            b = _product_span_forward(box, full, part, v)
+            prods, psi_bar = _hyperplane_functional(a, w)
+            assert prods.functional(psi_bar, v) == b
+            if module is not None:
+                out = rank1_correspondence(*module, a, "forward", W=w, v=v)
+                assert out.ok and list(out.b.data) == b
+    assert kinds == {"hyperplane", "full"}
 
 
 def test_certify_sym2_golden():
