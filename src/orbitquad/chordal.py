@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .errors import CapExceeded, GenericVectorError
+from .errors import CapExceeded, GenericVectorError, UnsupportedExpression
 from .lie import make_sl
 from .linalg import Mat, PivotedSpan, QQ, rank, solve, vec_is_zero, yy_coords
 from .orbit import QuadraticIdeal, ideal_of_module, orbit_module
@@ -193,29 +193,26 @@ def chordal_ideal(spec: ChordalSpec, samples: int = 0, seed: int = 0) -> Chordal
     """Degree-two ideal of the p-restricted chordal variety, by sampling.
 
     Folds orbit modules of sampled chord points until one more sample stops
-    growing the span, then annihilates and compares the span with the partial
-    sums of the isotypic components (exact subspace equality, not dimension
+    growing the span (its xx already lies in the span, so its module is not
+    built), then annihilates and compares the span with the partial sums of
+    the isotypic components (exact subspace equality, not dimension
     counting).  ``samples`` bounds the budget; 0 means four times dim S^2(V).
     """
     rep = spec.wedge_rep()
     s2 = rep.sym_square()
     decomp = isotypic_decomposition(s2)
     if not decomp.multiplicity_free:
-        raise ValueError("symmetric square is not multiplicity free")
+        raise UnsupportedExpression("symmetric square is not multiplicity free")
     budget = samples if samples > 0 else 4 * s2.dim
     rng = random.Random(seed)
     span = PivotedSpan(s2.dim)
-    used = 0
-    stabilized = False
-    for _ in range(budget):
+    for used in range(1, budget + 1):
         x = chordal_sample(spec, rng.randrange(1 << 30))
-        module = orbit_module(rep, x)
-        grew = span.add_all(list(row) for row in module.basis)
-        used += 1
-        if used > 1 and not grew:
-            stabilized = True
+        # the span is a sum of submodules: it holds U(xx) exactly when it holds xx
+        if used > 1 and span.contains(yy_coords(x)):
             break
-    if not stabilized:
+        span.add_all(list(row) for row in orbit_module(rep, x).basis)
+    else:
         raise CapExceeded(
             "stabilization",
             f"span still growing after {used} samples",
@@ -262,7 +259,7 @@ def generic_vector(r: Rep, sampler, decomp: IsotypicDecomposition,
     carries the set of component indices that were reached.
     """
     if not decomp.multiplicity_free:
-        raise ValueError("decomposition must be multiplicity free")
+        raise UnsupportedExpression("decomposition must be multiplicity free")
     s2_dim = sum(c.dim for c in decomp.components)
     reachable: set[int] = set()
     for t in range(tries):
@@ -303,7 +300,7 @@ def component_analysis(r: Rep, points) -> ComponentReport:
     s2 = r.sym_square()
     decomp = isotypic_decomposition(s2)
     if not decomp.multiplicity_free:
-        raise ValueError("symmetric square is not multiplicity free")
+        raise UnsupportedExpression("symmetric square is not multiplicity free")
     sets = []
     for x in points:
         flags = _projection_flags(s2.dim, decomp.components, yy_coords(x))

@@ -6,10 +6,11 @@ no timestamps, so identical invocations are byte-identical.
 
 Exit codes: 0 success/consistent, 2 parse error (including a negative
 --trials or --samples, an all-zero --y, and a chordal --k outside 1..n or
---p below 1), 3 dimension mismatch,
-4 unsupported expression (including a wedge or sym degree outside its
-range), 5 discrepancy verdict or a StructuralError or RankOneError (one
-``error:`` line on stderr, empty stdout), 6 caps or inconclusive.
+--p below 1), 3 dimension mismatch, 4 unsupported expression (including a
+wedge or sym degree outside its range, and a chordal or components module
+whose symmetric square is not multiplicity free), 5 discrepancy verdict or
+a StructuralError or RankOneError (one ``error:`` line on stderr, empty
+stdout), 6 caps or inconclusive.
 The environment variable ORBITQUAD_MAX_BOX overrides the multi-degree box cap.
 """
 
@@ -308,6 +309,18 @@ def _box_cap_from_env() -> int | None:
         raise SpecParseError(f"ORBITQUAD_MAX_BOX must be an integer, got {raw!r}") from None
 
 
+# error type -> exit code, first match wins; caps never get here, since run()
+# turns them into a JSON error document
+_ERROR_EXITS = (
+    (SpecParseError, EXIT_PARSE),
+    (DimensionMismatch, EXIT_DIMENSION),
+    (UnsupportedExpression, EXIT_UNSUPPORTED),
+    (StructuralError, EXIT_DISCREPANCY),
+    (RankOneError, EXIT_DISCREPANCY),
+    (ValueError, EXIT_DIMENSION),
+)
+
+
 _DISPATCH = {
     "decompose": _cmd_decompose,
     "ideal": _cmd_ideal,
@@ -348,28 +361,12 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         spec = parse_spec(argv)
+        text, code = run(spec)
     except SystemExit:
         return EXIT_OK  # --help
-    except SpecParseError as exc:
+    except tuple(t for t, _ in _ERROR_EXITS) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        text, code = run(spec)
-    except SpecParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except DimensionMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIMENSION
-    except UnsupportedExpression as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except (StructuralError, RankOneError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DISCREPANCY
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIMENSION
+        return next(c for t, c in _ERROR_EXITS if isinstance(exc, t))
     if spec.output:
         with open(spec.output, "w") as fh:
             fh.write(text)

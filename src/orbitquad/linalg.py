@@ -52,10 +52,6 @@ def format_scalar(x: Fraction) -> str:
 # ---------------------------------------------------------------------------
 # vectors
 
-def vec(entries) -> list[Fraction]:
-    return [QQ(e) for e in entries]
-
-
 def vec_is_zero(v) -> bool:
     return all(not e for e in v)
 
@@ -377,12 +373,6 @@ class Subspace:
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(list(r)) for r in other.basis)
 
-    def coordinates(self, v):
-        """Coefficients of v on the RREF basis, or None when v is outside."""
-        if not self.contains(v):
-            return None
-        return [QQ(v[pc]) for pc in self.pivots]
-
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("subspace sum: ambient mismatch")
@@ -392,11 +382,6 @@ class Subspace:
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("subspace intersection: ambient mismatch")
         return annihilator(annihilator(self).sum(annihilator(other)))
-
-    def basis_mat(self) -> Mat:
-        if not self.basis:
-            return Mat.zero(0, self.ambient_dim)
-        return Mat([list(r) for r in self.basis])
 
 
 def rref(m: Mat):

@@ -40,7 +40,6 @@ from .linalg import (
     rank,
     sym_coords_to_mat,
     sym_pairs,
-    sym_product_coords,
     sym_square,
     trace_pairing_mat,
     vec_is_zero,
@@ -54,24 +53,29 @@ from .multimatrix import (
     mu,
     rank_one_factor,
 )
-from .reps import Rep, cyclic_closure, exp_act
+from .reps import ClosureResult, Rep, cyclic_closure, exp_act
 
 MAX_BOX = 20000
 MAX_SEQ_LEN = 40
 _LEIBNIZ_SAMPLE = 200
 
 
-_MODULE_CACHE: dict[tuple, Subspace] = {}
+_MODULE_CACHE: dict[tuple, ClosureResult] = {}
 
 
-def orbit_module(r: Rep, y) -> Subspace:
-    """Smallest submodule of S^2(V) containing y y^t, in symmetric coordinates."""
+def _closure(r: Rep, y) -> ClosureResult:
+    """The cyclic closure of y y^t in S^2(V), with its words, built once."""
     if vec_is_zero(y):
         raise ValueError("orbit module needs a nonzero vector")
     key = (r, tuple(map(QQ, y)))
     if key not in _MODULE_CACHE:
-        _MODULE_CACHE[key] = cyclic_closure(r.sym_square(), yy_coords(y)).subspace
+        _MODULE_CACHE[key] = cyclic_closure(r.sym_square(), yy_coords(y))
     return _MODULE_CACHE[key]
+
+
+def orbit_module(r: Rep, y) -> Subspace:
+    """Smallest submodule of S^2(V) containing y y^t, in symmetric coordinates."""
+    return _closure(r, y).subspace
 
 
 @dataclass
@@ -101,9 +105,6 @@ class QuadraticIdeal:
                 if e:
                     total += e * x[i] * x[j]
         return total
-
-    def vanishes_at(self, x) -> bool:
-        return all(not self.evaluate(k, x) for k in range(len(self.basis)))
 
 
 def ideal_of_module(r: Rep, module: Subspace) -> QuadraticIdeal:
@@ -136,17 +137,12 @@ class GenSeq:
 
     The guarantee, validated on construction: D^m y = 0 whenever any exponent
     exceeds its bound (with trailing exponents inside theirs), and the
-    monomials D^n(yy) for n in the doubled box span the orbit module.
-    ``words_log`` records the closure words that supplied extension letters.
+    monomials D^n(yy) for n in the doubled box span the orbit module.  The
+    symbols and the box are the whole value, so a sequence hashes by them.
     """
 
     symbols: tuple[str, ...]
     box: Box
-    words_log: tuple[tuple[str, ...], ...] = ()
-
-    @property
-    def r(self) -> int:
-        return len(self.symbols)
 
 
 def nilpotency_bound(r: Rep, symbols, u, max_box: int | None = None) -> Box:
@@ -218,7 +214,7 @@ def _validate_vanishing(r: Rep, symbols, box: Box, y) -> None:
             )
 
 
-def _monomial_span_dim(s2: Rep, symbols, box: Box, yy, target: int | None = None) -> int:
+def _monomial_span_dim(s2: Rep, symbols, box: Box, yy, target: int) -> int:
     """Dimension of the span of the D^n(yy) over the doubled box, filled and
     reduced in one pass that stops once the span reaches ``target``."""
     span = PivotedSpan(s2.dim)
@@ -232,71 +228,68 @@ def _monomial_span_dim(s2: Rep, symbols, box: Box, yy, target: int | None = None
 _GENSEQ_CACHE: dict[tuple, GenSeq] = {}
 
 
-def generator_sequence(r: Rep, y, max_box: int | None = None,
-                       max_len: int | None = None) -> GenSeq:
+def generator_sequence(r: Rep, y, max_box: int | None = None) -> GenSeq:
     """Find (D, N) whose monomials applied to yy span the whole orbit module.
 
     Verification driven: start from all the lowering generators, measure the
-    monomial span directly, and on a shortfall append the letters of closure
-    words (the recorded provenance of the orbit module) and retry.  A final
-    prune pass drops letters whose removal keeps the verified span contract,
-    since every downstream cost is exponential in the sequence length.  Never
+    monomial span directly, and on a shortfall append the letters of the
+    next closure word (the recorded provenance of the orbit module, read
+    from the closure ``orbit_module`` caches) and retry, at most
+    ``MAX_SEQ_LEN`` letters in all.  Then one pass from the last letter to
+    the first drops each letter whose removal keeps the span contract, since
+    every downstream cost is exponential in the sequence length.  Never
     returns a sequence whose span contract was not checked.
+
+    One pass is enough.  Let S' be S with some letters dropped, in the same
+    order.  Every tail vector of S' in ``nilpotency_bound`` is a tail vector
+    of S, so N'_s <= N_s.  Every monomial D'^n(yy)/n! with n <= 2N' is the
+    S-monomial with zero exponents on the dropped letters.  So span(S') lies
+    in span(S): a letter whose removal failed once still fails after later
+    letters go.  For the same reason a candidate's box never exceeds its
+    parent's, so pruning meets neither the box cap nor a non-nilpotent
+    letter, and the accepted candidate's box is the final one.
     """
     if vec_is_zero(y):
         raise ValueError("generator sequence needs a nonzero vector")
-    key = (r, tuple(map(QQ, y)), max_box, max_len)
+    key = (r, tuple(map(QQ, y)), max_box)
     if key in _GENSEQ_CACHE:
         return _GENSEQ_CACHE[key]
-    cap_len = MAX_SEQ_LEN if max_len is None else max_len
     s2 = r.sym_square()
     yy = yy_coords(y)
-    closure = cyclic_closure(s2, yy)
+    closure = _closure(r, y)
     target = closure.subspace.dim
-    words = tuple(closure.words)
+    # every closure word is a nonempty word in the X/Y letters
+    words = iter(closure.words)
     symbols = list(r.algebra.y_symbols())
-    next_word = 0
     while True:
         box = nilpotency_bound(r, symbols, y, max_box=max_box)
-        if _monomial_span_dim(s2, symbols, box, yy, target) == target:
+        span_dim = _monomial_span_dim(s2, symbols, box, yy, target)
+        if span_dim == target:
             break
-        while next_word < len(words):
-            fresh = [s for s in words[next_word] if not s.startswith("H")]
-            next_word += 1
-            if fresh:
-                break
-        else:
+        fresh = next(words, None)
+        if fresh is None:
             raise CapExceeded(
                 "sequence",
                 "sequence search exhausted: closure words did not close the span",
-                {"span_dim": _monomial_span_dim(s2, symbols, box, yy),
-                 "target_dim": target, "symbols": list(symbols)},
+                {"span_dim": span_dim, "target_dim": target, "symbols": list(symbols)},
             )
-        if len(symbols) + len(fresh) > cap_len:
+        if len(symbols) + len(fresh) > MAX_SEQ_LEN:
             raise CapExceeded(
                 "sequence",
-                f"sequence length would exceed cap {cap_len}",
-                {"span_dim": _monomial_span_dim(s2, symbols, box, yy),
-                 "target_dim": target, "length": len(symbols) + len(fresh)},
+                f"sequence length would exceed cap {MAX_SEQ_LEN}",
+                {"span_dim": span_dim, "target_dim": target,
+                 "length": len(symbols) + len(fresh)},
             )
         symbols.extend(fresh)
-    changed = True
-    while changed and len(symbols) > 1:
-        changed = False
-        for i in range(len(symbols) - 1, -1, -1):
-            if len(symbols) == 1:
-                break
-            candidate = symbols[:i] + symbols[i + 1:]
-            try:
-                cand_box = nilpotency_bound(r, candidate, y, max_box=max_box)
-            except CapExceeded:
-                continue
-            if _monomial_span_dim(s2, candidate, cand_box, yy, target) == target:
-                symbols = candidate
-                changed = True
-    box = nilpotency_bound(r, symbols, y, max_box=max_box)
+    for i in range(len(symbols) - 1, -1, -1):
+        if len(symbols) == 1:
+            break
+        candidate = symbols[:i] + symbols[i + 1:]
+        cand_box = nilpotency_bound(r, candidate, y, max_box=max_box)
+        if _monomial_span_dim(s2, candidate, cand_box, yy, target) == target:
+            symbols, box = candidate, cand_box
     _validate_vanishing(r, symbols, box, y)
-    gs = GenSeq(tuple(symbols), box, words)
+    gs = GenSeq(tuple(symbols), box)
     _GENSEQ_CACHE[key] = gs
     return gs
 
@@ -318,16 +311,19 @@ class _SeqData:
         self.doubled = gs.box.doubled()
         self.columns = dict(_normalized_entries(r, gs.symbols, gs.box, y))
         self.dyy = dict(_normalized_entries(self.s2, gs.symbols, self.doubled, self.yy))
-        # n -> sum over i + j = n of the symmetric product of columns i and j
+        # n -> sum over i + j = n of the symmetric product of columns i and j:
+        # each ordered pair (i, j) adds col_i[k] col_j[l] to coordinate k <= l
         self._pair_sums = {n: [QQ(0)] * self.s2.dim for n in self.doubled.indices()}
-        idxs = gs.box.indices()
-        for p, q in sym_pairs(len(idxs)):
-            i, j = idxs[p], idxs[q]
-            acc = self._pair_sums[idx_add(i, j)]
-            weight = 1 if p == q else 2
-            for t, e in enumerate(sym_product_coords(self.columns[i], self.columns[j])):
-                if e:
-                    acc[t] += weight * e
+        slot = {kl: t for t, kl in enumerate(sym_pairs(r.dim))}
+        nonzero = [(i, [(k, x) for k, x in enumerate(col) if x])
+                   for i, col in self.columns.items()]
+        for i, col_i in nonzero:
+            for j, col_j in nonzero:
+                acc = self._pair_sums[idx_add(i, j)]
+                for k, x in col_i:
+                    for l, z in col_j:
+                        if k <= l:
+                            acc[slot[k, l]] += x * z
 
     def pair_sum(self, n) -> list[Fraction]:
         """sum over i + j = n of the symmetric product of columns i and j."""
@@ -537,7 +533,7 @@ def _forward(r: Rep, y, gs: GenSeq, prods: _Products, psi, v) -> ForwardOutcome:
     return ForwardOutcome(ok=True, kind="rank1", rank=1, b=b, factor=factor, membership=True)
 
 
-def _reverse(r: Rep, y, gs: GenSeq, a: MultiMatrix, x) -> ReverseOutcome:
+def _reverse(r: Rep, y, gs: GenSeq, x) -> ReverseOutcome:
     if not my_membership(r, y, x):
         raise ValueError("reverse direction needs a point with x x^t in the orbit module")
     data = _seq_data(r, y, gs)
@@ -571,7 +567,7 @@ def rank1_correspondence(r: Rep, y, gs: GenSeq, a: MultiMatrix, direction: str,
     if direction == "reverse":
         if x is None:
             raise ValueError("reverse direction needs x")
-        return _reverse(r, y, gs, a, x)
+        return _reverse(r, y, gs, x)
     raise ValueError(f"unknown direction {direction!r}")
 
 
@@ -791,7 +787,7 @@ def certify_irreducibility(r: Rep, y, trials: int = 25, seed: int = 0,
             report.witnesses.append({"check": "reverse-membership", "recipe": recipe,
                                      "x": [format_scalar(e) for e in x]})
             continue
-        out = _reverse(r, y, gs, a, x)
+        out = _reverse(r, y, gs, x)
         report.trial_log.append({"check": "reverse", "recipe": recipe, "ok": out.ok})
         if out.ok:
             report.reverse_passes += 1

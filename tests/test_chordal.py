@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orbitquad import chordal
 from orbitquad.chordal import (
     ChordalSpec,
     antichain_brute_force,
@@ -165,6 +166,19 @@ def test_chordal_ideal_p2():
     assert report.ideal.dim == 0
     assert report.matched_tail == 2
     assert report.span_dim == 21
+
+
+def test_chordal_confirming_sample_builds_no_module(monkeypatch):
+    built = []
+
+    def counting_orbit_module(rep, x):
+        built.append(x)
+        return orbit_module(rep, x)
+
+    monkeypatch.setattr(chordal, "orbit_module", counting_orbit_module)
+    report = chordal_ideal(ChordalSpec(4, 2, 1), samples=20, seed=0)
+    assert report.span_dim == 20
+    assert len(built) == report.samples_used - 1
 
 
 def test_chordal_ideal_order_independent():

@@ -156,6 +156,14 @@ def test_exit_unsupported_on_unknown_constructor():
     assert code == EXIT_UNSUPPORTED
 
 
+def test_exit_unsupported_on_symmetric_square_with_multiplicity():
+    # S^2(V (x) V) at sl:2 holds the trivial module twice
+    code, out, err = invoke(["components", "--alg", "sl:2", "--rep", "tensor(std,std)",
+                             "--y", "1,0,0,1"])
+    assert code == EXIT_UNSUPPORTED and out == ""
+    assert err == "error: symmetric square is not multiplicity free\n"
+
+
 def test_decompose_json():
     code, out, _ = invoke(["decompose", "--alg", "sl:4", "--rep", "sym2(wedge(2,std))"])
     assert code == EXIT_OK

@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from orbitquad import orbit
 from orbitquad.errors import CapExceeded
 from orbitquad.lie import make_sl
 from orbitquad.linalg import (
@@ -38,6 +40,8 @@ from orbitquad.orbit import (
     rank1_correspondence,
 )
 from orbitquad.reps import Rep, derived_rep, standard_rep
+
+from sequence_reference import multi_pass_sequence
 
 
 def unit(n, i):
@@ -228,12 +232,64 @@ def test_generator_sequence_pinned(builder, y, symbols, bounds):
     assert gs.box.N == bounds
 
 
-def test_generator_sequence_caps():
+def _sparse_points(dim, count, rng):
+    """Seeded points with one or two nonzero entries from {-1, 1, 2}."""
+    points = []
+    for _ in range(count):
+        y = [F(0)] * dim
+        for k in rng.sample(range(dim), min(dim, rng.randint(1, 2))):
+            y[k] = F(rng.choice([-1, 1, 2]))
+        points.append(y)
+    return points
+
+
+def _search_outcome(search, r, y):
+    """The sequence a search finds, or the kind, message and details of its
+    cap; some sparse points exhaust the closure words on either search."""
+    try:
+        return search(r, y)
+    except CapExceeded as exc:
+        return exc.kind, str(exc), exc.details
+
+
+SEQUENCE_MODULES = [
+    ("sym2@sl2", lambda: sl2_sym(2)),
+    ("sym3@sl2", lambda: sl2_sym(3)),
+    ("sym4@sl2", lambda: sl2_sym(4)),
+    ("std@sl3", lambda: standard_rep(make_sl(3))),
+    ("dual@sl3", lambda: derived_rep(standard_rep(make_sl(3)), "dual")),
+    ("sym2@sl3", lambda: derived_rep(standard_rep(make_sl(3)), "sym", 2)),
+    ("wedge2@sl3", lambda: derived_rep(standard_rep(make_sl(3)), "wedge", 2)),
+    ("wedge2@sl4", wedge2_sl4),
+]
+
+
+@pytest.mark.parametrize("builder", [b for _, b in SEQUENCE_MODULES],
+                         ids=[name for name, _ in SEQUENCE_MODULES])
+def test_generator_sequence_matches_multi_pass_reference(builder):
+    r = builder()
+    rng = random.Random(f"sequence {r.label}")
+    for y in _sparse_points(r.dim, 8, rng):
+        assert _search_outcome(generator_sequence, r, y) == \
+            _search_outcome(multi_pass_sequence, r, y), y
+
+
+@pytest.mark.parametrize("builder,y,symbols,bounds", PINNED_SEQUENCES,
+                         ids=["sym3", "sym2", "conic@sl3", "E12@wedge2"])
+def test_pinned_sequences_match_multi_pass_reference(builder, y, symbols, bounds):
+    gs = multi_pass_sequence(builder(), [F(e) for e in y])
+    assert (gs.symbols, gs.box.N) == (symbols, bounds)
+
+
+def test_generator_sequence_caps(monkeypatch):
     r = sl2_sym(2)
     with pytest.raises(CapExceeded):
         generator_sequence(r, unit(3, 0), max_box=2)
+    # the cache key does not carry the length cap, so start from an empty one
+    monkeypatch.setattr(orbit, "_GENSEQ_CACHE", {})
+    monkeypatch.setattr(orbit, "MAX_SEQ_LEN", 1)
     with pytest.raises(CapExceeded) as e:
-        generator_sequence(r, [F(1), F(1), F(1)], max_len=1)
+        generator_sequence(r, [F(1), F(1), F(1)])
     assert e.value.kind == "sequence"
     assert "span_dim" in e.value.details
 
