@@ -11,9 +11,16 @@ Every row operation in the package happens in three functions here:
 - ``_rref_rows``, the one Gauss-Jordan elimination, behind ``Subspace``,
   ``rref``, ``rank``, ``solve`` and ``Mat.inverse``;
 - ``_reduce``, which clears the pivot columns of a vector against echelon
-  rows, behind ``Subspace.reduce`` and ``PivotedSpan``;
+  rows, behind ``Subspace.contains`` and ``PivotedSpan``;
 - ``_kernel_rows``, which reads a kernel basis off a reduced matrix, behind
   ``rref``, ``annihilator`` and ``kernel_combinations``.
+
+The first two work fraction-free (Bareiss, Math. Comp. 22, 1968) on the
+primitive integer multiple of each row: a row operation is a * row -
+b * pivot_row with a, b coprime, then division by the row's gcd, and
+``_rref_rows`` divides each pivot row by its pivot once, at the end.  The
+RREF of a row space is unique, so the answer is the canonical one that
+elimination over the rationals gives.
 
 All values are treated as immutable after construction and all operations are
 pure, so they can be shared freely between concurrent workers.
@@ -23,6 +30,7 @@ from __future__ import annotations
 
 from bisect import bisect
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import DimensionMismatch, SpecParseError
 
@@ -168,7 +176,7 @@ class Mat:
         n = self.rows
         aug = [list(row) + [ONE if i == j else ZERO for j in range(n)]
                for i, row in enumerate(self.data)]
-        rows, pivots = _rref_rows(aug, 2 * n)
+        rows, pivots, _ = _rref_rows(aug, 2 * n)
         if pivots[:n] != list(range(n)):
             raise ValueError("matrix is singular")
         return Mat([row[n:] for row in rows[:n]])
@@ -245,44 +253,46 @@ def trace_pairing_mat(row, n: int) -> Mat:
 # ---------------------------------------------------------------------------
 # row reduction
 
-def _rref_rows(rows: list[list[Fraction]], ncols: int):
-    """In-place Gauss-Jordan on a list of rows; returns (rows, pivot columns).
+def _primitive(row) -> list[int] | None:
+    """The primitive integer multiple of a rational row, or None when it is
+    zero; only the nonzero entries are read."""
+    nonzero = [(c, e) for c, e in enumerate(row) if e]
+    if not nonzero:
+        return None
+    den = lcm(*(e.denominator for _, e in nonzero))
+    out = [0] * len(row)
+    for c, e in nonzero:
+        out[c] = e.numerator * (den // e.denominator)
+    g = gcd(*(out[c] for c, _ in nonzero))
+    return out if g == 1 else [x // g for x in out]
 
-    Zero rows sink to the bottom.  Pivot entries are 1 and pivot columns are
-    cleared above and below, so the nonzero rows are the canonical RREF basis.
+
+def _rref_rows(rows, ncols: int):
+    """Gauss-Jordan elimination of rational rows; returns (nonzero RREF
+    rows, pivot columns, primitive integer RREF rows).
+
+    Zero rows are dropped first.  Pivot entries are 1 and pivot columns are
+    cleared above and below, so the rows are the canonical RREF basis; each
+    integer row is its RREF row times the pivot.
     """
-    nrows = len(rows)
+    work = list(map(_primitive, filter(any, rows)))
     pivots: list[int] = []
-    pr = 0
     for pc in range(ncols):
-        pivot_row = None
-        for r in range(pr, nrows):
-            if rows[r][pc]:
-                pivot_row = r
-                break
+        pr = len(pivots)
+        pivot_row = next((r for r in range(pr, len(work)) if work[r][pc]), None)
         if pivot_row is None:
             continue
-        rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-        lead = rows[pr][pc]
-        if lead != 1:
-            inv = ONE / lead
-            prow = rows[pr]
-            for c in range(pc, ncols):
-                if prow[c]:
-                    prow[c] *= inv
-        prow = rows[pr]
-        for r in range(nrows):
-            if r != pr and rows[r][pc]:
-                f = rows[r][pc]
-                rrow = rows[r]
-                for c in range(pc, ncols):
-                    if prow[c]:
-                        rrow[c] -= f * prow[c]
+        work[pr], work[pivot_row] = work[pivot_row], work[pr]
+        prow = work[pr]
+        work = [row if r == pr or not row[pc] else _reduce(row, (prow,), (pc,))
+                for r, row in enumerate(work)]
+        work[pr + 1:] = [row for row in work[pr + 1:] if row is not None]
         pivots.append(pc)
-        pr += 1
-        if pr == nrows:
+        if len(work) == len(pivots):
             break
-    return rows, pivots
+    out = [[Fraction(x, row[pc]) if x else ZERO for x in row]
+           for row, pc in zip(work, pivots)]
+    return out, pivots, work
 
 
 def _kernel_rows(reduced: list[list[Fraction]], pivots: list[int], ncols: int):
@@ -300,20 +310,23 @@ def _kernel_rows(reduced: list[list[Fraction]], pivots: list[int], ncols: int):
     return out
 
 
-def _reduce(v, rows, pivots) -> list[Fraction]:
-    """Residue of v after clearing each pivot column, in increasing order.
-
-    Each row leads with a 1 in its pivot column; rows need not be zero in the
-    other pivot columns, since clearing column p only touches columns >= p.
-    """
-    v = list(map(QQ, v))
-    n = len(v)
+def _reduce(v: list[int] | None, rows, pivots) -> list[int] | None:
+    """Clear the pivot columns of the primitive integer row v in increasing
+    order, each by a v - b row (a > 0, a and b coprime) and division by the
+    gcd; returns the primitive residue, or None when it is zero.  Each row
+    is zero before its pivot column and need not be zero in the other pivot
+    columns, since clearing column p only touches columns >= p."""
     for row, pc in zip(rows, pivots):
-        c = v[pc]
-        if c:
-            for j in range(pc, n):
-                if row[j]:
-                    v[j] -= c * row[j]
+        if v is None:
+            break
+        f = v[pc]
+        if f:
+            p = row[pc]
+            g = gcd(p, f)
+            a, b = (p // g, f // g) if p > 0 else (-p // g, -f // g)
+            v = [a * x - b * y for x, y in zip(v, row)]
+            g = gcd(*v)
+            v = None if not g else v if g == 1 else [x // g for x in v]
     return v
 
 
@@ -324,16 +337,16 @@ class Subspace:
     their ``basis`` grids are equal.
     """
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    __slots__ = ("ambient_dim", "basis", "pivots", "_rows")
 
     def __init__(self, ambient_dim: int, rows=None):
-        rows = [list(map(QQ, r)) for r in (rows or [])]
+        rows = list(rows or ())
         for r in rows:
             if len(r) != ambient_dim:
                 raise DimensionMismatch("basis row length != ambient dimension")
-        reduced, pivots = _rref_rows(rows, ambient_dim)
+        reduced, pivots, self._rows = _rref_rows(rows, ambient_dim)
         self.ambient_dim = ambient_dim
-        self.basis = tuple(tuple(r) for r in reduced[: len(pivots)])
+        self.basis = tuple(map(tuple, reduced))
         self.pivots = tuple(pivots)
 
     @staticmethod
@@ -361,14 +374,10 @@ class Subspace:
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of QQ^{self.ambient_dim})"
 
-    def reduce(self, v) -> list[Fraction]:
-        """Residue of v after eliminating all pivot coordinates."""
+    def contains(self, v) -> bool:
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector length != ambient dimension")
-        return _reduce(v, self.basis, self.pivots)
-
-    def contains(self, v) -> bool:
-        return vec_is_zero(self.reduce(v))
+        return _reduce(_primitive(v), self._rows, self.pivots) is None
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(list(r)) for r in other.basis)
@@ -376,7 +385,7 @@ class Subspace:
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("subspace sum: ambient mismatch")
-        return Subspace(self.ambient_dim, [list(r) for r in self.basis + other.basis])
+        return Subspace(self.ambient_dim, self._rows + other._rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
@@ -390,13 +399,14 @@ def rref(m: Mat):
     Returns ``(reduced, rank, kernel)`` where ``reduced`` has the same shape
     as ``m`` (zero rows kept), and ``kernel`` spans ``{x | m x = 0}``.
     """
-    rows, pivots = _rref_rows([list(r) for r in m.data], m.cols)
+    rows, pivots, _ = _rref_rows(m.data, m.cols)
     kernel = Subspace(m.cols, _kernel_rows(rows, pivots, m.cols))
+    rows += [[ZERO] * m.cols for _ in range(m.rows - len(rows))]
     return Mat(rows), len(pivots), kernel
 
 
 def rank(m: Mat) -> int:
-    return len(_rref_rows([list(r) for r in m.data], m.cols)[1])
+    return len(_rref_rows(m.data, m.cols)[1])
 
 
 def subspace_combine(a: Subspace, b: Subspace, mode: str) -> Subspace:
@@ -423,8 +433,7 @@ def kernel_combinations(vectors, images) -> list[list[Fraction]]:
     The result is a basis of the kernel when ``vectors`` are independent.
     """
     d = len(vectors)
-    rows = [list(col) for col in zip(*images)]
-    rows, pivots = _rref_rows(rows, d)
+    rows, pivots, _ = _rref_rows(zip(*images), d)
     out = []
     for coeff in _kernel_rows(rows, pivots, d):
         total = [ZERO] * len(vectors[0])
@@ -445,7 +454,7 @@ def solve(m: Mat, rhs) -> list[Fraction] | None:
     if len(rhs) != m.rows:
         raise DimensionMismatch("rhs length != number of rows")
     aug = [list(row) + [QQ(r)] for row, r in zip(m.data, rhs)]
-    rows, pivots = _rref_rows(aug, m.cols + 1)
+    rows, pivots, _ = _rref_rows(aug, m.cols + 1)
     if pivots and pivots[-1] == m.cols:
         return None
     x = [ZERO] * m.cols
@@ -457,17 +466,17 @@ def solve(m: Mat, rhs) -> list[Fraction] | None:
 class PivotedSpan:
     """Incrementally grown span with pivot bookkeeping.
 
-    Rows are kept forward-reduced only (each row leads with a 1 in its own
-    pivot column and is zero in all earlier pivot columns), in increasing
-    pivot order, which makes insertion cheap; ``to_subspace`` canonicalizes
-    at the end.
+    Rows are primitive integer rows kept forward-reduced only (each row
+    leads in its own pivot column and is zero in all earlier pivot columns),
+    in increasing pivot order, which makes insertion cheap; ``to_subspace``
+    canonicalizes at the end.
     """
 
     __slots__ = ("ambient_dim", "rows", "pivots")
 
     def __init__(self, ambient_dim: int):
         self.ambient_dim = ambient_dim
-        self.rows: list[list[Fraction]] = []
+        self.rows: list[list[int]] = []
         self.pivots: list[int] = []
 
     @property
@@ -475,19 +484,16 @@ class PivotedSpan:
         return len(self.rows)
 
     def contains(self, v) -> bool:
-        return vec_is_zero(_reduce(v, self.rows, self.pivots))
+        return _reduce(_primitive(v), self.rows, self.pivots) is None
 
     def add(self, v) -> bool:
         """Insert v; returns True when it enlarged the span."""
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector length != ambient dimension")
-        res = _reduce(v, self.rows, self.pivots)
-        lead = next((j for j, e in enumerate(res) if e), None)
-        if lead is None:
+        res = _reduce(_primitive(v), self.rows, self.pivots)
+        if res is None:
             return False
-        c = res[lead]
-        if c != 1:
-            res = [e / c for e in res]
+        lead = next(j for j, e in enumerate(res) if e)
         at = bisect(self.pivots, lead)
         self.pivots.insert(at, lead)
         self.rows.insert(at, res)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .errors import DimensionMismatch, RankOneError
 from .linalg import (
@@ -252,21 +253,23 @@ def catalecticant(arg):
 # the convolution mu and symmetric squares of box spaces
 
 def mu(f: MultiVector, g: MultiVector) -> MultiVector:
-    """Coefficient table of the product polynomial f*g, on the doubled box."""
+    """Coefficient table of the product polynomial f*g, on the doubled box.
+
+    Each index i sits at offset off(i) = sum_k i_k stride_k under the doubled
+    box's mixed-radix strides, so i + j sits at off(i) + off(j); only the
+    nonzero entries are convolved.
+    """
     if f.box != g.box:
         raise DimensionMismatch("mu needs both factors on the same box")
-    box = f.box
-    doubled = box.doubled()
+    doubled = f.box.doubled()
+    strides = [prod(n + 1 for n in doubled.N[k + 1:]) for k in range(doubled.r)]
+    offsets = [sum(e * s for e, s in zip(i, strides)) for i in f.box.indices()]
+    gs = [(offsets[q], c) for q, c in enumerate(g.data) if c]
     out = [QQ(0)] * doubled.size
-    idxs = box.indices()
-    for p, i in enumerate(idxs):
-        a = f.data[p]
-        if not a:
-            continue
-        for q, j in enumerate(idxs):
-            c = g.data[q]
-            if c:
-                out[doubled.position(idx_add(i, j))] += a * c
+    for p, a in enumerate(f.data):
+        if a:
+            for o, c in gs:
+                out[offsets[p] + o] += a * c
     return MultiVector(doubled, tuple(out))
 
 

@@ -26,6 +26,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import prod
 
 from .errors import CapExceeded, StructuralError
@@ -150,29 +151,31 @@ def nilpotency_bound(r: Rep, symbols, u, max_box: int | None = None) -> Box:
 
     Recursive-maximum construction, from the last letter backwards: N_s is
     the largest exponent of D_s that leaves some already-bounded tail vector
-    D_{s+1}^{i_{s+1}} ... D_r^{i_r} u alive.
+    D_{s+1}^{i_{s+1}} ... D_r^{i_r} u alive.  D_s^k kills every tail vector
+    exactly when it kills their span, so only a basis of the tail span is
+    carried: T_r = span(u), and T_s = sum over k <= N_s of D_s^k T_{s+1},
+    which contains T_{s+1}, so one span grows.
     """
     cap = MAX_BOX if max_box is None else max_box
     for s in symbols:
         if s.startswith("H"):
             raise ValueError(f"{s} is a coroot; the sequence needs nilpotent letters")
-    tails = [list(map(QQ, u))]
+    tails = PivotedSpan(r.dim)
+    tails.add(u)
     bounds = [0] * len(symbols)
     for s in range(len(symbols) - 1, -1, -1):
-        frontier = [v for v in tails if not vec_is_zero(v)]
-        grown = list(tails)
+        frontier = list(tails.rows)
         k = 0
         while frontier:
-            frontier = [r.act(symbols[s], v) for v in frontier]
-            frontier = [v for v in frontier if not vec_is_zero(v)]
+            frontier = [v for v in (r.act(symbols[s], v) for v in frontier)
+                        if not vec_is_zero(v)]
             if not frontier:
                 break
             k += 1
             if k > r.dim:
                 raise StructuralError(f"action of {symbols[s]} is not nilpotent")
-            grown.extend(frontier)
+            tails.add_all(frontier)
         bounds[s] = k
-        tails = grown
         size = 1
         for b in bounds[s:]:
             size *= b + 1
@@ -215,13 +218,25 @@ def _validate_vanishing(r: Rep, symbols, box: Box, y) -> None:
 
 
 def _monomial_span_dim(s2: Rep, symbols, box: Box, yy, target: int) -> int:
-    """Dimension of the span of the D^n(yy) over the doubled box, filled and
-    reduced in one pass that stops once the span reaches ``target``."""
+    """Dimension of the span of the D^n(yy) over the doubled box, or
+    ``target`` once the span reaches it.
+
+    The exponents range over a product set, so the span is S_1 of the nested
+    suffix spans S_{r+1} = span(yy) and S_s = sum over a <= 2 N_s of
+    D_s^a S_{s+1}.  Each S_s contains S_{s+1}, so one span grows, and D_s
+    acts only on a basis of S_{s+1}: the cost follows the span, not the
+    doubled box.
+    """
     span = PivotedSpan(s2.dim)
-    for _, v in _normalized_entries(s2, symbols, box.doubled(), yy):
-        span.add(v)
-        if span.dim == target:
-            break
+    span.add(yy)
+    for s in range(len(symbols) - 1, -1, -1):
+        frontier = list(span.rows)
+        for _ in range(2 * box.N[s]):
+            if span.dim == target:
+                return target
+            frontier = [v for v in (s2.act(symbols[s], v) for v in frontier)
+                        if not vec_is_zero(v)]
+            span.add_all(frontier)
     return span.dim
 
 
@@ -234,11 +249,15 @@ def generator_sequence(r: Rep, y, max_box: int | None = None) -> GenSeq:
     Verification driven: start from all the lowering generators, measure the
     monomial span directly, and on a shortfall append the letters of the
     next closure word (the recorded provenance of the orbit module, read
-    from the closure ``orbit_module`` caches) and retry, at most
-    ``MAX_SEQ_LEN`` letters in all.  Then one pass from the last letter to
-    the first drops each letter whose removal keeps the span contract, since
-    every downstream cost is exponential in the sequence length.  Never
-    returns a sequence whose span contract was not checked.
+    from the closure ``orbit_module`` caches), then single X/Y letters in
+    ``xy_symbols()`` order, and retry, at most ``MAX_SEQ_LEN`` letters in
+    all.  Then one pass from the last letter to the first drops each letter
+    whose removal keeps the span contract, since every downstream cost is
+    exponential in the sequence length.  Never returns a sequence whose span
+    contract was not checked.  Each check measures nested suffix spans
+    (``_monomial_span_dim``) and bounds the box on a basis of the tail span
+    (``nilpotency_bound``), so it costs what the spans cost, never a walk
+    over the doubled box.
 
     One pass is enough.  Let S' be S with some letters dropped, in the same
     order.  Every tail vector of S' in ``nilpotency_bound`` is a tail vector
@@ -259,7 +278,7 @@ def generator_sequence(r: Rep, y, max_box: int | None = None) -> GenSeq:
     closure = _closure(r, y)
     target = closure.subspace.dim
     # every closure word is a nonempty word in the X/Y letters
-    words = iter(closure.words)
+    words = chain(closure.words, ((sym,) for sym in r.algebra.xy_symbols()))
     symbols = list(r.algebra.y_symbols())
     while True:
         box = nilpotency_bound(r, symbols, y, max_box=max_box)
@@ -270,7 +289,7 @@ def generator_sequence(r: Rep, y, max_box: int | None = None) -> GenSeq:
         if fresh is None:
             raise CapExceeded(
                 "sequence",
-                "sequence search exhausted: closure words did not close the span",
+                "sequence search exhausted: closure words and letters did not close the span",
                 {"span_dim": span_dim, "target_dim": target, "symbols": list(symbols)},
             )
         if len(symbols) + len(fresh) > MAX_SEQ_LEN:
@@ -307,6 +326,7 @@ class _SeqData:
     def __init__(self, r: Rep, y, gs: GenSeq):
         self.rep = r
         self.s2 = r.sym_square()
+        self.module_dim = _closure(r, y).subspace.dim
         self.yy = yy_coords(y)
         self.doubled = gs.box.doubled()
         self.columns = dict(_normalized_entries(r, gs.symbols, gs.box, y))
@@ -333,10 +353,17 @@ class _SeqData:
     def _solver(self) -> tuple[list[int], Mat, list[int], Mat]:
         """The lex-earliest independent coefficient columns, the matrix they
         form, and the inverse of a square block of its rows: the pivots of
-        the columns' span pick rows on which they stay independent."""
+        the columns' span pick rows on which they stay independent.  Every
+        pair sum is D^n(yy)/n!, in U(yy), so the search stops at its
+        dimension."""
         span = PivotedSpan(self.s2.dim)
         idxs = self.doubled.indices()
-        positions = [p for p, n in enumerate(idxs) if span.add(self._pair_sums[n])]
+        positions = []
+        for p, n in enumerate(idxs):
+            if span.dim == self.module_dim:
+                break
+            if span.add(self._pair_sums[n]):
+                positions.append(p)
         mat = Mat([[self._pair_sums[idxs[p]][t] for p in positions]
                    for t in range(self.s2.dim)])
         return positions, mat, span.pivots, Mat([mat.data[t] for t in span.pivots]).inverse()

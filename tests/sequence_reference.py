@@ -3,19 +3,72 @@
 This is the search the library ran before its pruning became a single pass:
 it closes yy itself, filters coroots out of the closure words, and re-scans
 the whole sequence after every pass that dropped a letter, catching a box
-cap on each candidate.  It shares ``nilpotency_bound`` and the monomial
-table of the library, and nothing of its search.
+cap on each candidate.  Its nilpotency bound lists every tail vector and its
+span check walks the whole doubled box, as the library did before it moved
+to nested spans, so it shares no search or span code with the library.
 """
 
-from orbitquad.errors import CapExceeded
-from orbitquad.linalg import PivotedSpan, yy_coords
-from orbitquad.orbit import MAX_SEQ_LEN, GenSeq, _normalized_entries, nilpotency_bound
+from fractions import Fraction
+
+from orbitquad.errors import CapExceeded, StructuralError
+from orbitquad.linalg import PivotedSpan, vec_is_zero, yy_coords
+from orbitquad.multimatrix import Box
+from orbitquad.orbit import MAX_BOX, MAX_SEQ_LEN, GenSeq
 from orbitquad.reps import cyclic_closure
 
 
-def _span_dim(s2, symbols, box, yy):
+def nilpotency_bound(r, symbols, u, max_box=None):
+    """Per-axis bounds from the last letter backwards, over every tail vector."""
+    cap = MAX_BOX if max_box is None else max_box
+    for s in symbols:
+        if s.startswith("H"):
+            raise ValueError(f"{s} is a coroot; the sequence needs nilpotent letters")
+    tails = [list(map(Fraction, u))]
+    bounds = [0] * len(symbols)
+    for s in range(len(symbols) - 1, -1, -1):
+        frontier = [v for v in tails if not vec_is_zero(v)]
+        grown = list(tails)
+        k = 0
+        while frontier:
+            frontier = [r.act(symbols[s], v) for v in frontier]
+            frontier = [v for v in frontier if not vec_is_zero(v)]
+            if not frontier:
+                break
+            k += 1
+            if k > r.dim:
+                raise StructuralError(f"action of {symbols[s]} is not nilpotent")
+            grown.extend(frontier)
+        bounds[s] = k
+        tails = grown
+        size = 1
+        for b in bounds[s:]:
+            size *= b + 1
+        if size > cap:
+            raise CapExceeded(
+                "box",
+                f"multi-degree box exceeds cap {cap}",
+                {"bounds": list(bounds), "cap": cap},
+            )
+    return Box(bounds)
+
+
+def monomials(r, symbols, box, v):
+    """The D^n v / n! over the box, in lexicographic order."""
+    table = {}
+    for idx in box.indices():
+        if not any(idx):
+            table[idx] = list(map(Fraction, v))
+        else:
+            s = next(k for k, e in enumerate(idx) if e)
+            prev = idx[:s] + (idx[s] - 1,) + idx[s + 1:]
+            table[idx] = [e / idx[s] for e in r.act(symbols[s], table[prev])]
+        yield table[idx]
+
+
+def span_dim(s2, symbols, box, yy):
+    """Dimension of the span of every D^n(yy) over the doubled box."""
     span = PivotedSpan(s2.dim)
-    for _, v in _normalized_entries(s2, symbols, box.doubled(), yy):
+    for v in monomials(s2, symbols, box.doubled(), yy):
         span.add(v)
     return span.dim
 
@@ -32,7 +85,7 @@ def multi_pass_sequence(r, y, max_box=None):
     next_word = 0
     while True:
         box = nilpotency_bound(r, symbols, y, max_box=max_box)
-        if _span_dim(s2, symbols, box, yy) == target:
+        if span_dim(s2, symbols, box, yy) == target:
             break
         while next_word < len(words):
             fresh = [s for s in words[next_word] if not s.startswith("H")]
@@ -43,14 +96,14 @@ def multi_pass_sequence(r, y, max_box=None):
             raise CapExceeded(
                 "sequence",
                 "sequence search exhausted: closure words did not close the span",
-                {"span_dim": _span_dim(s2, symbols, box, yy),
+                {"span_dim": span_dim(s2, symbols, box, yy),
                  "target_dim": target, "symbols": list(symbols)},
             )
         if len(symbols) + len(fresh) > MAX_SEQ_LEN:
             raise CapExceeded(
                 "sequence",
                 f"sequence length would exceed cap {MAX_SEQ_LEN}",
-                {"span_dim": _span_dim(s2, symbols, box, yy),
+                {"span_dim": span_dim(s2, symbols, box, yy),
                  "target_dim": target, "length": len(symbols) + len(fresh)},
             )
         symbols.extend(fresh)
@@ -65,7 +118,7 @@ def multi_pass_sequence(r, y, max_box=None):
                 cand_box = nilpotency_bound(r, candidate, y, max_box=max_box)
             except CapExceeded:
                 continue
-            if _span_dim(s2, candidate, cand_box, yy) == target:
+            if span_dim(s2, candidate, cand_box, yy) == target:
                 symbols = candidate
                 changed = True
     return GenSeq(tuple(symbols), nilpotency_bound(r, symbols, y, max_box=max_box))

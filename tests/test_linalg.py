@@ -3,6 +3,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kernel_reference
+from orbitquad import linalg
 from orbitquad.errors import DimensionMismatch
 from orbitquad.linalg import (
     Mat,
@@ -29,6 +31,71 @@ def mats(max_dim=4):
             ).map(Mat)
         )
     )
+
+
+def sparse_rows(max_rows=6, max_cols=6):
+    """(rows, ncols): mostly-zero rational rows, wide or tall, some all zero."""
+    entry = st.one_of(st.just(F(0)), st.just(F(0)), small_fracs)
+    return st.integers(1, max_cols).flatmap(lambda c: st.tuples(
+        st.lists(st.one_of(st.lists(entry, min_size=c, max_size=c),
+                           st.just([F(0)] * c)), min_size=0, max_size=max_rows),
+        st.just(c)))
+
+
+def assert_matches_reference(rows, ncols):
+    got, pivots, ints = linalg._rref_rows(rows, ncols)
+    want, want_pivots = kernel_reference.rref_rows(rows, ncols)
+    # the library drops the zero rows that the reference sinks to the bottom
+    assert (got, pivots) == (want[:len(want_pivots)], want_pivots)
+    assert not any(map(any, want[len(want_pivots):]))
+    # each integer row is its RREF row times its pivot
+    for row, pc, scaled in zip(got, pivots, ints):
+        assert [x * scaled[pc] for x in row] == scaled
+
+
+@given(sparse_rows())
+@settings(deadline=None, max_examples=150)
+def test_rref_rows_match_fraction_reference(case):
+    rows, ncols = case
+    assert_matches_reference(rows, ncols)
+
+
+@given(sparse_rows(max_rows=5, max_cols=5), st.lists(small_fracs, min_size=5, max_size=5))
+@settings(deadline=None, max_examples=100)
+def test_augmented_rref_matches_fraction_reference(case, rhs):
+    rows, ncols = case
+    if not rows:
+        return
+    n = len(rows)
+    # as in solve: one right-hand-side column
+    assert_matches_reference([r + [b] for r, b in zip(rows, rhs)], ncols + 1)
+    # as in Mat.inverse: the identity beside a square block
+    square = [(r * n)[:n] for r in rows]
+    aug = [r + [F(int(i == j)) for j in range(n)] for i, r in enumerate(square)]
+    assert_matches_reference(aug, 2 * n)
+    want, pivots = kernel_reference.rref_rows(aug, 2 * n)
+    if pivots[:n] == list(range(n)):
+        assert Mat(square).inverse() == Mat([row[n:] for row in want[:n]])
+    else:
+        with pytest.raises(ValueError):
+            Mat(square).inverse()
+
+
+@given(sparse_rows(), st.lists(st.lists(small_fracs, min_size=6, max_size=6), max_size=4),
+       st.lists(st.integers(-2, 2), min_size=6, max_size=6))
+@settings(deadline=None, max_examples=100)
+def test_span_membership_matches_fraction_reference(case, probes, coeffs):
+    rows, ncols = case
+    basis, pivots = kernel_reference.rref_rows(rows, ncols)
+    span = PivotedSpan(ncols)
+    grew = [span.add(r) for r in rows]
+    assert sum(grew) == len(pivots) and span.pivots == pivots
+    sub = Subspace(ncols, rows)
+    # combinations of the rows lie in the span; random probes mostly do not
+    combos = [[sum((c * r[k] for c, r in zip(coeffs, rows)), F(0)) for k in range(ncols)]]
+    for v in combos + [p[:ncols] for p in probes]:
+        inside = all(not e for e in kernel_reference.reduce(v, basis, pivots))
+        assert span.contains(v) == sub.contains(v) == inside
 
 
 def test_rref_identity():

@@ -41,6 +41,7 @@ from orbitquad.orbit import (
 )
 from orbitquad.reps import Rep, derived_rep, standard_rep
 
+import sequence_reference
 from sequence_reference import multi_pass_sequence
 
 
@@ -245,7 +246,7 @@ def _sparse_points(dim, count, rng):
 
 def _search_outcome(search, r, y):
     """The sequence a search finds, or the kind, message and details of its
-    cap; some sparse points exhaust the closure words on either search."""
+    cap; some sparse points exhaust the reference search's closure words."""
     try:
         return search(r, y)
     except CapExceeded as exc:
@@ -264,14 +265,72 @@ SEQUENCE_MODULES = [
 ]
 
 
-@pytest.mark.parametrize("builder", [b for _, b in SEQUENCE_MODULES],
+def _holds_span_contract(r, y, gs):
+    """The reference's own bound and doubled-box span agree with gs."""
+    return sequence_reference.nilpotency_bound(r, gs.symbols, y) == gs.box and \
+        sequence_reference.span_dim(r.sym_square(), gs.symbols, gs.box,
+                                    yy_coords(y)) == orbit_module(r, y).dim
+
+
+# the points where the reference search exhausts its closure words and the
+# library goes on with single X/Y letters
+EXHAUSTED_POINTS = {"sym2@sl2": [(-1, 2, 0), (2, 2, 0), (-1, -1, 0)]}
+
+
+@pytest.mark.parametrize("name,builder", SEQUENCE_MODULES,
                          ids=[name for name, _ in SEQUENCE_MODULES])
-def test_generator_sequence_matches_multi_pass_reference(builder):
+def test_generator_sequence_matches_multi_pass_reference(name, builder):
     r = builder()
     rng = random.Random(f"sequence {r.label}")
+    exhausted = []
     for y in _sparse_points(r.dim, 8, rng):
-        assert _search_outcome(generator_sequence, r, y) == \
-            _search_outcome(multi_pass_sequence, r, y), y
+        found = _search_outcome(generator_sequence, r, y)
+        reference = _search_outcome(multi_pass_sequence, r, y)
+        if isinstance(found, orbit.GenSeq) and not isinstance(reference, orbit.GenSeq):
+            assert reference[0] == "sequence" and "exhausted" in reference[1], y
+            assert _holds_span_contract(r, y, found), y
+            exhausted.append(tuple(y))
+        else:
+            assert found == reference, y
+    assert exhausted == EXHAUSTED_POINTS.get(name, [])
+
+
+@pytest.mark.parametrize("y", EXHAUSTED_POINTS["sym2@sl2"])
+def test_generator_sequence_appends_single_letters(y):
+    r = sl2_sym(2)
+    y = [F(e) for e in y]
+    gs = generator_sequence(r, y)
+    assert (gs.symbols, gs.box.N) == (("Y(1,2)", "X(1,2)"), (2, 1))
+    assert certify_irreducibility(r, y, trials=5, seed=0).verdict == "consistent"
+
+
+def _nested_span_cases():
+    """(module, y, symbols, box) over the pinned sequences and the sequences
+    of the seeded sparse points."""
+    cases = [(builder(), [F(e) for e in y], symbols, Box(bounds))
+             for builder, y, symbols, bounds in PINNED_SEQUENCES]
+    for _, builder in SEQUENCE_MODULES:
+        r = builder()
+        rng = random.Random(f"sequence {r.label}")
+        for y in _sparse_points(r.dim, 8, rng):
+            gs = generator_sequence(r, y)
+            cases.append((r, y, gs.symbols, gs.box))
+            # a suffix of the sequence, whose span may fall short of the module
+            if len(gs.symbols) > 1:
+                cases.append((r, y, gs.symbols[1:], Box(gs.box.N[1:])))
+    return cases
+
+
+def test_nested_span_matches_doubled_box_span():
+    for r, y, symbols, box in _nested_span_cases():
+        s2 = r.sym_square()
+        yy = yy_coords(y)
+        assert nilpotency_bound(r, symbols, y) == \
+            sequence_reference.nilpotency_bound(r, symbols, y), (r.label, y, symbols)
+        want = sequence_reference.span_dim(s2, symbols, box, yy)
+        # a target above every reachable dimension never stops the search early
+        assert orbit._monomial_span_dim(s2, symbols, box, yy, s2.dim + 1) == want, \
+            (r.label, y, symbols)
 
 
 @pytest.mark.parametrize("builder,y,symbols,bounds", PINNED_SEQUENCES,
@@ -650,6 +709,17 @@ def test_certify_dense_orbit():
     assert report.verdict == "consistent"
     assert report.dims["ideal"] == 0
     assert report.dims["module"] == report.dims["S2V"] == 21
+
+
+def test_certify_open_orbit_sl5():
+    # E12 + E34 has an open orbit in wedge^2 QQ^5, so the module is all of
+    # S^2 V and the ideal is 0
+    r = derived_rep(standard_rep(make_sl(5)), "wedge", 2)
+    y = [F(0)] * 10
+    y[0] = y[7] = F(1)  # 12, 13, 14, 15, 23, 24, 25, 34, ...
+    report = certify_irreducibility(r, y, trials=5, seed=0)
+    assert report.verdict == "consistent"
+    assert report.dims == {"V": 10, "S2V": 55, "module": 55, "ideal": 0}
 
 
 def test_certify_deterministic():
