@@ -7,8 +7,12 @@ E12 in wedge^2 of sl(4), and a seeded ``chordal`` run.  Two more were
 written before hyperplanes were read off ker mu: ``certify`` of the binary
 quartic (1,0,0,-1,0) on a two-axis box, whose log holds both ``full`` and
 ``hyperplane`` verdicts, and of the conic (1,0,0,1,0,0) of sl(3) on a
-three-axis box, both with seed 3 and 25 trials.  Each command is run in a
-fresh interpreter, so every module is built cold.
+three-axis box, both with seed 3 and 25 trials.  ``certify`` of E12 + E34
+in wedge^2 of sl(5) was written before ``Box`` became mixed-radix
+arithmetic: its doubled box has 729 indices, above the 200 that the Leibniz
+check reads, so it pins the seeded sample drawn from ``indices()`` on a
+six-axis box.  Each command is run in a fresh interpreter, so every module
+is built cold.
 """
 
 import json
