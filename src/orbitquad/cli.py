@@ -11,7 +11,7 @@ wedge or sym degree outside its range, and a chordal or components module
 whose symmetric square is not multiplicity free), 5 discrepancy verdict or
 a StructuralError or RankOneError (one ``error:`` line on stderr, empty
 stdout), 6 caps or inconclusive.
-The environment variable ORBITQUAD_MAX_BOX overrides the multi-degree box cap.
+The environment variable ORBITQUAD_MAX_BOX bounds the accepted generator sequence's box.
 """
 
 from __future__ import annotations

@@ -32,33 +32,39 @@ from .linalg import (
 
 
 class Box:
-    """The multi-index set {i | 0 <= i_k <= N_k}, enumerated lexicographically."""
+    """The multi-index set {i | 0 <= i_k <= N_k}, enumerated lexicographically:
+    i sits at sum_k i_k stride_k, stride_k the product of N_l + 1 over l > k.
+    """
 
-    __slots__ = ("N", "r", "_indices", "_pos")
+    __slots__ = ("N", "r", "size", "strides")
 
     def __init__(self, bounds):
         self.N = tuple(int(b) for b in bounds)
         if any(b < 0 for b in self.N):
             raise ValueError(f"box bounds must be >= 0, got {self.N}")
         self.r = len(self.N)
-        self._indices = list(itertools.product(*(range(b + 1) for b in self.N)))
-        self._pos = {idx: p for p, idx in enumerate(self._indices)}
-
-    @property
-    def size(self) -> int:
-        return len(self._indices)
+        self.strides = tuple(prod(n + 1 for n in self.N[k + 1:]) for k in range(self.r))
+        self.size = prod(n + 1 for n in self.N)
 
     def indices(self) -> list[tuple[int, ...]]:
-        return list(self._indices)
+        return list(itertools.product(*(range(b + 1) for b in self.N)))
 
     def position(self, idx) -> int:
-        try:
-            return self._pos[tuple(idx)]
-        except KeyError:
-            raise IndexError(f"{tuple(idx)} outside box {self.N}") from None
+        if idx not in self:
+            raise IndexError(f"{tuple(idx)} outside box {self.N}")
+        return sum(i * s for i, s in zip(idx, self.strides))
 
     def __contains__(self, idx) -> bool:
-        return tuple(idx) in self._pos
+        idx = tuple(idx)
+        return len(idx) == self.r and all(0 <= i <= n for i, n in zip(idx, self.N))
+
+    def doubled_offsets(self) -> list[int]:
+        """The position of each index, in lexicographic order, under the
+        doubled box's strides: i + j sits at off(i) + off(j) in the doubled box."""
+        offsets = [0]
+        for n, s in zip(self.N, self.doubled().strides):
+            offsets = [o + e * s for o in offsets for e in range(n + 1)]
+        return offsets
 
     def doubled(self) -> "Box":
         return Box(tuple(2 * b for b in self.N))
@@ -76,10 +82,6 @@ class Box:
 
     def __repr__(self) -> str:
         return f"Box{self.N}"
-
-
-def idx_add(i, j) -> tuple[int, ...]:
-    return tuple(a + b for a, b in zip(i, j))
 
 
 @dataclass(frozen=True)
@@ -200,11 +202,12 @@ class Catalecticant:
             raise DimensionMismatch("defining vector must live on the doubled box")
 
     def entry(self, i, j) -> Fraction:
-        return self.b[idx_add(i, j)]
+        offsets = self.box.doubled_offsets()
+        return self.b.data[offsets[self.box.position(i)] + offsets[self.box.position(j)]]
 
     def as_multimatrix(self) -> MultiMatrix:
-        idxs = self.box.indices()
-        data = [[self.b[idx_add(i, j)] for j in idxs] for i in idxs]
+        offsets = self.box.doubled_offsets()
+        data = [[self.b.data[p + q] for q in offsets] for p in offsets]
         return MultiMatrix(data, self.box, self.box)
 
     def to_json(self) -> dict:
@@ -221,25 +224,20 @@ def catalecticant_to_vector(cat: Catalecticant | MultiMatrix) -> MultiVector:
     """Recover the unique defining vector of a catalectic multi-matrix.
 
     Every index of the doubled box splits as i + j with i, j in the box
-    (componentwise min with N gives one such split); consistency across all
-    splits is validated.
+    (componentwise min with N gives one such split), and entry (i, j) lands
+    at off(i) + off(j); consistency across all splits is validated.
     """
     if isinstance(cat, Catalecticant):
         return cat.b
     if cat.row_box is None or cat.row_box != cat.col_box:
         raise DimensionMismatch("not a box-square multi-matrix")
-    box = cat.row_box
-    doubled = box.doubled()
-    data = []
-    for beta in doubled.indices():
-        i = tuple(min(b, n) for b, n in zip(beta, box.N))
-        j = tuple(b - a for b, a in zip(beta, i))
-        data.append(cat.entry(i, j))
-    b = MultiVector.from_entries(doubled, data)
-    rebuilt = Catalecticant(box, b).as_multimatrix()
-    if rebuilt.data != cat.data:
-        raise ValueError("multi-matrix is not catalectic")
-    return b
+    offsets = cat.row_box.doubled_offsets()
+    data = {}
+    for p, row in zip(offsets, cat.data):
+        for q, e in zip(offsets, row):
+            if data.setdefault(p + q, e) != e:
+                raise ValueError("multi-matrix is not catalectic")
+    return MultiVector.from_entries(cat.row_box.doubled(), [data[t] for t in sorted(data)])
 
 
 def catalecticant(arg):
@@ -255,33 +253,29 @@ def catalecticant(arg):
 def mu(f: MultiVector, g: MultiVector) -> MultiVector:
     """Coefficient table of the product polynomial f*g, on the doubled box.
 
-    Each index i sits at offset off(i) = sum_k i_k stride_k under the doubled
-    box's mixed-radix strides, so i + j sits at off(i) + off(j); only the
+    i + j sits at off(i) + off(j) under the doubled box's strides; only the
     nonzero entries are convolved.
     """
     if f.box != g.box:
         raise DimensionMismatch("mu needs both factors on the same box")
-    doubled = f.box.doubled()
-    strides = [prod(n + 1 for n in doubled.N[k + 1:]) for k in range(doubled.r)]
-    offsets = [sum(e * s for e, s in zip(i, strides)) for i in f.box.indices()]
+    offsets = f.box.doubled_offsets()
     gs = [(offsets[q], c) for q, c in enumerate(g.data) if c]
-    out = [QQ(0)] * doubled.size
+    out = [QQ(0)] * f.box.doubled().size
     for p, a in enumerate(f.data):
         if a:
             for o, c in gs:
                 out[offsets[p] + o] += a * c
-    return MultiVector(doubled, tuple(out))
+    return MultiVector(f.box.doubled(), tuple(out))
 
 
 def mu_of_pair_coords(box: Box, coords) -> MultiVector:
     """Linear extension of z_p z_q -> basis vector at i_p + i_q."""
-    doubled = box.doubled()
-    idxs = box.indices()
-    out = [QQ(0)] * doubled.size
+    offsets = box.doubled_offsets()
+    out = [QQ(0)] * box.doubled().size
     for (p, q), c in zip(sym_pairs(box.size), coords, strict=True):
         if c:
-            out[doubled.position(idx_add(idxs[p], idxs[q]))] += c
-    return MultiVector(doubled, tuple(out))
+            out[offsets[p] + offsets[q]] += c
+    return MultiVector(box.doubled(), tuple(out))
 
 
 @dataclass

@@ -50,7 +50,6 @@ from .multimatrix import (
     Box,
     MultiMatrix,
     MultiVector,
-    idx_add,
     mu,
     rank_one_factor,
 )
@@ -146,7 +145,7 @@ class GenSeq:
     box: Box
 
 
-def nilpotency_bound(r: Rep, symbols, u, max_box: int | None = None) -> Box:
+def nilpotency_bound(r: Rep, symbols, u) -> Box:
     """Per-axis degree bounds after which the iterated action annihilates u.
 
     Recursive-maximum construction, from the last letter backwards: N_s is
@@ -156,7 +155,6 @@ def nilpotency_bound(r: Rep, symbols, u, max_box: int | None = None) -> Box:
     carried: T_r = span(u), and T_s = sum over k <= N_s of D_s^k T_{s+1},
     which contains T_{s+1}, so one span grows.
     """
-    cap = MAX_BOX if max_box is None else max_box
     for s in symbols:
         if s.startswith("H"):
             raise ValueError(f"{s} is a coroot; the sequence needs nilpotent letters")
@@ -176,33 +174,28 @@ def nilpotency_bound(r: Rep, symbols, u, max_box: int | None = None) -> Box:
                 raise StructuralError(f"action of {symbols[s]} is not nilpotent")
             tails.add_all(frontier)
         bounds[s] = k
-        size = 1
-        for b in bounds[s:]:
-            size *= b + 1
-        if size > cap:
-            raise CapExceeded(
-                "box",
-                f"multi-degree box exceeds cap {cap}",
-                {"bounds": list(bounds), "cap": cap},
-            )
     return Box(bounds)
 
 
-def _normalized_entries(r: Rep, symbols, box: Box, v):
-    """The pairs (i, D^i v / i!) over the box, in lexicographic order.
+def _normalized(r: Rep, symbols, box: Box, memo: dict, idx) -> list[Fraction]:
+    """D^idx v / idx!, memo holding v at position 0 and every entry built.
 
-    With r the module and v = y these are the columns of A; with r its
-    symmetric square, v = yy and the doubled box, the monomials D^n(yy) / n!.
+    D^idx = D_s D^prev for the first nonzero axis s and the lexicographic
+    parent prev = idx - e_s, stride_s positions earlier.  With v = y these are
+    the columns of A; with r's symmetric square and v = yy, D^n(yy) / n!.
     """
-    table: dict[tuple[int, ...], list[Fraction]] = {}
-    for idx in box.indices():
-        if not any(idx):
-            table[idx] = list(map(QQ, v))
-        else:
-            s = next(k for k, e in enumerate(idx) if e)
-            prev = idx[:s] + (idx[s] - 1,) + idx[s + 1:]
-            table[idx] = [e / idx[s] for e in r.act(symbols[s], table[prev])]
-        yield idx, table[idx]
+    idx = list(idx)
+    pos = box.position(idx)
+    path = []
+    while pos not in memo:
+        s = next(k for k, e in enumerate(idx) if e)
+        path.append((pos, s, idx[s]))
+        idx[s] -= 1
+        pos -= box.strides[s]
+    v = memo[pos]
+    for pos, s, e in reversed(path):
+        v = memo[pos] = [c / e for c in r.act(symbols[s], v)]
+    return v
 
 
 def _validate_vanishing(r: Rep, symbols, box: Box, y) -> None:
@@ -244,7 +237,25 @@ _GENSEQ_CACHE: dict[tuple, GenSeq] = {}
 
 
 def generator_sequence(r: Rep, y, max_box: int | None = None) -> GenSeq:
-    """Find (D, N) whose monomials applied to yy span the whole orbit module.
+    """Find (D, N) whose monomials applied to yy span the whole orbit module;
+    ``CapExceeded`` of kind ``box`` when the accepted box exceeds ``max_box``
+    (default ``MAX_BOX``).  The search is cached on what decides it, r and y.
+    """
+    if vec_is_zero(y):
+        raise ValueError("generator sequence needs a nonzero vector")
+    key = (r, tuple(map(QQ, y)))
+    if key not in _GENSEQ_CACHE:
+        _GENSEQ_CACHE[key] = _search_sequence(r, y)
+    gs = _GENSEQ_CACHE[key]
+    cap = MAX_BOX if max_box is None else max_box
+    if gs.box.size > cap:
+        raise CapExceeded("box", f"multi-degree box exceeds cap {cap}",
+                          {"bounds": list(gs.box.N), "cap": cap})
+    return gs
+
+
+def _search_sequence(r: Rep, y) -> GenSeq:
+    """The generator sequence of y, searched and pruned.
 
     Verification driven: start from all the lowering generators, measure the
     monomial span directly, and on a shortfall append the letters of the
@@ -257,7 +268,7 @@ def generator_sequence(r: Rep, y, max_box: int | None = None) -> GenSeq:
     contract was not checked.  Each check measures nested suffix spans
     (``_monomial_span_dim``) and bounds the box on a basis of the tail span
     (``nilpotency_bound``), so it costs what the spans cost, never a walk
-    over the doubled box.
+    over the box; no candidate box is capped.
 
     One pass is enough.  Let S' be S with some letters dropped, in the same
     order.  Every tail vector of S' in ``nilpotency_bound`` is a tail vector
@@ -265,14 +276,9 @@ def generator_sequence(r: Rep, y, max_box: int | None = None) -> GenSeq:
     S-monomial with zero exponents on the dropped letters.  So span(S') lies
     in span(S): a letter whose removal failed once still fails after later
     letters go.  For the same reason a candidate's box never exceeds its
-    parent's, so pruning meets neither the box cap nor a non-nilpotent
-    letter, and the accepted candidate's box is the final one.
+    parent's, so pruning meets no non-nilpotent letter, and the accepted
+    candidate's box is the final one.
     """
-    if vec_is_zero(y):
-        raise ValueError("generator sequence needs a nonzero vector")
-    key = (r, tuple(map(QQ, y)), max_box)
-    if key in _GENSEQ_CACHE:
-        return _GENSEQ_CACHE[key]
     s2 = r.sym_square()
     yy = yy_coords(y)
     closure = _closure(r, y)
@@ -281,7 +287,7 @@ def generator_sequence(r: Rep, y, max_box: int | None = None) -> GenSeq:
     words = chain(closure.words, ((sym,) for sym in r.algebra.xy_symbols()))
     symbols = list(r.algebra.y_symbols())
     while True:
-        box = nilpotency_bound(r, symbols, y, max_box=max_box)
+        box = nilpotency_bound(r, symbols, y)
         span_dim = _monomial_span_dim(s2, symbols, box, yy, target)
         if span_dim == target:
             break
@@ -304,24 +310,22 @@ def generator_sequence(r: Rep, y, max_box: int | None = None) -> GenSeq:
         if len(symbols) == 1:
             break
         candidate = symbols[:i] + symbols[i + 1:]
-        cand_box = nilpotency_bound(r, candidate, y, max_box=max_box)
+        cand_box = nilpotency_bound(r, candidate, y)
         if _monomial_span_dim(s2, candidate, cand_box, yy, target) == target:
             symbols, box = candidate, cand_box
     _validate_vanishing(r, symbols, box, y)
-    gs = GenSeq(tuple(symbols), box)
-    _GENSEQ_CACHE[key] = gs
-    return gs
+    return GenSeq(tuple(symbols), box)
 
 
 def build_A(r: Rep, y, gs: GenSeq) -> MultiMatrix:
     """The dim(V) x box multi-matrix whose column at i is D^i y / i!."""
     columns = _seq_data(r, y, gs).columns
-    return MultiMatrix([[columns[i][k] for i in gs.box.indices()] for k in range(r.dim)],
-                       None, gs.box)
+    return MultiMatrix([[col[k] for col in columns] for k in range(r.dim)], None, gs.box)
 
 
 class _SeqData:
-    """Shared exact artifacts of a (rep, y, generator sequence) triple."""
+    """Shared exact artifacts of a (rep, y, generator sequence) triple; the
+    tables over the doubled box are keyed by position and hold only what is read."""
 
     def __init__(self, r: Rep, y, gs: GenSeq):
         self.rep = r
@@ -329,17 +333,18 @@ class _SeqData:
         self.module_dim = _closure(r, y).subspace.dim
         self.yy = yy_coords(y)
         self.doubled = gs.box.doubled()
-        self.columns = dict(_normalized_entries(r, gs.symbols, gs.box, y))
-        self.dyy = dict(_normalized_entries(self.s2, gs.symbols, self.doubled, self.yy))
-        # n -> sum over i + j = n of the symmetric product of columns i and j:
-        # each ordered pair (i, j) adds col_i[k] col_j[l] to coordinate k <= l
-        self._pair_sums = {n: [QQ(0)] * self.s2.dim for n in self.doubled.indices()}
+        memo = {0: list(map(QQ, y))}  # each column's parent comes before it
+        self.columns = [_normalized(r, gs.symbols, gs.box, memo, i) for i in gs.box.indices()]
+        self.dyy = {0: self.yy}  # D^n(yy)/n! by position, as leibniz_check reads them
+        # position of n -> sum over i + j = n of the symmetric product of columns
+        # i and j: each ordered pair (i, j) adds col_i[k] col_j[l] to slot k <= l
+        self._pair_sums: dict[int, list[Fraction]] = {}
         slot = {kl: t for t, kl in enumerate(sym_pairs(r.dim))}
-        nonzero = [(i, [(k, x) for k, x in enumerate(col) if x])
-                   for i, col in self.columns.items()]
-        for i, col_i in nonzero:
-            for j, col_j in nonzero:
-                acc = self._pair_sums[idx_add(i, j)]
+        nonzero = [(o, [(k, x) for k, x in enumerate(col) if x])
+                   for o, col in zip(gs.box.doubled_offsets(), self.columns) if any(col)]
+        for o_i, col_i in nonzero:
+            for o_j, col_j in nonzero:
+                acc = self._pair_sums.setdefault(o_i + o_j, [QQ(0)] * self.s2.dim)
                 for k, x in col_i:
                     for l, z in col_j:
                         if k <= l:
@@ -347,7 +352,7 @@ class _SeqData:
 
     def pair_sum(self, n) -> list[Fraction]:
         """sum over i + j = n of the symmetric product of columns i and j."""
-        return self._pair_sums[tuple(n)]
+        return self._pair_sums.get(self.doubled.position(n), [QQ(0)] * self.s2.dim)
 
     @cached_property
     def _solver(self) -> tuple[list[int], Mat, list[int], Mat]:
@@ -355,17 +360,16 @@ class _SeqData:
         form, and the inverse of a square block of its rows: the pivots of
         the columns' span pick rows on which they stay independent.  Every
         pair sum is D^n(yy)/n!, in U(yy), so the search stops at its
-        dimension."""
+        dimension; a position no pair reaches holds a zero sum, which never
+        grows the span."""
         span = PivotedSpan(self.s2.dim)
-        idxs = self.doubled.indices()
         positions = []
-        for p, n in enumerate(idxs):
+        for p in sorted(self._pair_sums):
             if span.dim == self.module_dim:
                 break
-            if span.add(self._pair_sums[n]):
+            if span.add(self._pair_sums[p]):
                 positions.append(p)
-        mat = Mat([[self._pair_sums[idxs[p]][t] for p in positions]
-                   for t in range(self.s2.dim)])
+        mat = Mat([[self._pair_sums[p][t] for p in positions] for t in range(self.s2.dim)])
         return positions, mat, span.pivots, Mat([mat.data[t] for t in span.pivots]).inverse()
 
     def solve_coefficients(self, target) -> list[Fraction] | None:
@@ -379,16 +383,17 @@ class _SeqData:
         small = inverse.apply([target[t] for t in rows])
         if mat.apply(small) != list(target):
             return None
-        at = dict(zip(positions, small))
-        return [at.get(p, QQ(0)) for p in range(self.doubled.size)]
+        b = [QQ(0)] * self.doubled.size
+        for p, c in zip(positions, small):
+            b[p] = c
+        return b
 
     def phi_of_coefficients(self, b) -> Mat:
         """A B A^t for the catalecticant defined by b, via sum b_n C_n."""
         acc = [QQ(0)] * self.s2.dim
-        for pos, n in enumerate(self.doubled.indices()):
-            c = b[pos]
-            if c:
-                for t, e in enumerate(self._pair_sums[n]):
+        for p, c in enumerate(b):
+            if c and p in self._pair_sums:
+                for t, e in enumerate(self._pair_sums[p]):
                     if e:
                         acc[t] += c * e
         return sym_coords_to_mat(acc, self.rep.dim)
@@ -411,7 +416,7 @@ def leibniz_check(r: Rep, y, gs: GenSeq, n) -> bool:
     if n not in gs.box.doubled():
         raise ValueError(f"{n} is outside the doubled box {gs.box.doubled().N}")
     data = _seq_data(r, y, gs)
-    return data.dyy[n] == data.pair_sum(n)
+    return _normalized(data.s2, gs.symbols, data.doubled, data.dyy, n) == data.pair_sum(n)
 
 
 def decompose_Q(r: Rep, y, gs: GenSeq, word) -> MultiVector:

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -188,11 +189,14 @@ def test_chordal_ideal_order_independent():
     assert a.span_dim == b.span_dim
 
 
-@pytest.mark.slow
-def test_chordal_ideal_n6():
-    report = chordal_ideal(ChordalSpec(6, 2, 1), samples=20, seed=0)
-    assert report.isotypic_dims == [105, 15]
-    assert report.ideal.dim == 15
+@pytest.mark.parametrize("n", [6, 7, pytest.param(8, marks=pytest.mark.slow)])
+def test_chordal_ideal_plucker(n):
+    # S^2(wedge^2 V) = S_(2,2) V + wedge^4 V, and for k = 2, p = 1 the ideal
+    # is the Pluecker quadrics, the wedge^4 V summand
+    m = comb(n, 2)
+    report = chordal_ideal(ChordalSpec(n, 2, 1), samples=20, seed=0)
+    assert report.ideal.dim == comb(n, 4)
+    assert report.isotypic_dims == [m * (m + 1) // 2 - comb(n, 4), comb(n, 4)]
     assert report.matched_tail == 1
 
 

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -28,12 +29,28 @@ def mv(box, entries):
     return MultiVector.from_entries(box, entries)
 
 
-def test_box_enumeration_is_lexicographic():
-    box = Box((1, 2))
-    assert box.indices() == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
-    assert box.size == 6
-    assert box.position((1, 1)) == 4
-    assert (1, 2) in box and (2, 0) not in box
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 3), max_size=5), st.data())
+def test_box_enumeration_is_lexicographic(bounds, data):
+    box = Box(bounds)
+    idxs = box.indices()
+    assert idxs == list(itertools.product(*(range(b + 1) for b in bounds)))
+    assert box.size == len(idxs)
+    assert [box.position(i) for i in idxs] == list(range(box.size))
+    assert all(i in box for i in idxs)
+    doubled = box.doubled()
+    assert doubled.N == tuple(2 * b for b in bounds) and doubled.halved() == box
+    assert box.doubled_offsets() == [doubled.position(i) for i in idxs]
+    # an index of the wrong length, or one axis past its bound or below zero
+    r = len(bounds)
+    bad = [(0,) * (r + 1)] + ([(0,) * (r - 1)] if r else [])
+    if r:
+        k = data.draw(st.integers(0, r - 1))
+        bad += [tuple(e if a == k else 0 for a in range(r)) for e in (bounds[k] + 1, -1)]
+    for i in bad:
+        assert i not in box
+        with pytest.raises(IndexError):
+            box.position(i)
 
 
 def test_box_doubling():

@@ -168,10 +168,14 @@ def test_nilpotency_bound_rejects_coroot():
         nilpotency_bound(sl2_sym(2), ("H(1)",), unit(3, 0))
 
 
-def test_nilpotency_box_cap():
+def test_generator_sequence_box_cap():
+    # the accepted box (3,) has 4 indices; the cap holds on a cache hit too
+    r = sl2_sym(3)
+    assert generator_sequence(r, unit(4, 0), max_box=4).box.N == (3,)
     with pytest.raises(CapExceeded) as e:
-        nilpotency_bound(sl2_sym(3), ("Y(1,2)",), unit(4, 0), max_box=3)
+        generator_sequence(r, unit(4, 0), max_box=3)
     assert e.value.kind == "box"
+    assert e.value.details == {"bounds": [3], "cap": 3}
 
 
 def test_generator_sequence_sym3():
@@ -192,16 +196,9 @@ def test_generator_sequence_wedge2():
     r = wedge2_sl4()
     gs = generator_sequence(r, E12)
     assert set(gs.symbols) >= set()  # construction succeeded
-    # span contract re-verified here by hand
-    from orbitquad.orbit import _normalized_entries
-    from orbitquad.linalg import PivotedSpan
-    s2 = r.sym_square()
-    yy = yy_coords(E12)
-    table = dict(_normalized_entries(s2, gs.symbols, gs.box.doubled(), yy))
-    span = PivotedSpan(s2.dim)
-    for v in table.values():
-        span.add(v)
-    assert span.dim == orbit_module(r, E12).dim == 20
+    # span contract re-verified by the doubled-box reference
+    assert sequence_reference.span_dim(r.sym_square(), gs.symbols, gs.box,
+                                       yy_coords(E12)) == orbit_module(r, E12).dim == 20
 
 
 def test_generator_sequence_random_y_extends():
@@ -720,6 +717,21 @@ def test_certify_open_orbit_sl5():
     report = certify_irreducibility(r, y, trials=5, seed=0)
     assert report.verdict == "consistent"
     assert report.dims == {"V": 10, "S2V": 55, "module": 55, "ideal": 0}
+
+
+@pytest.mark.slow
+def test_certify_open_orbit_sl6():
+    # E12 + E34 has an open orbit in wedge^2 QQ^6 as well; the accepted box
+    # has 2^10 indices and its doubled box 3^10, far above the default cap
+    r = derived_rep(standard_rep(make_sl(6)), "wedge", 2)
+    y = [F(0)] * 15
+    y[0] = y[9] = F(1)  # 12, 13, 14, 15, 16, 23, 24, 25, 26, 34, ...
+    report = certify_irreducibility(r, y, trials=5, seed=0)
+    assert report.verdict == "consistent"
+    assert report.dims == {"V": 15, "S2V": 120, "module": 120, "ideal": 0}
+    assert report.symbols == ["Y(1,2)", "Y(1,3)", "Y(2,3)", "Y(2,6)", "Y(3,4)",
+                              "Y(3,5)", "Y(4,5)", "Y(4,6)", "X(1,4)", "X(2,3)"]
+    assert report.N == [1] * 10
 
 
 def test_certify_deterministic():
