@@ -62,7 +62,6 @@ from .orbit import (
     build_A,
     certify_irreducibility,
     decompose_Q,
-    evaluation_hyperplane,
     generator_sequence,
     hyperplane_check,
     leibniz_check,

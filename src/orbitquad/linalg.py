@@ -9,7 +9,7 @@ anywhere in this package.
 Every row operation in the package happens in three functions here:
 
 - ``_rref_rows``, the one Gauss-Jordan elimination, behind ``Subspace``,
-  ``rref``, ``rank``, ``solve`` and ``Mat.inverse``;
+  ``rref``, ``rank``, ``solve`` and ``integer_inverse``;
 - ``_reduce``, which clears the pivot columns of a vector against echelon
   rows, behind ``Subspace.contains`` and ``PivotedSpan``;
 - ``_kernel_rows``, which reads a kernel basis off a reduced matrix, behind
@@ -173,13 +173,8 @@ class Mat:
     def inverse(self) -> "Mat":
         if self.rows != self.cols:
             raise DimensionMismatch("only square matrices have inverses")
-        n = self.rows
-        aug = [list(row) + [ONE if i == j else ZERO for j in range(n)]
-               for i, row in enumerate(self.data)]
-        rows, pivots, _ = _rref_rows(aug, 2 * n)
-        if pivots[:n] != list(range(n)):
-            raise ValueError("matrix is singular")
-        return Mat([row[n:] for row in rows[:n]])
+        rows, den = integer_inverse(self.data)
+        return Mat([[Fraction(x, den) for x in row] for row in rows])
 
     def trace(self) -> Fraction:
         return sum((self.data[i][i] for i in range(min(self.rows, self.cols))), ZERO)
@@ -293,6 +288,18 @@ def _rref_rows(rows, ncols: int):
     out = [[Fraction(x, row[pc]) if x else ZERO for x in row]
            for row, pc in zip(work, pivots)]
     return out, pivots, work
+
+
+def integer_inverse(rows) -> tuple[list[list[int]], int]:
+    """M^-1 as integer rows over one positive denominator, read off the
+    primitive rows p_k [e_k | row k of M^-1] of [M | I]'s elimination."""
+    n = len(rows)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    _, pivots, work = _rref_rows(aug, 2 * n)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    den = lcm(*(row[k] for k, row in enumerate(work)))
+    return [[x * (den // row[k]) for x in row[n:]] for k, row in enumerate(work)], den
 
 
 def _kernel_rows(reduced: list[list[Fraction]], pivots: list[int], ncols: int):

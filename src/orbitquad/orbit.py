@@ -23,21 +23,23 @@ rank-one factor, so it is excluded from the Veronese locus).
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from math import prod
+from math import lcm, prod
 
 from .errors import CapExceeded, StructuralError
 from .linalg import (
     Mat,
     PivotedSpan,
     QQ,
+    ZERO,
     Subspace,
     annihilator,
     format_scalar,
-    kernel_combinations,
+    integer_inverse,
     rank,
     sym_coords_to_mat,
     sym_pairs,
@@ -50,7 +52,6 @@ from .multimatrix import (
     Box,
     MultiMatrix,
     MultiVector,
-    mu,
     rank_one_factor,
 )
 from .reps import ClosureResult, Rep, cyclic_closure, exp_act
@@ -194,8 +195,17 @@ def _normalized(r: Rep, symbols, box: Box, memo: dict, idx) -> list[Fraction]:
         pos -= box.strides[s]
     v = memo[pos]
     for pos, s, e in reversed(path):
-        v = memo[pos] = [c / e for c in r.act(symbols[s], v)]
+        v = r.act(symbols[s], v)
+        memo[pos] = v = v if e == 1 else [c / e if c else c for c in v]
     return v
+
+
+def _integer_rows(rows) -> tuple[list[list[int]], int]:
+    """Rational rows as integer rows over one positive denominator, the lcm
+    of the denominators of their nonzero entries."""
+    den = lcm(*(e.denominator for row in rows for e in row if e))
+    return [[e.numerator * (den // e.denominator) if e else 0 for e in row]
+            for row in rows], den
 
 
 def _validate_vanishing(r: Rep, symbols, box: Box, y) -> None:
@@ -319,13 +329,15 @@ def _search_sequence(r: Rep, y) -> GenSeq:
 
 def build_A(r: Rep, y, gs: GenSeq) -> MultiMatrix:
     """The dim(V) x box multi-matrix whose column at i is D^i y / i!."""
-    columns = _seq_data(r, y, gs).columns
-    return MultiMatrix([[col[k] for col in columns] for k in range(r.dim)], None, gs.box)
+    data = _seq_data(r, y, gs)
+    return MultiMatrix([[Fraction(col[k], data.col_den) for col in data.columns]
+                        for k in range(r.dim)], None, gs.box)
 
 
 class _SeqData:
-    """Shared exact artifacts of a (rep, y, generator sequence) triple; the
-    tables over the doubled box are keyed by position and hold only what is read."""
+    """Shared exact artifacts of a (rep, y, generator sequence) triple: A's
+    columns as integer rows over ``col_den``, the pair sums over ``den`` =
+    col_den^2, keyed by doubled position and held only where reached."""
 
     def __init__(self, r: Rep, y, gs: GenSeq):
         self.rep = r
@@ -334,34 +346,32 @@ class _SeqData:
         self.yy = yy_coords(y)
         self.doubled = gs.box.doubled()
         memo = {0: list(map(QQ, y))}  # each column's parent comes before it
-        self.columns = [_normalized(r, gs.symbols, gs.box, memo, i) for i in gs.box.indices()]
+        self.columns, self.col_den = _integer_rows(
+            [_normalized(r, gs.symbols, gs.box, memo, i) for i in gs.box.indices()])
+        self.den = self.col_den ** 2
         self.dyy = {0: self.yy}  # D^n(yy)/n! by position, as leibniz_check reads them
         # position of n -> sum over i + j = n of the symmetric product of columns
         # i and j: each ordered pair (i, j) adds col_i[k] col_j[l] to slot k <= l
-        self._pair_sums: dict[int, list[Fraction]] = {}
+        self._pair_sums: dict[int, list[int]] = {}
         slot = {kl: t for t, kl in enumerate(sym_pairs(r.dim))}
         nonzero = [(o, [(k, x) for k, x in enumerate(col) if x])
                    for o, col in zip(gs.box.doubled_offsets(), self.columns) if any(col)]
         for o_i, col_i in nonzero:
             for o_j, col_j in nonzero:
-                acc = self._pair_sums.setdefault(o_i + o_j, [QQ(0)] * self.s2.dim)
+                acc = self._pair_sums.setdefault(o_i + o_j, [0] * self.s2.dim)
                 for k, x in col_i:
                     for l, z in col_j:
                         if k <= l:
                             acc[slot[k, l]] += x * z
 
-    def pair_sum(self, n) -> list[Fraction]:
-        """sum over i + j = n of the symmetric product of columns i and j."""
-        return self._pair_sums.get(self.doubled.position(n), [QQ(0)] * self.s2.dim)
-
     @cached_property
-    def _solver(self) -> tuple[list[int], Mat, list[int], Mat]:
-        """The lex-earliest independent coefficient columns, the matrix they
-        form, and the inverse of a square block of its rows: the pivots of
-        the columns' span pick rows on which they stay independent.  Every
-        pair sum is D^n(yy)/n!, in U(yy), so the search stops at its
-        dimension; a position no pair reaches holds a zero sum, which never
-        grows the span."""
+    def _solver(self):
+        """The lex-earliest independent coefficient columns, the nonzero
+        (column, entry) pairs of each row of the matrix M they form, the
+        pivot rows of their span, and M's inverse on those rows over one
+        denominator.  Every pair sum is D^n(yy)/n!, in U(yy), so the search
+        stops at its dimension; an unreached position's zero sum never grows
+        the span."""
         span = PivotedSpan(self.s2.dim)
         positions = []
         for p in sorted(self._pair_sums):
@@ -369,34 +379,39 @@ class _SeqData:
                 break
             if span.add(self._pair_sums[p]):
                 positions.append(p)
-        mat = Mat([[self._pair_sums[p][t] for p in positions] for t in range(self.s2.dim)])
-        return positions, mat, span.pivots, Mat([mat.data[t] for t in span.pivots]).inverse()
+        cols = [self._pair_sums[p] for p in positions]
+        rows = [[(j, col[t]) for j, col in enumerate(cols) if col[t]] for t in range(self.s2.dim)]
+        inverse, den = integer_inverse([[col[t] for col in cols] for t in span.pivots])
+        return positions, rows, span.pivots, inverse, den
 
     def solve_coefficients(self, target) -> list[Fraction] | None:
         """One b with sum b_n C_n = target, free variables at zero, or None.
 
         Restricting to the lex-earliest independent columns gives exactly the
-        particular solution full row reduction would produce.  It is read off
-        the inverted block and checked exactly against every row.
-        """
-        positions, mat, rows, inverse = self._solver
-        small = inverse.apply([target[t] for t in rows])
-        if mat.apply(small) != list(target):
+        particular solution full row reduction would produce.  For target T /
+        t and inverse I / d it is S den / (d t), S = I T on the pivot rows,
+        checked exactly on every row as M S = T d."""
+        positions, rows, pivots, inverse, d = self._solver
+        (tgt,), t = _integer_rows([target])
+        picked = [(k, tgt[p]) for k, p in enumerate(pivots) if tgt[p]]
+        small = [sum(row[k] * x for k, x in picked) for row in inverse]
+        if any(sum(small[j] * e for j, e in row) != x * d for row, x in zip(rows, tgt)):
             return None
-        b = [QQ(0)] * self.doubled.size
+        b = [ZERO] * self.doubled.size
         for p, c in zip(positions, small):
-            b[p] = c
+            if c:
+                b[p] = Fraction(c * self.den, d * t)
         return b
 
     def phi_of_coefficients(self, b) -> Mat:
-        """A B A^t for the catalecticant defined by b, via sum b_n C_n."""
-        acc = [QQ(0)] * self.s2.dim
-        for p, c in enumerate(b):
-            if c and p in self._pair_sums:
-                for t, e in enumerate(self._pair_sums[p]):
-                    if e:
-                        acc[t] += c * e
-        return sym_coords_to_mat(acc, self.rep.dim)
+        """A B A^t for the catalecticant defined by b, via sum b_n C_n over b's nonzero entries."""
+        reached = [p for p in self._pair_sums if b[p]]
+        (coeffs,), t = _integer_rows([[b[p] for p in reached]])
+        acc = [0] * self.s2.dim
+        for c, p in zip(coeffs, reached):
+            for k, e in enumerate(self._pair_sums[p]):
+                acc[k] += c * e
+        return sym_coords_to_mat([Fraction(x, t * self.den) for x in acc], self.rep.dim)
 
 
 _SEQDATA_CACHE: dict[tuple, _SeqData] = {}
@@ -416,7 +431,9 @@ def leibniz_check(r: Rep, y, gs: GenSeq, n) -> bool:
     if n not in gs.box.doubled():
         raise ValueError(f"{n} is outside the doubled box {gs.box.doubled().N}")
     data = _seq_data(r, y, gs)
-    return _normalized(data.s2, gs.symbols, data.doubled, data.dyy, n) == data.pair_sum(n)
+    v = _normalized(data.s2, gs.symbols, data.doubled, data.dyy, n)
+    want = data._pair_sums.get(data.doubled.position(n)) or [0] * len(v)
+    return all(c.numerator * data.den == x * c.denominator for c, x in zip(v, want))
 
 
 def decompose_Q(r: Rep, y, gs: GenSeq, word) -> MultiVector:
@@ -449,21 +466,38 @@ class HyperplaneReport:
 class _Products:
     """The products mu(e_a e_b), a <= b, of the RREF basis e of U = im A^t,
     reduced once: their kernel in pair coordinates, their image F, and the
-    inverse of an independent subset restricted to F's pivot columns."""
+    inverse of an independent subset restricted to F's pivot columns.  They
+    are convolved from U's primitive rows p_a e_a on the positions reached,
+    so hold p_a p_b mu(e_a e_b); the kernel and ``functional`` undo p_a p_b."""
 
     def __init__(self, box: Box, u: Subspace):
-        basis = [MultiVector(box, row) for row in u.basis]
         self.u = u
         self.doubled_size = box.doubled().size
-        self.pairs = sym_pairs(len(basis))
-        products = [mu(basis[a], basis[b]).data for a, b in self.pairs]
-        self.kernel = kernel_combinations(Mat.identity(len(products)).data, products)
-        image = PivotedSpan(self.doubled_size)
+        offsets = box.doubled_offsets()
+        self.rows = [[(c, x) for c, x in enumerate(row) if x] for row in u._rows]
+        self.scale = [row[c] for row, c in zip(u._rows, u.pivots)]
+        self.pairs = sym_pairs(len(self.rows))
+        products = [defaultdict(int) for _ in self.pairs]
+        for acc, (a, b) in zip(products, self.pairs):
+            for c, x in self.rows[a]:
+                for d, z in self.rows[b]:
+                    acc[offsets[c] + offsets[d]] += x * z
+        support = sorted(set().union(*products))
+        products = [[p.get(o, 0) for o in support] for p in products]
+        self.kernel = [[k * self.scale[a] * self.scale[b] for k, (a, b) in zip(kappa, self.pairs)]
+                       for kappa in annihilator(Subspace(len(products), zip(*products)))._rows]
+        image = PivotedSpan(len(support))
         self.independent = [s for s, p in enumerate(products) if image.add(p)]
-        self.pivots = image.pivots
+        self.pivots = [support[c] for c in image.pivots]
         # a product on F's pivots is its coordinate vector on F's RREF basis
-        self.coords = [[p[c] for c in self.pivots] for p in products]
-        self.inverse = Mat([self.coords[s] for s in self.independent]).inverse()
+        self.coords = [[p[c] for c in image.pivots] for p in products]
+        self.inverse, self.den = integer_inverse([self.coords[s] for s in self.independent])
+
+    def on_basis(self, psi):
+        """psi on the RREF basis of U, or None when it vanishes there."""
+        vals = [Fraction(sum(psi[c] * x for c, x in row), p)
+                for row, p in zip(self.rows, self.scale)]
+        return vals if any(vals) else None
 
     def report(self, psi) -> HyperplaneReport:
         """Codimension of mu(W.U) in mu(U.U) for W = ker psi, psi on e."""
@@ -475,15 +509,24 @@ class _Products:
     def functional(self, psi, v) -> list[Fraction] | None:
         """The b supported on F's pivots with b(mu(e_a e_b)) = psi_a psi_b /
         psi(v)^2 for all a <= b, checked exactly, or None; so b vanishes on
-        mu(W.U) and b(mu(v.v)) = 1."""
-        pv = sum(p * v[c] for p, c in zip(psi, self.u.pivots))
-        want = [psi[a] * psi[b] / (pv * pv) for a, b in self.pairs]
-        x = self.inverse.apply([want[s] for s in self.independent])
-        if any(sum(t * e for t, e in zip(x, row) if e) != w
+        mu(W.U) and b(mu(v.v)) = 1.  Scaling psi changes nothing, so psi is
+        an integer row, and the scaled products ask for w / psi(v)^2, w_ab =
+        p_a p_b psi_a psi_b: b = S / (d psi(v)^2) for S = I w on the
+        independent ones, checked as coords . S = w d on every product."""
+        (psi,), _ = _integer_rows([psi])
+        pv = QQ(sum(p * v[c] for p, c in zip(psi, self.u.pivots)))
+        want = [self.scale[a] * self.scale[b] * psi[a] * psi[b] for a, b in self.pairs]
+        picked = [(k, want[s]) for k, s in enumerate(self.independent) if want[s]]
+        small = [sum(row[k] * w for k, w in picked) for row in self.inverse]
+        if any(sum(x * e for x, e in zip(small, row) if e) != w * self.den
                for row, w in zip(self.coords, want)):
             return None
-        at = dict(zip(self.pivots, x))
-        return [at.get(c, QQ(0)) for c in range(self.doubled_size)]
+        b = [ZERO] * self.doubled_size
+        q = self.den * pv * pv
+        for c, x in zip(self.pivots, small):
+            if x:
+                b[c] = x / q
+        return b
 
 
 def _hyperplane_functional(a: MultiMatrix, w: Subspace) -> tuple[_Products, list[Fraction]]:
@@ -662,16 +705,10 @@ class CertReport:
         }
 
 
-def _on_basis(im_at: Subspace, psi):
-    """psi on the RREF basis of im A^t, or None when it vanishes there."""
-    vals = [sum(p * e for p, e in zip(psi, row)) for row in im_at.basis]
-    return vals if any(vals) else None
-
-
-def _sample_functional(rng: random.Random, im_at: Subspace):
+def _sample_functional(rng: random.Random, prods: _Products):
     """A random functional nonzero on im A^t, on its RREF basis, or None."""
     for _ in range(50):
-        psi = _on_basis(im_at, [QQ(rng.randint(-3, 3)) for _ in range(im_at.ambient_dim)])
+        psi = prods.on_basis([rng.randint(-3, 3) for _ in range(prods.u.ambient_dim)])
         if psi is not None:
             return psi
     return None
@@ -683,24 +720,6 @@ def _evaluation(box: Box | None, point) -> list[Fraction]:
         raise ValueError("point length must match the number of box axes")
     point = [QQ(t) for t in point]
     return [prod((t ** k for t, k in zip(point, idx)), start=QQ(1)) for idx in box.indices()]
-
-
-def evaluation_hyperplane(a: MultiMatrix, point):
-    """The hyperplane of im A^t cut by evaluation at a rational point.
-
-    Multi-vectors are polynomials on the box; the functional sends f to
-    f(point).  These hyperplanes populate the locus where the product-span
-    property actually holds, so they are the natural forward-direction
-    samples; random functionals mostly land outside it.  Returns None when
-    the evaluation vanishes on all of im A^t.
-    """
-    im_at = a.row_space()
-    psi = _on_basis(im_at, _evaluation(a.col_box, point))
-    if psi is None:
-        return None
-    basis = [list(row) for row in im_at.basis]
-    kernel = kernel_combinations(basis, [[c] for c in psi])
-    return Subspace(im_at.ambient_dim, kernel), basis[next(k for k, c in enumerate(psi) if c)]
 
 
 def _orbit_sample(rng: random.Random, r: Rep, y) -> tuple[list[Fraction], list]:
@@ -797,7 +816,7 @@ def certify_irreducibility(r: Rep, y, trials: int = 25, seed: int = 0,
 
     # random functionals populate the good/bad ledger
     for _ in range(trials):
-        psi = _sample_functional(rng, im_at)
+        psi = _sample_functional(rng, prods)
         if psi is not None:
             process_hyperplane(psi, "random")
     # evaluation-point hyperplanes top up the forward coverage, since random
@@ -807,7 +826,7 @@ def certify_irreducibility(r: Rep, y, trials: int = 25, seed: int = 0,
         attempts += 1
         point = tuple(QQ(rng.randint(-3, 3), rng.choice([1, 1, 2]))
                       for _ in range(gs.box.r))
-        psi = _on_basis(im_at, _evaluation(gs.box, point))
+        psi = prods.on_basis(_evaluation(gs.box, point))
         if psi is not None:
             process_hyperplane(psi, "evaluation")
 

@@ -39,6 +39,7 @@ from orbitquad.reps import (
 )
 
 import weyl_oracle
+from hyperplane_reference import evaluation_hyperplane
 
 
 def unit(n, i):
@@ -198,8 +199,6 @@ def test_acceptance_7_reverse_suite():
 
 
 def test_acceptance_8_forward_suite():
-    from orbitquad.orbit import evaluation_hyperplane
-
     for d in (2, 3):
         r = sl2_sym(d)
         y = unit(d + 1, 0)

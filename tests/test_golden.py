@@ -11,8 +11,11 @@ three-axis box, both with seed 3 and 25 trials.  ``certify`` of E12 + E34
 in wedge^2 of sl(5) was written before ``Box`` became mixed-radix
 arithmetic: its doubled box has 729 indices, above the 200 that the Leibniz
 check reads, so it pins the seeded sample drawn from ``indices()`` on a
-six-axis box.  Each command is run in a fresh interpreter, so every module
-is built cold.
+six-axis box.  ``certify`` of E12 + E34 + E56 in wedge^2 of sl(6) was
+written before the correspondence tables moved onto integer rows: its box
+has nine axes and 512 indices, so it pins the seeded random functionals
+drawn over every box coordinate.  Each command is run in a fresh
+interpreter, so every module is built cold.
 """
 
 import json

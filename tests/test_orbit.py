@@ -9,7 +9,6 @@ from orbitquad.lie import make_sl
 from orbitquad.linalg import (
     Mat,
     Subspace,
-    kernel_combinations,
     rank,
     solve,
     sym_coords_to_mat,
@@ -42,6 +41,7 @@ from orbitquad.orbit import (
 from orbitquad.reps import Rep, derived_rep, standard_rep
 
 import sequence_reference
+from hyperplane_reference import evaluation_hyperplane, hyperplane_of
 from sequence_reference import multi_pass_sequence
 
 
@@ -59,9 +59,15 @@ def wedge2_sl4():
     return derived_rep(standard_rep(make_sl(4)), "wedge", 2)
 
 
+def wedge2_sl5():
+    return derived_rep(standard_rep(make_sl(5)), "wedge", 2)
+
+
 # basis of wedge^2 QQ^4 is lexicographic: 12, 13, 14, 23, 24, 34
 E12 = unit(6, 0)
 E12_34 = [F(1), F(0), F(0), F(0), F(0), F(1)]
+# in wedge^2 QQ^5: 12, 13, 14, 15, 23, 24, 25, 34, 35, 45
+E12_34_SL5 = [F(int(k in (0, 7))) for k in range(10)]
 
 
 def test_sym_square_basics():
@@ -550,7 +556,9 @@ def test_extension_independence():
 def test_solver_shortcut_matches_full_reduction():
     # the inverted-block solver must reproduce the free-variables-at-zero
     # particular solution of full row reduction, coordinate for coordinate,
-    # and agree on which targets are inconsistent; one- to four-axis boxes
+    # and agree on which targets are inconsistent; one- to six-axis boxes.
+    # At sl:5 no pair reaches most of the 729 doubled positions, so the
+    # reached positions the solver keys on differ from the doubled box.
     import random
 
     from orbitquad.orbit import _SeqData
@@ -561,6 +569,7 @@ def test_solver_shortcut_matches_full_reduction():
         (sl2_sym(4), [F(1), F(0), F(0), F(-1), F(0)], 2),
         (derived_rep(standard_rep(make_sl(3)), "sym", 2),
          [F(1), F(0), F(0), F(1), F(0), F(0)], 3),
+        (wedge2_sl5(), E12_34_SL5, 6),
     ]
     rng = random.Random(21)
     for r, y, axes in cases:
@@ -568,7 +577,11 @@ def test_solver_shortcut_matches_full_reduction():
         assert gs.box.r == axes
         data = _SeqData(r, y, gs)
         # columns indexed by the doubled box: the coefficient vectors C_n
-        cols = [data.pair_sum(n) for n in data.doubled.indices()]
+        zero = [0] * data.s2.dim
+        cols = [[F(x, data.den) for x in data._pair_sums.get(p, zero)]
+                for p in range(data.doubled.size)]
+        if axes == 6:
+            assert len(data._pair_sums) < data.doubled.size
         full_system = Mat([[col[t] for col in cols] for t in range(data.s2.dim)])
         module = orbit_module(r, y)
         targets = []
@@ -590,16 +603,6 @@ def test_solver_shortcut_matches_full_reduction():
         assert (outside > 0) == (module.dim < data.s2.dim)
 
 
-def _hyperplane_of(im_at, psi):
-    """W = ker psi inside im A^t and a complement vector, or None."""
-    basis = [list(row) for row in im_at.basis]
-    vals = [sum(p * e for p, e in zip(psi, row)) for row in basis]
-    if not any(vals):
-        return None
-    w = Subspace(im_at.ambient_dim, kernel_combinations(basis, [[c] for c in vals]))
-    return w, basis[next(k for k, c in enumerate(vals) if c)]
-
-
 def _product_span_forward(box, full, part, v):
     """The functional of the forward direction by one solve: zero on part,
     one on mu(v.v), supported on the pivots of full."""
@@ -619,7 +622,7 @@ def test_hyperplane_criterion_matches_product_span():
     # products of im A^t, against the product spans row-reduced per W
     import random
 
-    from orbitquad.orbit import _hyperplane_functional, evaluation_hyperplane
+    from orbitquad.orbit import _hyperplane_functional
     from orbitquad.reps import exp_act
 
     def translate(r, steps):
@@ -638,6 +641,8 @@ def test_hyperplane_criterion_matches_product_span():
         (sl3_sym2, [F(1), F(0), F(0), F(1), F(0), F(1)]),
         (wedge2_sl4(), translate(wedge2_sl4(), [("Y(2,3)", 1), ("Y(1,2)", -1)])),
         (wedge2_sl4(), E12_34),
+        # six axes: the products reach few of the 729 doubled positions
+        (wedge2_sl5(), E12_34_SL5),
     ]
     cases = []
     for r, y in modules:
@@ -650,7 +655,7 @@ def test_hyperplane_criterion_matches_product_span():
         box = a.col_box
         im_at = a.row_space()
         full = mu_image_span(box, im_at, im_at)
-        sampled = [_hyperplane_of(im_at, [F(rng.randint(-3, 3)) for _ in range(box.size)])
+        sampled = [hyperplane_of(im_at, [F(rng.randint(-3, 3)) for _ in range(box.size)])
                    for _ in range(5)]
         sampled += [evaluation_hyperplane(
             a, [F(rng.randint(-3, 3), rng.choice([1, 2])) for _ in range(box.r)])
@@ -668,10 +673,12 @@ def test_hyperplane_criterion_matches_product_span():
             want = HyperplaneReport({1: "hyperplane", 0: "full"}[codim], codim)
             assert hyperplane_check(a, w) == want
             kinds.add(want.kind)
+            prods, psi_bar = _hyperplane_functional(a, w)
             if want.kind != "hyperplane":
+                # no functional vanishes on mu(W.U) = mu(U.U) with b(mu(v.v)) = 1
+                assert prods.functional(psi_bar, v) is None
                 continue
             b = _product_span_forward(box, full, part, v)
-            prods, psi_bar = _hyperplane_functional(a, w)
             assert prods.functional(psi_bar, v) == b
             if module is not None:
                 out = rank1_correspondence(*module, a, "forward", W=w, v=v)
