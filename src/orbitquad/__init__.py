@@ -48,10 +48,8 @@ from .multimatrix import (
     MultiMatrix,
     MultiVector,
     catalecticant,
-    dot_span,
     mm_algebra,
     mu,
-    mu_kernel,
     phi_A,
     rank_one_factor,
 )
@@ -80,5 +78,24 @@ from .chordal import (
     lemma_suma_check,
     sperner_bound,
 )
+
+__all__ = [
+    "CapExceeded", "DimensionMismatch", "GenericVectorError", "OrbitquadError",
+    "RankOneError", "SpecParseError", "StructuralError",
+    "UnsupportedExpression", "Mat", "PivotedSpan", "Scalar", "Subspace",
+    "annihilator", "format_scalar", "parse_scalar", "rank", "rref", "solve",
+    "subspace_combine", "sym_square", "LieAlgebra", "Root", "bracket",
+    "make_sl", "Rep", "act_word", "cyclic_module", "derived_rep",
+    "exp_nilpotent", "highest_weight_vectors", "isotypic_decomposition",
+    "standard_rep", "weight_decomposition", "weights_multiset", "Box",
+    "Catalecticant", "MultiMatrix", "MultiVector", "catalecticant",
+    "mm_algebra", "mu", "phi_A", "rank_one_factor", "CertReport", "GenSeq",
+    "QuadraticIdeal", "build_A", "certify_irreducibility", "decompose_Q",
+    "generator_sequence", "hyperplane_check", "leibniz_check", "my_membership",
+    "nilpotency_bound", "orbit_module", "quadric_ideal",
+    "rank1_correspondence", "ChordalSpec", "chordal_ideal", "chordal_sample",
+    "component_analysis", "generic_vector", "lemma_suma_check",
+    "sperner_bound",
+]
 
 __version__ = "0.1.0"

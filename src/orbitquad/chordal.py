@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .errors import CapExceeded, GenericVectorError, UnsupportedExpression
+from .errors import (CapExceeded, GenericVectorError, StructuralError,
+                     UnsupportedExpression)
 from .lie import make_sl
 from .linalg import Mat, PivotedSpan, QQ, rank, solve, vec_is_zero, yy_coords
 from .orbit import QuadraticIdeal, ideal_of_module, orbit_module
@@ -36,35 +37,6 @@ def sperner_bound(s: int) -> int:
     if s < 1:
         raise ValueError("sperner_bound needs s >= 1")
     return comb(s, s // 2)
-
-
-def antichain_brute_force(s: int) -> int:
-    """Exhaustive maximum antichain size; the oracle for small s.
-
-    Branch and bound over families of pairwise-incomparable subsets; feasible
-    through s = 5 (32 subsets).
-    """
-    subsets = list(range(1 << s))
-    incomparable = {a: set() for a in subsets}
-    for a, b in itertools.combinations(subsets, 2):
-        if a & b != a and a & b != b:
-            incomparable[a].add(b)
-            incomparable[b].add(a)
-    best = 0
-
-    def extend(candidates, size):
-        nonlocal best
-        if size > best:
-            best = size
-        if not candidates or size + len(candidates) <= best:
-            return
-        v = candidates[0]
-        rest = candidates[1:]
-        extend([u for u in rest if u in incomparable[v]], size + 1)
-        extend(rest, size)
-
-    extend(subsets, 0)
-    return best
 
 
 def lemma_suma_check(r: Rep, hw_selection) -> bool:
@@ -246,7 +218,7 @@ def _projection_flags(s2_dim: int, components, yy) -> list[bool]:
     m = Mat([[rows[j][i] for j in range(len(rows))] for i in range(s2_dim)])
     coeffs = solve(m, yy)
     if coeffs is None:
-        raise ValueError("components do not span the symmetric square")
+        raise StructuralError("components do not span the symmetric square")
     return [any(coeffs[j] for j in range(a, b)) for a, b in blocks]
 
 

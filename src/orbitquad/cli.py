@@ -5,12 +5,12 @@ single JSON document with rationals serialized as strings, sorted keys, and
 no timestamps, so identical invocations are byte-identical.
 
 Exit codes: 0 success/consistent, 2 parse error (including a negative
---trials or --samples, an all-zero --y, and a chordal --k outside 1..n or
---p below 1), 3 dimension mismatch, 4 unsupported expression (including a
-wedge or sym degree outside its range, and a chordal or components module
-whose symmetric square is not multiplicity free), 5 discrepancy verdict or
-a StructuralError or RankOneError (one ``error:`` line on stderr, empty
-stdout), 6 caps or inconclusive.
+--trials or --samples, an all-zero --y, and a chordal --n below 2, --k
+outside 1..n or --p below 1), 3 dimension mismatch, 4 unsupported
+expression (including a wedge or sym degree outside its range, and a
+chordal or components module whose symmetric square is not multiplicity
+free), 5 discrepancy verdict or a StructuralError or RankOneError (one
+``error:`` line on stderr, empty stdout), 6 caps or inconclusive.
 The environment variable ORBITQUAD_MAX_BOX bounds the accepted generator sequence's box.
 """
 
@@ -197,6 +197,8 @@ def parse_spec(argv) -> RunSpec:
         raise SpecParseError("--trials and --samples must be >= 0")
     spec = RunSpec(command=ns.command)
     if ns.command == "chordal":
+        if ns.n < 2:
+            raise SpecParseError("need n >= 2")
         if not 1 <= ns.k <= ns.n:
             raise SpecParseError("need 1 <= k <= n")
         if ns.p < 1:
@@ -317,7 +319,6 @@ _ERROR_EXITS = (
     (UnsupportedExpression, EXIT_UNSUPPORTED),
     (StructuralError, EXIT_DISCREPANCY),
     (RankOneError, EXIT_DISCREPANCY),
-    (ValueError, EXIT_DIMENSION),
 )
 
 

@@ -49,10 +49,11 @@ class StructuralError(OrbitquadError):
 
 
 class RankOneError(OrbitquadError):
-    """A symmetric matrix had no projective rank-one factor.
+    """A matrix had no projective rank-one factor u u^t.
 
-    ``kind`` is ``"zero"`` for the zero matrix and ``"not rank one"`` when the
-    rank is two or more.
+    ``kind`` is ``"zero"`` for the zero matrix, ``"not rank one"`` when the
+    rank is two or more, and ``"not symmetric"`` for a matrix that is not
+    symmetric.
     """
 
     def __init__(self, kind: str):

@@ -32,7 +32,7 @@ from bisect import bisect
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import DimensionMismatch, SpecParseError
+from .errors import DimensionMismatch, SpecParseError, StructuralError
 
 Scalar = Fraction
 
@@ -248,14 +248,15 @@ def trace_pairing_mat(row, n: int) -> Mat:
 # ---------------------------------------------------------------------------
 # row reduction
 
-def _primitive(row) -> list[int] | None:
+def _primitive(row, n: int | None = None) -> list[int] | None:
     """The primitive integer multiple of a rational row, or None when it is
-    zero; only the nonzero entries are read."""
-    nonzero = [(c, e) for c, e in enumerate(row) if e]
+    zero; only the nonzero entries are read.  With n given, row is a dict of
+    the nonzero entries of a row of length n."""
+    nonzero = [(c, e) for c, e in enumerate(row) if e] if n is None else list(row.items())
     if not nonzero:
         return None
     den = lcm(*(e.denominator for _, e in nonzero))
-    out = [0] * len(row)
+    out = [0] * (len(row) if n is None else n)
     for c, e in nonzero:
         out[c] = e.numerator * (den // e.denominator)
     g = gcd(*(out[c] for c, _ in nonzero))
@@ -297,7 +298,7 @@ def integer_inverse(rows) -> tuple[list[list[int]], int]:
     aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
     _, pivots, work = _rref_rows(aug, 2 * n)
     if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
+        raise StructuralError("matrix is singular")
     den = lcm(*(row[k] for k, row in enumerate(work)))
     return [[x * (den // row[k]) for x in row[n:]] for k, row in enumerate(work)], den
 
@@ -497,7 +498,16 @@ class PivotedSpan:
         """Insert v; returns True when it enlarged the span."""
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector length != ambient dimension")
-        res = _reduce(_primitive(v), self.rows, self.pivots)
+        return self._insert(_primitive(v))
+
+    def add_sparse(self, v: dict) -> bool:
+        """Insert the row whose nonzero entries v holds by coordinate; returns
+        True when it enlarged the span."""
+        return self._insert(_primitive(v, self.ambient_dim))
+
+    def _insert(self, row: list[int] | None) -> bool:
+        """Reduce a primitive row against the span and keep its residue."""
+        res = _reduce(row, self.rows, self.pivots)
         if res is None:
             return False
         lead = next(j for j, e in enumerate(res) if e)

@@ -1,14 +1,12 @@
 """Multi-index boxes, multi-vectors and multi-matrices, and the catalecticant
-calculus: the convolution product mu, products of subspaces inside the
-symmetric square of a box space, the conjugation phi_A, and projective
-rank-one factorization.
+calculus: the convolution product mu, the mu image of a product of
+subspaces of a box space, the conjugation phi_A, and projective rank-one
+factorization.
 
 A multi-vector on the box N is the coefficient table of a polynomial in r
 variables with per-variable degree bounds N_1..N_r; mu(f.g) is literally the
 coefficient table of the product polynomial f*g, so mu(v.v) is the square of
-v.  The symmetric square of a box space is coordinatized by monomials
-z_p z_q (p <= q) in auxiliary variables indexed by box positions; on those
-coordinates mu sends z_p z_q to the basis vector at index i_p + i_q.
+v.
 """
 
 from __future__ import annotations
@@ -24,10 +22,7 @@ from .linalg import (
     QQ,
     Subspace,
     format_scalar,
-    kernel_combinations,
-    pair_coords,
     parse_scalar,
-    sym_pairs,
 )
 
 
@@ -268,67 +263,13 @@ def mu(f: MultiVector, g: MultiVector) -> MultiVector:
     return MultiVector(f.box.doubled(), tuple(out))
 
 
-def mu_of_pair_coords(box: Box, coords) -> MultiVector:
-    """Linear extension of z_p z_q -> basis vector at i_p + i_q."""
-    offsets = box.doubled_offsets()
-    out = [QQ(0)] * box.doubled().size
-    for (p, q), c in zip(sym_pairs(box.size), coords, strict=True):
-        if c:
-            out[offsets[p] + offsets[q]] += c
-    return MultiVector(box.doubled(), tuple(out))
-
-
-@dataclass
-class DotSpan:
-    """Span of symmetrized products of two subspaces of a box space.
-
-    ``pair_span`` lives in the symmetric square of the box space (monomial
-    coordinates); ``mu_image`` is its image under mu in the doubled box.
-    The product of two subspaces is taken as the span of their symmetrized
-    products; when the subspaces intersect trivially this agrees with the
-    sum of the two tensor orders inside the symmetric square.
-    """
-
-    pair_span: Subspace
-    mu_image: Subspace
-
-
-def dot_span(box: Box, s1: Subspace, s2: Subspace) -> DotSpan:
-    if s1.ambient_dim != box.size or s2.ambient_dim != box.size:
-        raise DimensionMismatch("subspaces must live on the box space")
-    size = box.size
-    pair_dim = size * (size + 1) // 2
-    pair_rows = []
-    mu_rows = []
-    for u in s1.basis:
-        for w in s2.basis:
-            coords = pair_coords(list(u), list(w))
-            pair_rows.append(coords)
-            mu_rows.append(list(mu_of_pair_coords(box, coords).data))
-    return DotSpan(Subspace(pair_dim, pair_rows), Subspace(box.doubled().size, mu_rows))
-
-
 def mu_image_span(box: Box, s1: Subspace, s2: Subspace) -> Subspace:
-    """Just the mu image of dot_span, skipping the symmetric-square rows."""
+    """The span of mu(u.w) over the basis vectors u of s1 and w of s2."""
     if s1.ambient_dim != box.size or s2.ambient_dim != box.size:
         raise DimensionMismatch("subspaces must live on the box space")
     rows = [list(mu(MultiVector(box, u), MultiVector(box, w)).data)
             for u in s1.basis for w in s2.basis]
     return Subspace(box.doubled().size, rows)
-
-
-def mu_kernel(box: Box, s: Subspace) -> Subspace:
-    """Kernel of mu restricted to the symmetric square of s.
-
-    Returned in monomial coordinates on the symmetric square of the full box
-    space, so it can be compared with ``dot_span(...).pair_span``.
-    """
-    if s.ambient_dim != box.size:
-        raise DimensionMismatch("subspace must live on the box space")
-    basis = [list(r) for r in s.basis]
-    products = [pair_coords(basis[p], basis[q]) for p, q in sym_pairs(len(basis))]
-    images = [mu_of_pair_coords(box, c).data for c in products]
-    return Subspace(box.size * (box.size + 1) // 2, kernel_combinations(products, images))
 
 
 # ---------------------------------------------------------------------------
@@ -347,11 +288,11 @@ def rank_one_factor(m: Mat) -> list[Fraction]:
     Returns u with first nonzero coordinate 1 such that m is a scalar times
     u u^t.  The scalar is discarded: membership questions downstream are
     scale-invariant, and forcing a rational square root would be wrong.
-    Raises RankOneError("zero") on the zero matrix and
-    RankOneError("not rank one") when the rank is at least two.
+    Raises RankOneError("zero") on the zero matrix, RankOneError("not rank
+    one") when the rank is at least two, and RankOneError("not symmetric").
     """
     if m.rows != m.cols or m != m.transpose():
-        raise ValueError("rank_one_factor needs a symmetric matrix")
+        raise RankOneError("not symmetric")
     lead_row = next((i for i, row in enumerate(m.data) if any(row)), None)
     if lead_row is None:
         raise RankOneError("zero")

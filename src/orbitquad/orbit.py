@@ -163,27 +163,41 @@ def nilpotency_bound(r: Rep, symbols, u) -> Box:
     tails.add(u)
     bounds = [0] * len(symbols)
     for s in range(len(symbols) - 1, -1, -1):
-        frontier = list(tails.rows)
+        frontier = list(map(_sparse, tails.rows))
         k = 0
         while frontier:
-            frontier = [v for v in (r.act(symbols[s], v) for v in frontier)
-                        if not vec_is_zero(v)]
+            frontier = [v for v in (r.act_sparse(symbols[s], v) for v in frontier) if v]
             if not frontier:
                 break
             k += 1
             if k > r.dim:
                 raise StructuralError(f"action of {symbols[s]} is not nilpotent")
-            tails.add_all(frontier)
+            for v in frontier:
+                tails.add_sparse(v)
         bounds[s] = k
     return Box(bounds)
 
 
-def _normalized(r: Rep, symbols, box: Box, memo: dict, idx) -> list[Fraction]:
-    """D^idx v / idx!, memo holding v at position 0 and every entry built.
+def _sparse(v) -> dict[int, Fraction | int]:
+    """The nonzero entries of a vector by coordinate, integral ones as ints."""
+    return {j: x.numerator if x.denominator == 1 else x for j, x in enumerate(v) if x}
+
+
+def _word_image(r: Rep, word, v: dict) -> dict:
+    """A word of generator symbols applied right-to-left to v, sparse."""
+    for symbol in reversed(list(word)):
+        v = r.act_sparse(symbol, v)
+    return v
+
+
+def _normalized(r: Rep, symbols, box: Box, memo: dict, idx) -> dict:
+    """D^idx v / idx! by its nonzero entries, memo holding v at position 0 and
+    every entry built.
 
     D^idx = D_s D^prev for the first nonzero axis s and the lexicographic
     parent prev = idx - e_s, stride_s positions earlier.  With v = y these are
     the columns of A; with r's symmetric square and v = yy, D^n(yy) / n!.
+    Quotients that divide stay ints.
     """
     idx = list(idx)
     pos = box.position(idx)
@@ -195,25 +209,28 @@ def _normalized(r: Rep, symbols, box: Box, memo: dict, idx) -> list[Fraction]:
         pos -= box.strides[s]
     v = memo[pos]
     for pos, s, e in reversed(path):
-        v = r.act(symbols[s], v)
-        memo[pos] = v = v if e == 1 else [c / e if c else c for c in v]
+        v = r.act_sparse(symbols[s], v)
+        if e != 1:
+            v = {i: c // e if not c % e else Fraction(c, e) for i, c in v.items()}
+        memo[pos] = v
     return v
 
 
-def _integer_rows(rows) -> tuple[list[list[int]], int]:
-    """Rational rows as integer rows over one positive denominator, the lcm
-    of the denominators of their nonzero entries."""
-    den = lcm(*(e.denominator for row in rows for e in row if e))
-    return [[e.numerator * (den // e.denominator) if e else 0 for e in row]
+def _integer_rows(rows) -> tuple[list[dict[int, int]], int]:
+    """Rational rows, given as dicts of entries, as integer rows over one
+    positive denominator, the lcm of the denominators of their entries."""
+    den = lcm(*(e.denominator for row in rows for e in row.values()))
+    return [{k: e.numerator * (den // e.denominator) for k, e in row.items()}
             for row in rows], den
 
 
 def _validate_vanishing(r: Rep, symbols, box: Box, y) -> None:
     """Exact check that raising any single exponent past its bound kills y."""
+    y = _sparse(map(QQ, y))
     for j in range(len(symbols)):
         word = [sym for s, sym in enumerate(symbols)
                 for _ in range(box.N[s] + (1 if s == j else 0))]
-        if not vec_is_zero(r.act_word(word, y)):
+        if _word_image(r, word, y):
             raise StructuralError(
                 f"nilpotency bound violated on axis {j}",
                 {"symbols": list(symbols), "N": list(box.N)},
@@ -233,13 +250,13 @@ def _monomial_span_dim(s2: Rep, symbols, box: Box, yy, target: int) -> int:
     span = PivotedSpan(s2.dim)
     span.add(yy)
     for s in range(len(symbols) - 1, -1, -1):
-        frontier = list(span.rows)
+        frontier = list(map(_sparse, span.rows))
         for _ in range(2 * box.N[s]):
             if span.dim == target:
                 return target
-            frontier = [v for v in (s2.act(symbols[s], v) for v in frontier)
-                        if not vec_is_zero(v)]
-            span.add_all(frontier)
+            frontier = [v for v in (s2.act_sparse(symbols[s], v) for v in frontier) if v]
+            for v in frontier:
+                span.add_sparse(v)
     return span.dim
 
 
@@ -330,32 +347,34 @@ def _search_sequence(r: Rep, y) -> GenSeq:
 def build_A(r: Rep, y, gs: GenSeq) -> MultiMatrix:
     """The dim(V) x box multi-matrix whose column at i is D^i y / i!."""
     data = _seq_data(r, y, gs)
-    return MultiMatrix([[Fraction(col[k], data.col_den) for col in data.columns]
+    return MultiMatrix([[Fraction(col.get(k, 0), data.col_den) for col in data.columns]
                         for k in range(r.dim)], None, gs.box)
 
 
 class _SeqData:
     """Shared exact artifacts of a (rep, y, generator sequence) triple: A's
-    columns as integer rows over ``col_den``, the pair sums over ``den`` =
-    col_den^2, keyed by doubled position and held only where reached."""
+    columns as sparse integer rows over ``col_den``, the pair sums over
+    ``den`` = col_den^2, keyed by doubled position and held only where
+    reached."""
 
     def __init__(self, r: Rep, y, gs: GenSeq):
         self.rep = r
         self.s2 = r.sym_square()
+        self.symbols = gs.symbols
         self.module_dim = _closure(r, y).subspace.dim
-        self.yy = yy_coords(y)
+        self.yy = _sparse(yy_coords(y))
         self.doubled = gs.box.doubled()
-        memo = {0: list(map(QQ, y))}  # each column's parent comes before it
+        memo = {0: _sparse(map(QQ, y))}  # each column's parent comes before it
         self.columns, self.col_den = _integer_rows(
             [_normalized(r, gs.symbols, gs.box, memo, i) for i in gs.box.indices()])
         self.den = self.col_den ** 2
-        self.dyy = {0: self.yy}  # D^n(yy)/n! by position, as leibniz_check reads them
+        self.dyy = {0: self.yy}  # D^n(yy)/n! by position, as ``leibniz`` reads them
         # position of n -> sum over i + j = n of the symmetric product of columns
         # i and j: each ordered pair (i, j) adds col_i[k] col_j[l] to slot k <= l
         self._pair_sums: dict[int, list[int]] = {}
         slot = {kl: t for t, kl in enumerate(sym_pairs(r.dim))}
-        nonzero = [(o, [(k, x) for k, x in enumerate(col) if x])
-                   for o, col in zip(gs.box.doubled_offsets(), self.columns) if any(col)]
+        nonzero = [(o, list(col.items()))
+                   for o, col in zip(gs.box.doubled_offsets(), self.columns) if col]
         for o_i, col_i in nonzero:
             for o_j, col_j in nonzero:
                 acc = self._pair_sums.setdefault(o_i + o_j, [0] * self.s2.dim)
@@ -384,8 +403,9 @@ class _SeqData:
         inverse, den = integer_inverse([[col[t] for col in cols] for t in span.pivots])
         return positions, rows, span.pivots, inverse, den
 
-    def solve_coefficients(self, target) -> list[Fraction] | None:
-        """One b with sum b_n C_n = target, free variables at zero, or None.
+    def solve_coefficients(self, target: dict) -> list[Fraction] | None:
+        """One b with sum b_n C_n = target (its nonzero entries), free
+        variables at zero, or None.
 
         Restricting to the lex-earliest independent columns gives exactly the
         particular solution full row reduction would produce.  For target T /
@@ -393,9 +413,10 @@ class _SeqData:
         checked exactly on every row as M S = T d."""
         positions, rows, pivots, inverse, d = self._solver
         (tgt,), t = _integer_rows([target])
-        picked = [(k, tgt[p]) for k, p in enumerate(pivots) if tgt[p]]
+        picked = [(k, tgt[p]) for k, p in enumerate(pivots) if p in tgt]
         small = [sum(row[k] * x for k, x in picked) for row in inverse]
-        if any(sum(small[j] * e for j, e in row) != x * d for row, x in zip(rows, tgt)):
+        if any(sum(small[j] * e for j, e in row) != tgt.get(i, 0) * d
+               for i, row in enumerate(rows)):
             return None
         b = [ZERO] * self.doubled.size
         for p, c in zip(positions, small):
@@ -405,13 +426,23 @@ class _SeqData:
 
     def phi_of_coefficients(self, b) -> Mat:
         """A B A^t for the catalecticant defined by b, via sum b_n C_n over b's nonzero entries."""
-        reached = [p for p in self._pair_sums if b[p]]
-        (coeffs,), t = _integer_rows([[b[p] for p in reached]])
+        (coeffs,), t = _integer_rows([{p: b[p] for p in self._pair_sums if b[p]}])
         acc = [0] * self.s2.dim
-        for c, p in zip(coeffs, reached):
+        for p, c in coeffs.items():
             for k, e in enumerate(self._pair_sums[p]):
                 acc[k] += c * e
         return sym_coords_to_mat([Fraction(x, t * self.den) for x in acc], self.rep.dim)
+
+    def leibniz(self, n) -> bool:
+        """D^n(yy)/n! equals the pair sum at n exactly, on every coordinate:
+        each nonzero entry matches, and the pair sum has no other nonzero
+        entry (none at all where no pair reaches n)."""
+        v = _normalized(self.s2, self.symbols, self.doubled, self.dyy, n)
+        want = self._pair_sums.get(self.doubled.position(n))
+        if want is None:
+            return not v
+        return (all(c.numerator * self.den == want[k] * c.denominator for k, c in v.items())
+                and len(want) - want.count(0) == len(v))
 
 
 _SEQDATA_CACHE: dict[tuple, _SeqData] = {}
@@ -428,12 +459,10 @@ def _seq_data(r: Rep, y, gs: GenSeq) -> _SeqData:
 def leibniz_check(r: Rep, y, gs: GenSeq, n) -> bool:
     """Exact identity D^n(yy)/n! = sum_{i+j=n} (D^i y/i!)(D^j y/j!)."""
     n = tuple(int(k) for k in n)
-    if n not in gs.box.doubled():
-        raise ValueError(f"{n} is outside the doubled box {gs.box.doubled().N}")
-    data = _seq_data(r, y, gs)
-    v = _normalized(data.s2, gs.symbols, data.doubled, data.dyy, n)
-    want = data._pair_sums.get(data.doubled.position(n)) or [0] * len(v)
-    return all(c.numerator * data.den == x * c.denominator for c, x in zip(v, want))
+    doubled = gs.box.doubled()
+    if n not in doubled:
+        raise ValueError(f"{n} is outside the doubled box {doubled.N}")
+    return _seq_data(r, y, gs).leibniz(n)
 
 
 def decompose_Q(r: Rep, y, gs: GenSeq, word) -> MultiVector:
@@ -444,8 +473,7 @@ def decompose_Q(r: Rep, y, gs: GenSeq, word) -> MultiVector:
     is reported loudly with diagnostics.
     """
     data = _seq_data(r, y, gs)
-    target = data.s2.act_word(word, data.yy)
-    b = data.solve_coefficients(target)
+    b = data.solve_coefficients(_word_image(data.s2, word, data.yy))
     if b is None:
         raise StructuralError(
             "decomposition inconsistent: generator sequence span contract violated",
@@ -513,8 +541,8 @@ class _Products:
         an integer row, and the scaled products ask for w / psi(v)^2, w_ab =
         p_a p_b psi_a psi_b: b = S / (d psi(v)^2) for S = I w on the
         independent ones, checked as coords . S = w d on every product."""
-        (psi,), _ = _integer_rows([psi])
-        pv = QQ(sum(p * v[c] for p, c in zip(psi, self.u.pivots)))
+        (psi,), _ = _integer_rows([dict(enumerate(psi))])
+        pv = QQ(sum(psi[a] * v[c] for a, c in enumerate(self.u.pivots)))
         want = [self.scale[a] * self.scale[b] * psi[a] * psi[b] for a, b in self.pairs]
         picked = [(k, want[s]) for k, s in enumerate(self.independent) if want[s]]
         small = [sum(row[k] * w for k, w in picked) for row in self.inverse]
@@ -612,8 +640,7 @@ def _reverse(r: Rep, y, gs: GenSeq, x) -> ReverseOutcome:
     if not my_membership(r, y, x):
         raise ValueError("reverse direction needs a point with x x^t in the orbit module")
     data = _seq_data(r, y, gs)
-    target = yy_coords(x)
-    b = data.solve_coefficients(target)
+    b = data.solve_coefficients(_sparse(yy_coords(x)))
     if b is None:
         return ReverseOutcome(ok=False, failure="no catalecticant preimage: system inconsistent")
     bv = MultiVector(data.doubled, tuple(b))
@@ -769,7 +796,7 @@ def certify_irreducibility(r: Rep, y, trials: int = 25, seed: int = 0,
         ns = [ns[0]] + rng.sample(ns[1:], _LEIBNIZ_SAMPLE - 1)
     for n in ns:
         report.leibniz_trials += 1
-        if leibniz_check(r, y, gs, n):
+        if data.leibniz(n):
             report.leibniz_passes += 1
         else:
             report.witnesses.append({"check": "leibniz", "n": list(n)})

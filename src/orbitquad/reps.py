@@ -93,16 +93,21 @@ class Rep:
         return out
 
     def act(self, symbol: str, v: list[Fraction]) -> list[Fraction]:
+        if len(v) != self.dim:
+            raise DimensionMismatch("matrix-vector length mismatch")
+        out = [QQ(0)] * self.dim
+        for i, e in self.act_sparse(symbol, {j: x for j, x in enumerate(v) if x}).items():
+            out[i] = QQ(e)
+        return out
+
+    def act_sparse(self, symbol: str, v: dict) -> dict[int, Fraction | int]:
+        """The nonzero entries of the image of v, given by its nonzero entries;
+        integral entries of the action stay ints."""
         try:
             cols = self.columns[symbol]
         except KeyError:
             raise KeyError(f"unknown generator symbol {symbol!r}") from None
-        if len(v) != self.dim:
-            raise DimensionMismatch("matrix-vector length mismatch")
-        out = [QQ(0)] * self.dim
-        for i, e in _apply(cols, [(j, x) for j, x in enumerate(v) if x]).items():
-            out[i] = QQ(e)
-        return out
+        return _apply(cols, v.items())
 
     def act_word(self, word, v: list[Fraction]) -> list[Fraction]:
         """Apply a word of generator symbols right-to-left (empty = identity)."""
@@ -622,16 +627,19 @@ def exp_act(r: Rep, symbol: str, t, v) -> list[Fraction]:
     ends because X/Y generators act nilpotently."""
     if symbol.startswith("H"):
         raise ValueError(f"{symbol} is not nilpotent; only X/Y generators allowed")
+    if len(v) != r.dim:
+        raise DimensionMismatch("vector length != module dimension")
     t = QQ(t)
     out = list(map(QQ, v))
-    power = out
+    power = {j: x for j, x in enumerate(out) if x}
     coeff = QQ(1)
     for k in range(1, r.dim + 2):
-        power = r.act(symbol, power)
-        if vec_is_zero(power):
+        power = r.act_sparse(symbol, power)
+        if not power:
             return out
         coeff = coeff * t / k
-        out = [o + coeff * e for o, e in zip(out, power)]
+        for i, e in power.items():
+            out[i] += coeff * e
     raise StructuralError(f"action of {symbol} on {r.label} is not nilpotent")
 
 

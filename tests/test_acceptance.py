@@ -8,8 +8,8 @@ import json
 import random
 from fractions import Fraction as F
 
+from antichain_reference import antichain_brute_force
 from orbitquad.chordal import (
-    antichain_brute_force,
     lemma_suma_check,
     sperner_bound,
 )

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from orbitquad import chordal
 from orbitquad.chordal import (
     ChordalSpec,
-    antichain_brute_force,
     chordal_ideal,
     chordal_sample,
     component_analysis,
@@ -17,6 +16,7 @@ from orbitquad.chordal import (
     sperner_bound,
     wedge_coordinates,
 )
+from antichain_reference import antichain_brute_force
 from orbitquad.errors import GenericVectorError
 from orbitquad.lie import make_sl
 from orbitquad.orbit import my_membership, orbit_module, quadric_ideal

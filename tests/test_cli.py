@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbitquad.cli import (
     EXIT_DIMENSION,
@@ -101,7 +102,7 @@ def test_exit_parse_on_negative_counts():
 
 @pytest.mark.parametrize(
     "n,k,p,message",
-    [(2, 3, 1, "need 1 <= k <= n"), (4, 2, 0, "need p >= 1")],
+    [(2, 3, 1, "need 1 <= k <= n"), (4, 2, 0, "need p >= 1"), (1, 1, 1, "need n >= 2")],
 )
 def test_exit_parse_on_chordal_spec_out_of_range(n, k, p, message):
     code, out, err = invoke(["chordal", "--n", str(n), "--k", str(k), "--p", str(p)])
@@ -220,6 +221,49 @@ def test_library_errors_map_to_exit_5(monkeypatch, error):
     assert code == EXIT_DISCREPANCY
     assert out == ""
     assert err == f"error: {error}\n"
+
+
+def test_bare_value_errors_have_no_exit_arm():
+    import orbitquad.cli as cli
+
+    assert ValueError not in {t for t, _ in cli._ERROR_EXITS}
+
+
+_REPS = st.one_of(
+    st.sampled_from(["std", "dual(std)", "sym2(std)", "tensor(std,dual(std))",
+                     "spin(std)", "wedge(2,std", "wedge(x,std)"]),
+    st.builds("{}({},{})".format, st.sampled_from(["wedge", "sym"]), st.integers(0, 4),
+              st.sampled_from(["std", "dual(std)"])),
+)
+_VECTORS = st.lists(st.sampled_from(["1", "-1", "2", "1/2", "0"] * 6 + ["x", ""]),
+                    min_size=2, max_size=6).map(",".join)
+
+
+@st.composite
+def _cli_inputs(draw):
+    command = draw(st.sampled_from(["decompose", "ideal", "certify", "components",
+                                    "chordal"]))
+    if command == "chordal":
+        n, k, p = (draw(st.integers(lo, hi)) for lo, hi in ((1, 5), (0, 4), (0, 3)))
+        return [command, "--n", str(n), "--k", str(k), "--p", str(p),
+                "--samples", str(draw(st.integers(0, 1)))]
+    alg = draw(st.sampled_from(["sl:2"] * 3 + ["sl:3"] * 2 + ["sl:1", "gl:2"]))
+    argv = [command, "--alg", alg, "--rep", draw(_REPS), "--trials", "1"]
+    if command != "decompose":
+        for _ in range(draw(st.integers(1, 2)) if command == "components" else 1):
+            argv.append("--y=" + draw(_VECTORS))
+    return argv
+
+
+@settings(max_examples=80, deadline=None)
+@given(_cli_inputs())
+def test_cli_inputs_end_in_documented_exits(argv):
+    # With no ValueError arm, a bare ValueError that some input reached would
+    # escape main here as a traceback.
+    code, out, err = invoke(argv)
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_DIMENSION, EXIT_UNSUPPORTED,
+                    EXIT_DISCREPANCY, EXIT_INCONCLUSIVE)
+    assert (out == "") == err.startswith("error: ")
 
 
 def test_certify_box_cap_exit_6():

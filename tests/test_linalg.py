@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import kernel_reference
 from orbitquad import linalg
-from orbitquad.errors import DimensionMismatch
+from orbitquad.errors import DimensionMismatch, StructuralError
 from orbitquad.linalg import (
     Mat,
     PivotedSpan,
@@ -77,7 +77,7 @@ def test_augmented_rref_matches_fraction_reference(case, rhs):
     if pivots[:n] == list(range(n)):
         assert Mat(square).inverse() == Mat([row[n:] for row in want[:n]])
     else:
-        with pytest.raises(ValueError):
+        with pytest.raises(StructuralError, match="singular"):
             Mat(square).inverse()
 
 
@@ -257,7 +257,7 @@ def test_inverse():
     m = Mat([[1, 2], [3, 4]])
     assert m * m.inverse() == Mat.identity(2)
     assert m.inverse() * m == Mat.identity(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(StructuralError, match="singular"):
         Mat([[1, 2], [2, 4]]).inverse()
 
 

@@ -398,6 +398,52 @@ def test_leibniz_trivial_and_derived():
         leibniz_check(r, y, gs, (5,))
 
 
+def _fresh_seq_data(r, y):
+    """A _SeqData of its own, so corrupting it leaves the cached one alone,
+    with every Leibniz check passing before it is touched."""
+    gs = generator_sequence(r, y)
+    data = orbit._SeqData(r, y, gs)
+    assert all(data.leibniz(n) for n in data.doubled.indices())
+    return data
+
+
+def _reached(data):
+    """Doubled indices whose pair sum is held and nonzero."""
+    return [n for n in data.doubled.indices()
+            if any(data._pair_sums.get(data.doubled.position(n), ()))]
+
+
+@pytest.mark.parametrize("r,y", [(sl2_sym(3), [F(1), F(-1), F(1), F(1)]),
+                                 (wedge2_sl4(), E12_34)], ids=["sym3@sl2", "wedge2@sl4"])
+def test_leibniz_reads_false_on_a_corrupted_pair_sum(r, y):
+    data = _fresh_seq_data(r, y)
+    for n in _reached(data):
+        want = data._pair_sums[data.doubled.position(n)]
+        k = next(k for k, x in enumerate(want) if x)
+        want[k] += 1  # a coordinate D^n(yy) reaches, now off by one
+        assert not data.leibniz(n)
+        want[k] -= 1
+        z = next((k for k, x in enumerate(want) if not x), None)
+        if z is not None:  # a coordinate D^n(yy) does not reach, now nonzero
+            want[z] = 1
+            assert not data.leibniz(n)
+            want[z] = 0
+        assert data.leibniz(n)
+
+
+@pytest.mark.parametrize("r,y", [(sl2_sym(3), [F(1), F(-1), F(1), F(1)]),
+                                 (wedge2_sl4(), E12_34)], ids=["sym3@sl2", "wedge2@sl4"])
+def test_leibniz_reads_false_where_no_pair_reaches(r, y):
+    data = _fresh_seq_data(r, y)
+    reached = _reached(data)
+    assert reached
+    for n in reached:
+        # D^n(yy) is nonzero here; with the pair sum gone no pair reaches n
+        want = data._pair_sums.pop(data.doubled.position(n))
+        assert not data.leibniz(n)
+        data._pair_sums[data.doubled.position(n)] = want
+
+
 def test_decompose_Q_base_cases():
     r = sl2_sym(3)
     y = unit(4, 0)
@@ -597,7 +643,7 @@ def test_solver_shortcut_matches_full_reduction():
         outside = 0
         for target in targets:
             want = solve(full_system, target)
-            assert data.solve_coefficients(target) == want
+            assert data.solve_coefficients(dict(enumerate(target))) == want
             outside += want is None
         # unsolvable targets are exercised wherever the module is proper
         assert (outside > 0) == (module.dim < data.s2.dim)

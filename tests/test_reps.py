@@ -13,12 +13,14 @@ from orbitquad.linalg import (
     sym_coords_to_mat,
     sym_product_coords,
 )
+from orbitquad import orbit
 from orbitquad.orbit import orbit_module
 from orbitquad.reps import (
     Rep,
     cyclic_closure,
     cyclic_module,
     derived_rep,
+    exp_act,
     exp_nilpotent,
     highest_weight_vectors,
     isotypic_decomposition,
@@ -483,3 +485,73 @@ def test_sym_product_polarization():
     uu = sym_product_coords(u, u)
     assert uu == mat_to_sym_coords(Mat([[a * b for b in u] for a in u]))
     assert uw == sym_product_coords(w, u)
+
+
+# --- the sparse action against the dense one ---------------------------------
+
+def _fractional_std(g):
+    """A user module from Mats with fractional entries: the standard module
+    in a basis changed by a matrix with fractional entries."""
+    p = Mat([[1, F(1, 2), 0], [0, 1, F(1, 3)], [F(2, 5), 0, 1]])
+    p_inv = p.inverse()
+    return Rep(g, "frac-std", {sym: p_inv * m * p for sym, m in standard_rep(g).action.items()})
+
+
+SPARSE_MODULES = {
+    "std@sl3": lambda: standard_rep(make_sl(3)),
+    "dual@sl3": lambda: derived_rep(standard_rep(make_sl(3)), "dual"),
+    "sym3@sl2": lambda: derived_rep(standard_rep(make_sl(2)), "sym", 3),
+    "wedge2@sl4": lambda: derived_rep(standard_rep(make_sl(4)), "wedge", 2),
+    "tensor(std,sym2)@sl2": lambda: derived_rep(
+        standard_rep(make_sl(2)), "tensor", other=derived_rep(standard_rep(make_sl(2)), "sym", 2)),
+    "sym_square(std)@sl3": lambda: standard_rep(make_sl(3)).sym_square(),
+    "sym_square(sym2)@sl2": lambda: derived_rep(standard_rep(make_sl(2)), "sym", 2).sym_square(),
+    "frac-std@sl3": lambda: _fractional_std(make_sl(3)),
+    "sym_square(frac-std)@sl3": lambda: _fractional_std(make_sl(3)).sym_square(),
+}
+
+# mostly zero: three of every four draws are zero
+_MOSTLY_ZERO = st.one_of(st.just(F(0)), st.just(F(0)), st.just(F(0)),
+                         st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+def test_sparse_modules_include_fractional_actions():
+    # a symmetric square scales entry (i, j) by c_j / c_i, c = 1 or 2, which
+    # cancels to integers over an integral module, and not over the user one
+    for name in SPARSE_MODULES:
+        r = SPARSE_MODULES[name]()
+        entries = {e for cols in r.columns.values() for col in cols for _, e in col}
+        assert any(type(e) is F for e in entries) == ("frac" in name)
+
+
+@pytest.mark.parametrize("name", sorted(SPARSE_MODULES))
+@given(data=st.data())
+@settings(deadline=None, max_examples=25)
+def test_sparse_action_matches_dense(name, data):
+    r = SPARSE_MODULES[name]()
+    v = data.draw(st.lists(_MOSTLY_ZERO, min_size=r.dim, max_size=r.dim))
+    sparse = {j: x for j, x in enumerate(v) if x}
+
+    def dense(image):
+        assert all(image.values())  # only the nonzero entries are held
+        out = [F(0)] * r.dim
+        for i, e in image.items():
+            out[i] = F(e)
+        return out
+
+    for sym in r.algebra.catalog:
+        assert dense(r.act_sparse(sym, sparse)) == r.act(sym, v) == r.action[sym].apply(v)
+    word = data.draw(st.lists(st.sampled_from(r.algebra.catalog), max_size=4))
+    want = v
+    for sym in reversed(word):
+        want = r.action[sym].apply(want)
+    assert dense(orbit._word_image(r, word, sparse)) == r.act_word(word, v) == want
+    # exp(t X) v as its series on the dense matrix, which ends by dim V
+    sym = data.draw(st.sampled_from(r.algebra.xy_symbols()))
+    t = data.draw(st.fractions(min_value=-2, max_value=2, max_denominator=3))
+    series, power, coeff = list(v), list(v), F(1)
+    for k in range(1, r.dim + 1):
+        power = r.action[sym].apply(power)
+        coeff = coeff * t / k
+        series = [a + coeff * b for a, b in zip(series, power)]
+    assert exp_act(r, sym, t, v) == series
