@@ -183,7 +183,7 @@ def chordal_ideal(spec: ChordalSpec, samples: int = 0, seed: int = 0) -> Chordal
         # the span is a sum of submodules: it holds U(xx) exactly when it holds xx
         if used > 1 and span.contains(yy_coords(x)):
             break
-        span.add_all(list(row) for row in orbit_module(rep, x).basis)
+        span.add_all(orbit_module(rep, x)._rows.values())
     else:
         raise CapExceeded(
             "stabilization",
@@ -197,7 +197,7 @@ def chordal_ideal(spec: ChordalSpec, samples: int = 0, seed: int = 0) -> Chordal
     if s_x == partial.to_subspace():
         matched = 0
     for i, comp in enumerate(decomp.components):
-        partial.add_all(list(row) for row in comp.subspace.basis)
+        partial.add_all(comp.subspace._rows.values())
         if s_x == partial.to_subspace():
             matched = i + 1
             break

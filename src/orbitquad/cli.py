@@ -5,8 +5,9 @@ single JSON document with rationals serialized as strings, sorted keys, and
 no timestamps, so identical invocations are byte-identical.
 
 Exit codes: 0 success/consistent, 2 parse error (including a negative
---trials or --samples, an all-zero --y, and a chordal --n below 2, --k
-outside 1..n or --p below 1), 3 dimension mismatch, 4 unsupported
+--trials or --samples, an all-zero --y, a chordal --n below 2, --k
+outside 1..n or --p below 1, a --rep nested deeper than MAX_REP_DEPTH,
+and an --output path that cannot be written), 3 dimension mismatch, 4 unsupported
 expression (including a wedge or sym degree outside its range, and a
 chordal or components module whose symmetric square is not multiplicity
 free), 5 discrepancy verdict or a StructuralError or RankOneError (one
@@ -39,6 +40,8 @@ EXIT_DIMENSION = 3
 EXIT_UNSUPPORTED = 4
 EXIT_DISCREPANCY = 5
 EXIT_INCONCLUSIVE = 6
+
+MAX_REP_DEPTH = 64  # constructor nesting a --rep expression may have
 
 
 @dataclass
@@ -85,7 +88,7 @@ class _RepParser:
         self.algebra = algebra
 
     def parse(self) -> Rep:
-        rep = self._expr()
+        rep = self._expr(0)
         if self.pos != len(self.text):
             raise SpecParseError(f"trailing input in rep expression {self.text!r}")
         return rep
@@ -111,27 +114,29 @@ class _RepParser:
             raise SpecParseError(f"expected an integer at position {start}")
         return int(self.text[start:self.pos])
 
-    def _expr(self) -> Rep:
+    def _expr(self, depth: int) -> Rep:
+        if depth > MAX_REP_DEPTH:
+            raise SpecParseError(f"rep expression nested deeper than {MAX_REP_DEPTH}")
         name = self._name()
         if name == "std":
             return standard_rep(self.algebra)
         if name in ("dual", "sym2"):
             self._expect("(")
-            inner = self._expr()
+            inner = self._expr(depth + 1)
             self._expect(")")
             return derived_rep(inner, name)
         if name in ("wedge", "sym"):
             self._expect("(")
             k = self._int()
             self._expect(",")
-            inner = self._expr()
+            inner = self._expr(depth + 1)
             self._expect(")")
             return derived_rep(inner, name, k)
         if name == "tensor":
             self._expect("(")
-            left = self._expr()
+            left = self._expr(depth + 1)
             self._expect(",")
-            right = self._expr()
+            right = self._expr(depth + 1)
             self._expect(")")
             return derived_rep(left, "tensor", other=right)
         raise UnsupportedExpression(f"unknown rep constructor {name!r}")
@@ -369,8 +374,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return next(c for t, c in _ERROR_EXITS if isinstance(exc, t))
     if spec.output:
-        with open(spec.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(spec.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write --output: {exc}", file=sys.stderr)
+            return EXIT_PARSE
     else:
         sys.stdout.write(text)
     return code

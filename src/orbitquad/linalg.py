@@ -1,26 +1,30 @@
 """Exact linear algebra over the rationals.
 
 Scalars are ``fractions.Fraction`` (always reduced, denominator positive),
-vectors are plain lists of scalars, matrices are dense row-major grids, and
-subspaces are kept in reduced row echelon form so that equality of subspaces
-is equality of basis matrices.  Everything is exact; there are no tolerances
-anywhere in this package.
+matrices are dense row-major grids, and subspaces are kept in reduced row
+echelon form so that equality of subspaces is equality of basis matrices.
+Everything is exact; there are no tolerances anywhere in this package.
+
+A row is a dict of its nonzero entries by column, the form in which the
+module action returns its images.  Dense rows come in only at the public
+edges (``Subspace``, ``PivotedSpan.add``, the ``contains`` methods,
+``rref``, ``rank``, ``solve``, ``Mat.inverse``) and go out only as
+``Subspace.basis`` and ``Mat`` grids.
 
 Every row operation in the package happens in three functions here:
 
 - ``_rref_rows``, the one Gauss-Jordan elimination, behind ``Subspace``,
   ``rref``, ``rank``, ``solve`` and ``integer_inverse``;
-- ``_reduce``, which clears the pivot columns of a vector against echelon
+- ``_reduce``, which clears the pivot columns of a row against echelon
   rows, behind ``Subspace.contains`` and ``PivotedSpan``;
 - ``_kernel_rows``, which reads a kernel basis off a reduced matrix, behind
-  ``rref``, ``annihilator`` and ``kernel_combinations``.
+  ``rref`` and ``annihilator``.
 
 The first two work fraction-free (Bareiss, Math. Comp. 22, 1968) on the
 primitive integer multiple of each row: a row operation is a * row -
-b * pivot_row with a, b coprime, then division by the row's gcd, and
-``_rref_rows`` divides each pivot row by its pivot once, at the end.  The
-RREF of a row space is unique, so the answer is the canonical one that
-elimination over the rationals gives.
+b * pivot_row with a, b coprime, then division by the row's gcd, and only
+the nonzero entries are touched.  The RREF of a row space is unique, so the
+answer is the canonical one that elimination over the rationals gives.
 
 All values are treated as immutable after construction and all operations are
 pure, so they can be shared freely between concurrent workers.
@@ -28,8 +32,8 @@ pure, so they can be shared freely between concurrent workers.
 
 from __future__ import annotations
 
-from bisect import bisect
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .errors import DimensionMismatch, SpecParseError, StructuralError
@@ -62,14 +66,6 @@ def format_scalar(x: Fraction) -> str:
 
 def vec_is_zero(v) -> bool:
     return all(not e for e in v)
-
-
-def vec_add(a, b) -> list[Fraction]:
-    return [x + y for x, y in zip(a, b, strict=True)]
-
-
-def vec_sub(a, b) -> list[Fraction]:
-    return [x - y for x, y in zip(a, b, strict=True)]
 
 
 # ---------------------------------------------------------------------------
@@ -123,12 +119,12 @@ class Mat:
     def __add__(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("matrix addition shape mismatch")
-        return Mat([vec_add(r, s) for r, s in zip(self.data, other.data)])
+        return Mat([[x + y for x, y in zip(r, s)] for r, s in zip(self.data, other.data)])
 
     def __sub__(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("matrix subtraction shape mismatch")
-        return Mat([vec_sub(r, s) for r, s in zip(self.data, other.data)])
+        return Mat([[x - y for x, y in zip(r, s)] for r, s in zip(self.data, other.data)])
 
     def __neg__(self) -> "Mat":
         return self.scale(QQ(-1))
@@ -247,115 +243,139 @@ def trace_pairing_mat(row, n: int) -> Mat:
 
 # ---------------------------------------------------------------------------
 # row reduction
+#
+# A row is a dict of its nonzero entries by column.  Inside the kernel every
+# row is primitive (integer entries with gcd 1), and echelon rows are held
+# in a dict by pivot column, each row zero before its pivot.
 
-def _primitive(row, n: int | None = None) -> list[int] | None:
-    """The primitive integer multiple of a rational row, or None when it is
-    zero; only the nonzero entries are read.  With n given, row is a dict of
-    the nonzero entries of a row of length n."""
-    nonzero = [(c, e) for c, e in enumerate(row) if e] if n is None else list(row.items())
+def sparse(v) -> dict[int, Fraction | int]:
+    """The nonzero entries of a dense vector by coordinate, integral ones as ints."""
+    return {j: x.numerator if x.denominator == 1 else x for j, x in enumerate(v) if x}
+
+
+def _row(v, n: int) -> dict:
+    """v as a row: a dict as it is, a dense vector of length n by its nonzero entries."""
+    if isinstance(v, dict):
+        return v
+    if len(v) != n:
+        raise DimensionMismatch("vector length != ambient dimension")
+    return sparse(v)
+
+
+def _primitive(row: dict) -> dict[int, int] | None:
+    """The primitive integer multiple of a rational row, or None when it is zero."""
+    nonzero = [(c, e) for c, e in row.items() if e]
     if not nonzero:
         return None
     den = lcm(*(e.denominator for _, e in nonzero))
-    out = [0] * (len(row) if n is None else n)
-    for c, e in nonzero:
-        out[c] = e.numerator * (den // e.denominator)
-    g = gcd(*(out[c] for c, _ in nonzero))
-    return out if g == 1 else [x // g for x in out]
+    out = {c: e.numerator * (den // e.denominator) for c, e in nonzero}
+    g = gcd(*out.values())
+    return out if g == 1 else {c: x // g for c, x in out.items()}
 
 
-def _rref_rows(rows, ncols: int):
-    """Gauss-Jordan elimination of rational rows; returns (nonzero RREF
-    rows, pivot columns, primitive integer RREF rows).
-
-    Zero rows are dropped first.  Pivot entries are 1 and pivot columns are
-    cleared above and below, so the rows are the canonical RREF basis; each
-    integer row is its RREF row times the pivot.
-    """
-    work = list(map(_primitive, filter(any, rows)))
-    pivots: list[int] = []
-    for pc in range(ncols):
-        pr = len(pivots)
-        pivot_row = next((r for r in range(pr, len(work)) if work[r][pc]), None)
-        if pivot_row is None:
+def _reduce(v: dict[int, int] | None, rows: dict[int, dict[int, int]]) -> dict[int, int] | None:
+    """Clear the pivot columns of the primitive integer row v in increasing
+    order, each by a v - b row (a > 0, a and b coprime) and division by the
+    gcd; returns the primitive residue, or None when it is zero.  ``rows``
+    maps each pivot column to its row, which is zero before that column and
+    need not be zero in the other pivot columns, since clearing column p
+    only touches columns >= p."""
+    if v is None:
+        return None
+    todo = [c for c in v if c in rows]
+    heapify(todo)
+    while todo:
+        pc = heappop(todo)
+        f = v.get(pc)
+        if not f:
             continue
-        work[pr], work[pivot_row] = work[pivot_row], work[pr]
-        prow = work[pr]
-        work = [row if r == pr or not row[pc] else _reduce(row, (prow,), (pc,))
-                for r, row in enumerate(work)]
-        work[pr + 1:] = [row for row in work[pr + 1:] if row is not None]
-        pivots.append(pc)
-        if len(work) == len(pivots):
-            break
-    out = [[Fraction(x, row[pc]) if x else ZERO for x in row]
-           for row, pc in zip(work, pivots)]
-    return out, pivots, work
+        row = rows[pc]
+        p = row[pc]
+        g = gcd(p, f)
+        a, b = (p // g, f // g) if p > 0 else (-p // g, -f // g)
+        v = {c: a * x for c, x in v.items()}
+        for c, y in row.items():
+            if c not in v and c in rows:
+                heappush(todo, c)
+            v[c] = v.get(c, 0) - b * y
+        g = gcd(*v.values())
+        if not g:
+            return None
+        v = {c: x // g for c, x in v.items() if x}
+    return v
+
+
+def _rref_rows(rows) -> dict[int, dict[int, int]]:
+    """Gauss-Jordan elimination of rows given by their nonzero entries:
+    the primitive integer RREF rows by pivot column, in increasing order,
+    each with a positive pivot.
+
+    Each row is reduced against the echelon met so far and kept by its lead
+    column; then, from the last pivot back, each row's entries in later
+    pivot columns are cleared.  Zero rows drop out.  The RREF of a row space
+    is unique, so each row is the canonical RREF row times its pivot.
+    """
+    echelon: dict[int, dict[int, int]] = {}
+    for v in rows:
+        v = _reduce(_primitive(v), echelon)
+        if v is not None:
+            echelon[min(v)] = v
+    out: dict[int, dict[int, int]] = {}
+    for pc in sorted(echelon, reverse=True):
+        v = _reduce(echelon[pc], out)
+        out[pc] = v if v[pc] > 0 else {c: -x for c, x in v.items()}
+    return dict(sorted(out.items()))
+
+
+def _dense(row: dict[int, int], pc: int, n: int) -> list[Fraction]:
+    """The RREF row of a primitive integer row with pivot column pc, dense."""
+    out = [ZERO] * n
+    p = row[pc]
+    for c, x in row.items():
+        out[c] = Fraction(x, p)
+    return out
 
 
 def integer_inverse(rows) -> tuple[list[list[int]], int]:
     """M^-1 as integer rows over one positive denominator, read off the
-    primitive rows p_k [e_k | row k of M^-1] of [M | I]'s elimination."""
+    primitive rows p_k [e_k | row k of M^-1] of [M | I]'s elimination; the
+    rows of M are dense or given by their nonzero entries."""
     n = len(rows)
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    _, pivots, work = _rref_rows(aug, 2 * n)
-    if pivots[:n] != list(range(n)):
+    reduced = _rref_rows({**_row(row, n), n + i: 1} for i, row in enumerate(rows))
+    if list(reduced)[:n] != list(range(n)):
         raise StructuralError("matrix is singular")
-    den = lcm(*(row[k] for k, row in enumerate(work)))
-    return [[x * (den // row[k]) for x in row[n:]] for k, row in enumerate(work)], den
+    den = lcm(*(row[k] for k, row in reduced.items()))
+    return [[row.get(n + j, 0) * (den // row[k]) for j in range(n)]
+            for k, row in reduced.items()], den
 
 
-def _kernel_rows(reduced: list[list[Fraction]], pivots: list[int], ncols: int):
-    """Kernel basis from an RREF matrix, one row per free column."""
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    out = []
-    for f in free_cols:
-        v = [ZERO] * ncols
-        v[f] = ONE
-        for k, pc in enumerate(pivots):
-            if reduced[k][f]:
-                v[pc] = -reduced[k][f]
-        out.append(v)
-    return out
-
-
-def _reduce(v: list[int] | None, rows, pivots) -> list[int] | None:
-    """Clear the pivot columns of the primitive integer row v in increasing
-    order, each by a v - b row (a > 0, a and b coprime) and division by the
-    gcd; returns the primitive residue, or None when it is zero.  Each row
-    is zero before its pivot column and need not be zero in the other pivot
-    columns, since clearing column p only touches columns >= p."""
-    for row, pc in zip(rows, pivots):
-        if v is None:
-            break
-        f = v[pc]
-        if f:
-            p = row[pc]
-            g = gcd(p, f)
-            a, b = (p // g, f // g) if p > 0 else (-p // g, -f // g)
-            v = [a * x - b * y for x, y in zip(v, row)]
-            g = gcd(*v)
-            v = None if not g else v if g == 1 else [x // g for x in v]
-    return v
+def _kernel_rows(rows: dict[int, dict[int, int]], ncols: int) -> list[dict]:
+    """Kernel basis of an RREF matrix given by its primitive rows, one row
+    per free column f: e_f minus the sum of row_k[f] / p_k e_(pivot k)."""
+    kernel = {f: {f: 1} for f in range(ncols) if f not in rows}
+    for pc, row in rows.items():
+        p = row[pc]
+        for c, x in row.items():
+            if c != pc:
+                kernel[c][pc] = Fraction(-x, p)
+    return list(kernel.values())
 
 
 class Subspace:
     """A linear subspace of QQ^n in canonical reduced-row-echelon form.
 
     Construction always re-reduces, so two subspaces are equal exactly when
-    their ``basis`` grids are equal.
+    their ``basis`` grids are equal.  Rows come in dense or as dicts of
+    their nonzero entries.
     """
 
     __slots__ = ("ambient_dim", "basis", "pivots", "_rows")
 
     def __init__(self, ambient_dim: int, rows=None):
-        rows = list(rows or ())
-        for r in rows:
-            if len(r) != ambient_dim:
-                raise DimensionMismatch("basis row length != ambient dimension")
-        reduced, pivots, self._rows = _rref_rows(rows, ambient_dim)
+        self._rows = _rref_rows(_row(r, ambient_dim) for r in rows or ())
         self.ambient_dim = ambient_dim
-        self.basis = tuple(map(tuple, reduced))
-        self.pivots = tuple(pivots)
+        self.basis = tuple(tuple(_dense(row, pc, ambient_dim)) for pc, row in self._rows.items())
+        self.pivots = tuple(self._rows)
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -363,7 +383,7 @@ class Subspace:
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, Mat.identity(ambient_dim).data)
+        return Subspace(ambient_dim, [{i: 1} for i in range(ambient_dim)])
 
     @property
     def dim(self) -> int:
@@ -383,9 +403,7 @@ class Subspace:
         return f"Subspace(dim {self.dim} of QQ^{self.ambient_dim})"
 
     def contains(self, v) -> bool:
-        if len(v) != self.ambient_dim:
-            raise DimensionMismatch("vector length != ambient dimension")
-        return _reduce(_primitive(v), self._rows, self.pivots) is None
+        return _reduce(_primitive(_row(v, self.ambient_dim)), self._rows) is None
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(list(r)) for r in other.basis)
@@ -393,7 +411,7 @@ class Subspace:
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("subspace sum: ambient mismatch")
-        return Subspace(self.ambient_dim, self._rows + other._rows)
+        return Subspace(self.ambient_dim, [*self._rows.values(), *other._rows.values()])
 
     def intersect(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
@@ -407,14 +425,15 @@ def rref(m: Mat):
     Returns ``(reduced, rank, kernel)`` where ``reduced`` has the same shape
     as ``m`` (zero rows kept), and ``kernel`` spans ``{x | m x = 0}``.
     """
-    rows, pivots, _ = _rref_rows(m.data, m.cols)
-    kernel = Subspace(m.cols, _kernel_rows(rows, pivots, m.cols))
-    rows += [[ZERO] * m.cols for _ in range(m.rows - len(rows))]
-    return Mat(rows), len(pivots), kernel
+    rows = _rref_rows(map(sparse, m.data))
+    kernel = Subspace(m.cols, _kernel_rows(rows, m.cols))
+    reduced = [_dense(row, pc, m.cols) for pc, row in rows.items()]
+    reduced += [[ZERO] * m.cols for _ in range(m.rows - len(rows))]
+    return Mat(reduced), len(rows), kernel
 
 
 def rank(m: Mat) -> int:
-    return len(_rref_rows(m.data, m.cols)[1])
+    return len(_rref_rows(map(sparse, m.data)))
 
 
 def subspace_combine(a: Subspace, b: Subspace, mode: str) -> Subspace:
@@ -431,27 +450,7 @@ def annihilator(s: Subspace) -> Subspace:
 
     dim s + dim annihilator(s) = ambient, and the map is an involution.
     """
-    return Subspace(s.ambient_dim, _kernel_rows(s.basis, s.pivots, s.ambient_dim))
-
-
-def kernel_combinations(vectors, images) -> list[list[Fraction]]:
-    """The kernel of the linear map sending vectors[i] to images[i]: one
-    combination sum c_i vectors[i] per kernel basis vector c of the images.
-
-    The result is a basis of the kernel when ``vectors`` are independent.
-    """
-    d = len(vectors)
-    rows, pivots, _ = _rref_rows(zip(*images), d)
-    out = []
-    for coeff in _kernel_rows(rows, pivots, d):
-        total = [ZERO] * len(vectors[0])
-        for c, v in zip(coeff, vectors):
-            if c:
-                for i, e in enumerate(v):
-                    if e:
-                        total[i] += c * e
-        out.append(total)
-    return out
+    return Subspace(s.ambient_dim, _kernel_rows(s._rows, s.ambient_dim))
 
 
 def solve(m: Mat, rhs) -> list[Fraction] | None:
@@ -461,59 +460,53 @@ def solve(m: Mat, rhs) -> list[Fraction] | None:
     """
     if len(rhs) != m.rows:
         raise DimensionMismatch("rhs length != number of rows")
-    aug = [list(row) + [QQ(r)] for row, r in zip(m.data, rhs)]
-    rows, pivots, _ = _rref_rows(aug, m.cols + 1)
-    if pivots and pivots[-1] == m.cols:
+    rows = _rref_rows({**sparse(row), m.cols: QQ(r)} for row, r in zip(m.data, rhs))
+    if m.cols in rows:
         return None
     x = [ZERO] * m.cols
-    for k, pc in enumerate(pivots):
-        x[pc] = rows[k][m.cols]
+    for pc, row in rows.items():
+        x[pc] = Fraction(row.get(m.cols, 0), row[pc])
     return x
 
 
 class PivotedSpan:
     """Incrementally grown span with pivot bookkeeping.
 
-    Rows are primitive integer rows kept forward-reduced only (each row
-    leads in its own pivot column and is zero in all earlier pivot columns),
-    in increasing pivot order, which makes insertion cheap; ``to_subspace``
-    canonicalizes at the end.
+    Rows are primitive integer rows by pivot column, kept forward-reduced
+    only (each row leads in its own pivot column and is zero in all earlier
+    pivot columns), which makes insertion cheap; ``to_subspace``
+    canonicalizes at the end.  Vectors come in dense or as dicts of their
+    nonzero entries.
     """
 
-    __slots__ = ("ambient_dim", "rows", "pivots")
+    __slots__ = ("ambient_dim", "_rows")
 
     def __init__(self, ambient_dim: int):
         self.ambient_dim = ambient_dim
-        self.rows: list[list[int]] = []
-        self.pivots: list[int] = []
+        self._rows: dict[int, dict[int, int]] = {}
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
+
+    @property
+    def pivots(self) -> list[int]:
+        return sorted(self._rows)
+
+    @property
+    def rows(self) -> list[dict[int, int]]:
+        """The rows in increasing pivot order."""
+        return [self._rows[pc] for pc in self.pivots]
 
     def contains(self, v) -> bool:
-        return _reduce(_primitive(v), self.rows, self.pivots) is None
+        return _reduce(_primitive(_row(v, self.ambient_dim)), self._rows) is None
 
     def add(self, v) -> bool:
         """Insert v; returns True when it enlarged the span."""
-        if len(v) != self.ambient_dim:
-            raise DimensionMismatch("vector length != ambient dimension")
-        return self._insert(_primitive(v))
-
-    def add_sparse(self, v: dict) -> bool:
-        """Insert the row whose nonzero entries v holds by coordinate; returns
-        True when it enlarged the span."""
-        return self._insert(_primitive(v, self.ambient_dim))
-
-    def _insert(self, row: list[int] | None) -> bool:
-        """Reduce a primitive row against the span and keep its residue."""
-        res = _reduce(row, self.rows, self.pivots)
+        res = _reduce(_primitive(_row(v, self.ambient_dim)), self._rows)
         if res is None:
             return False
-        lead = next(j for j, e in enumerate(res) if e)
-        at = bisect(self.pivots, lead)
-        self.pivots.insert(at, lead)
-        self.rows.insert(at, res)
+        self._rows[min(res)] = res
         return True
 
     def add_all(self, vectors) -> bool:
@@ -523,4 +516,4 @@ class PivotedSpan:
         return grew
 
     def to_subspace(self) -> Subspace:
-        return Subspace(self.ambient_dim, self.rows)
+        return Subspace(self.ambient_dim, self._rows.values())

@@ -41,6 +41,7 @@ from .linalg import (
     format_scalar,
     integer_inverse,
     rank,
+    sparse,
     sym_coords_to_mat,
     sym_pairs,
     sym_square,
@@ -163,7 +164,7 @@ def nilpotency_bound(r: Rep, symbols, u) -> Box:
     tails.add(u)
     bounds = [0] * len(symbols)
     for s in range(len(symbols) - 1, -1, -1):
-        frontier = list(map(_sparse, tails.rows))
+        frontier = tails.rows
         k = 0
         while frontier:
             frontier = [v for v in (r.act_sparse(symbols[s], v) for v in frontier) if v]
@@ -172,15 +173,9 @@ def nilpotency_bound(r: Rep, symbols, u) -> Box:
             k += 1
             if k > r.dim:
                 raise StructuralError(f"action of {symbols[s]} is not nilpotent")
-            for v in frontier:
-                tails.add_sparse(v)
+            tails.add_all(frontier)
         bounds[s] = k
     return Box(bounds)
-
-
-def _sparse(v) -> dict[int, Fraction | int]:
-    """The nonzero entries of a vector by coordinate, integral ones as ints."""
-    return {j: x.numerator if x.denominator == 1 else x for j, x in enumerate(v) if x}
 
 
 def _word_image(r: Rep, word, v: dict) -> dict:
@@ -226,7 +221,7 @@ def _integer_rows(rows) -> tuple[list[dict[int, int]], int]:
 
 def _validate_vanishing(r: Rep, symbols, box: Box, y) -> None:
     """Exact check that raising any single exponent past its bound kills y."""
-    y = _sparse(map(QQ, y))
+    y = sparse(map(QQ, y))
     for j in range(len(symbols)):
         word = [sym for s, sym in enumerate(symbols)
                 for _ in range(box.N[s] + (1 if s == j else 0))]
@@ -250,13 +245,12 @@ def _monomial_span_dim(s2: Rep, symbols, box: Box, yy, target: int) -> int:
     span = PivotedSpan(s2.dim)
     span.add(yy)
     for s in range(len(symbols) - 1, -1, -1):
-        frontier = list(map(_sparse, span.rows))
+        frontier = span.rows
         for _ in range(2 * box.N[s]):
             if span.dim == target:
                 return target
             frontier = [v for v in (s2.act_sparse(symbols[s], v) for v in frontier) if v]
-            for v in frontier:
-                span.add_sparse(v)
+            span.add_all(frontier)
     return span.dim
 
 
@@ -352,36 +346,37 @@ def build_A(r: Rep, y, gs: GenSeq) -> MultiMatrix:
 
 
 class _SeqData:
-    """Shared exact artifacts of a (rep, y, generator sequence) triple: A's
-    columns as sparse integer rows over ``col_den``, the pair sums over
-    ``den`` = col_den^2, keyed by doubled position and held only where
-    reached."""
+    """Shared exact artifacts of a (rep, y, generator sequence) triple: the
+    orbit module, A's columns as sparse integer rows over ``col_den``, and
+    the pair sums over ``den`` = col_den^2 as rows keyed by doubled
+    position, held only where reached."""
 
     def __init__(self, r: Rep, y, gs: GenSeq):
         self.rep = r
         self.s2 = r.sym_square()
-        self.symbols = gs.symbols
-        self.module_dim = _closure(r, y).subspace.dim
-        self.yy = _sparse(yy_coords(y))
+        self.gs = gs
+        self.module = _closure(r, y).subspace
+        self.yy = sparse(yy_coords(y))
         self.doubled = gs.box.doubled()
-        memo = {0: _sparse(map(QQ, y))}  # each column's parent comes before it
+        memo = {0: sparse(map(QQ, y))}  # each column's parent comes before it
         self.columns, self.col_den = _integer_rows(
             [_normalized(r, gs.symbols, gs.box, memo, i) for i in gs.box.indices()])
         self.den = self.col_den ** 2
         self.dyy = {0: self.yy}  # D^n(yy)/n! by position, as ``leibniz`` reads them
         # position of n -> sum over i + j = n of the symmetric product of columns
         # i and j: each ordered pair (i, j) adds col_i[k] col_j[l] to slot k <= l
-        self._pair_sums: dict[int, list[int]] = {}
+        sums: defaultdict[int, defaultdict[int, int]] = defaultdict(lambda: defaultdict(int))
         slot = {kl: t for t, kl in enumerate(sym_pairs(r.dim))}
         nonzero = [(o, list(col.items()))
                    for o, col in zip(gs.box.doubled_offsets(), self.columns) if col]
         for o_i, col_i in nonzero:
             for o_j, col_j in nonzero:
-                acc = self._pair_sums.setdefault(o_i + o_j, [0] * self.s2.dim)
+                acc = sums[o_i + o_j]
                 for k, x in col_i:
                     for l, z in col_j:
                         if k <= l:
                             acc[slot[k, l]] += x * z
+        self._pair_sums = {p: {t: x for t, x in acc.items() if x} for p, acc in sums.items()}
 
     @cached_property
     def _solver(self):
@@ -394,13 +389,13 @@ class _SeqData:
         span = PivotedSpan(self.s2.dim)
         positions = []
         for p in sorted(self._pair_sums):
-            if span.dim == self.module_dim:
+            if span.dim == self.module.dim:
                 break
             if span.add(self._pair_sums[p]):
                 positions.append(p)
         cols = [self._pair_sums[p] for p in positions]
-        rows = [[(j, col[t]) for j, col in enumerate(cols) if col[t]] for t in range(self.s2.dim)]
-        inverse, den = integer_inverse([[col[t] for col in cols] for t in span.pivots])
+        rows = [[(j, col[t]) for j, col in enumerate(cols) if t in col] for t in range(self.s2.dim)]
+        inverse, den = integer_inverse([dict(rows[t]) for t in span.pivots])
         return positions, rows, span.pivots, inverse, den
 
     def solve_coefficients(self, target: dict) -> list[Fraction] | None:
@@ -429,7 +424,7 @@ class _SeqData:
         (coeffs,), t = _integer_rows([{p: b[p] for p in self._pair_sums if b[p]}])
         acc = [0] * self.s2.dim
         for p, c in coeffs.items():
-            for k, e in enumerate(self._pair_sums[p]):
+            for k, e in self._pair_sums[p].items():
                 acc[k] += c * e
         return sym_coords_to_mat([Fraction(x, t * self.den) for x in acc], self.rep.dim)
 
@@ -437,12 +432,21 @@ class _SeqData:
         """D^n(yy)/n! equals the pair sum at n exactly, on every coordinate:
         each nonzero entry matches, and the pair sum has no other nonzero
         entry (none at all where no pair reaches n)."""
-        v = _normalized(self.s2, self.symbols, self.doubled, self.dyy, n)
-        want = self._pair_sums.get(self.doubled.position(n))
-        if want is None:
-            return not v
-        return (all(c.numerator * self.den == want[k] * c.denominator for k, c in v.items())
-                and len(want) - want.count(0) == len(v))
+        v = _normalized(self.s2, self.gs.symbols, self.doubled, self.dyy, n)
+        want = self._pair_sums.get(self.doubled.position(n), {})
+        return len(want) == len(v) and all(
+            c.numerator * self.den == want.get(k, 0) * c.denominator for k, c in v.items())
+
+    def decompose(self, word) -> MultiVector:
+        """Coefficients b on the doubled box with Q(yy) = sum b_(i+j) A_i A_j,
+        for Q the word; ``decompose_Q`` reads it."""
+        b = self.solve_coefficients(_word_image(self.s2, word, self.yy))
+        if b is None:
+            raise StructuralError(
+                "decomposition inconsistent: generator sequence span contract violated",
+                {"word": list(word), "symbols": list(self.gs.symbols), "N": list(self.gs.box.N)},
+            )
+        return MultiVector(self.doubled, tuple(b))
 
 
 _SEQDATA_CACHE: dict[tuple, _SeqData] = {}
@@ -472,14 +476,7 @@ def decompose_Q(r: Rep, y, gs: GenSeq, word) -> MultiVector:
     An unsolvable system means the sequence violated its span contract, which
     is reported loudly with diagnostics.
     """
-    data = _seq_data(r, y, gs)
-    b = data.solve_coefficients(_word_image(data.s2, word, data.yy))
-    if b is None:
-        raise StructuralError(
-            "decomposition inconsistent: generator sequence span contract violated",
-            {"word": list(word), "symbols": list(gs.symbols), "N": list(gs.box.N)},
-        )
-    return MultiVector(data.doubled, tuple(b))
+    return _seq_data(r, y, gs).decompose(word)
 
 
 # ---------------------------------------------------------------------------
@@ -502,35 +499,37 @@ class _Products:
         self.u = u
         self.doubled_size = box.doubled().size
         offsets = box.doubled_offsets()
-        self.rows = [[(c, x) for c, x in enumerate(row) if x] for row in u._rows]
-        self.scale = [row[c] for row, c in zip(u._rows, u.pivots)]
+        self.rows = list(u._rows.values())
+        self.scale = [row[c] for c, row in u._rows.items()]
         self.pairs = sym_pairs(len(self.rows))
         products = [defaultdict(int) for _ in self.pairs]
-        for acc, (a, b) in zip(products, self.pairs):
-            for c, x in self.rows[a]:
-                for d, z in self.rows[b]:
+        by_position: defaultdict[int, dict[int, int]] = defaultdict(dict)  # their transpose
+        for s, (acc, (a, b)) in enumerate(zip(products, self.pairs)):
+            for c, x in self.rows[a].items():
+                for d, z in self.rows[b].items():
                     acc[offsets[c] + offsets[d]] += x * z
-        support = sorted(set().union(*products))
-        products = [[p.get(o, 0) for o in support] for p in products]
-        self.kernel = [[k * self.scale[a] * self.scale[b] for k, (a, b) in zip(kappa, self.pairs)]
-                       for kappa in annihilator(Subspace(len(products), zip(*products)))._rows]
-        image = PivotedSpan(len(support))
+            for o, x in acc.items():
+                by_position[o][s] = x
+        kernel = annihilator(Subspace(len(self.pairs), by_position.values()))._rows.values()
+        self.kernel = [[(k * self.scale[a] * self.scale[b], a, b)
+                        for s, k in kappa.items() for a, b in (self.pairs[s],)] for kappa in kernel]
+        image = PivotedSpan(self.doubled_size)
         self.independent = [s for s, p in enumerate(products) if image.add(p)]
-        self.pivots = [support[c] for c in image.pivots]
+        self.pivots = image.pivots
         # a product on F's pivots is its coordinate vector on F's RREF basis
-        self.coords = [[p[c] for c in image.pivots] for p in products]
+        self.coords = [[p.get(c, 0) for c in self.pivots] for p in products]
         self.inverse, self.den = integer_inverse([self.coords[s] for s in self.independent])
 
     def on_basis(self, psi):
         """psi on the RREF basis of U, or None when it vanishes there."""
-        vals = [Fraction(sum(psi[c] * x for c, x in row), p)
+        vals = [Fraction(sum(psi[c] * x for c, x in row.items()), p)
                 for row, p in zip(self.rows, self.scale)]
         return vals if any(vals) else None
 
     def report(self, psi) -> HyperplaneReport:
         """Codimension of mu(W.U) in mu(U.U) for W = ker psi, psi on e."""
         for kappa in self.kernel:
-            if sum(k * psi[a] * psi[b] for k, (a, b) in zip(kappa, self.pairs) if k):
+            if sum(k * psi[a] * psi[b] for k, a, b in kappa):
                 return HyperplaneReport("full", 0)
         return HyperplaneReport("hyperplane", 1)
 
@@ -602,7 +601,7 @@ class ReverseOutcome:
     failure: str | None = None
 
 
-def _forward(r: Rep, y, gs: GenSeq, prods: _Products, psi, v) -> ForwardOutcome:
+def _forward(data: _SeqData, prods: _Products, psi, v) -> ForwardOutcome:
     """The forward direction for W = ker psi (psi on the RREF basis of im A^t)
     and a complement v, once hyperplane_check has found codimension 1."""
     b_data = prods.functional(psi, v)
@@ -612,8 +611,8 @@ def _forward(r: Rep, y, gs: GenSeq, prods: _Products, psi, v) -> ForwardOutcome:
             failure="the forward functional failed its exact check on mu(im A^t . im A^t)",
             witness={"v": [format_scalar(e) for e in v]},
         )
-    b = MultiVector(gs.box.doubled(), tuple(b_data))
-    phi = _seq_data(r, y, gs).phi_of_coefficients(b_data)
+    b = MultiVector(data.doubled, tuple(b_data))
+    phi = data.phi_of_coefficients(b_data)
     rk = rank(phi)
     if rk > 1:
         return ForwardOutcome(
@@ -626,8 +625,7 @@ def _forward(r: Rep, y, gs: GenSeq, prods: _Products, psi, v) -> ForwardOutcome:
         # Veronese locus and logged by the caller
         return ForwardOutcome(ok=True, kind="rank0", rank=0, b=b)
     factor = rank_one_factor(phi)
-    member = my_membership(r, y, factor)
-    if not member:
+    if not data.module.contains(yy_coords(factor)):
         return ForwardOutcome(
             ok=False, kind="discrepancy", rank=1, b=b, factor=factor, membership=False,
             failure="rank-one factor fails membership",
@@ -636,11 +634,9 @@ def _forward(r: Rep, y, gs: GenSeq, prods: _Products, psi, v) -> ForwardOutcome:
     return ForwardOutcome(ok=True, kind="rank1", rank=1, b=b, factor=factor, membership=True)
 
 
-def _reverse(r: Rep, y, gs: GenSeq, x) -> ReverseOutcome:
-    if not my_membership(r, y, x):
-        raise ValueError("reverse direction needs a point with x x^t in the orbit module")
-    data = _seq_data(r, y, gs)
-    b = data.solve_coefficients(_sparse(yy_coords(x)))
+def _reverse(data: _SeqData, x) -> ReverseOutcome:
+    """The reverse direction for a point x with x x^t in the orbit module."""
+    b = data.solve_coefficients(sparse(yy_coords(x)))
     if b is None:
         return ReverseOutcome(ok=False, failure="no catalecticant preimage: system inconsistent")
     bv = MultiVector(data.doubled, tuple(b))
@@ -665,11 +661,13 @@ def rank1_correspondence(r: Rep, y, gs: GenSeq, a: MultiMatrix, direction: str,
             raise ValueError(f"forward direction needs a hyperplane W, got codimension {hyp.codim}")
         if not prods.u.contains(v) or W.contains(v):
             raise ValueError("v must span a complement of W in im A^t")
-        return _forward(r, y, gs, prods, psi, v)
+        return _forward(_seq_data(r, y, gs), prods, psi, v)
     if direction == "reverse":
         if x is None:
             raise ValueError("reverse direction needs x")
-        return _reverse(r, y, gs, x)
+        if not my_membership(r, y, x):
+            raise ValueError("reverse direction needs a point with x x^t in the orbit module")
+        return _reverse(_seq_data(r, y, gs), x)
     raise ValueError(f"unknown direction {direction!r}")
 
 
@@ -778,13 +776,13 @@ def certify_irreducibility(r: Rep, y, trials: int = 25, seed: int = 0,
     gs = generator_sequence(r, y, max_box=max_box)
     data = _seq_data(r, y, gs)
     a = build_A(r, y, gs)
-    module = orbit_module(r, y)
+    im_at = a.row_space()
+    module = data.module
     ideal = quadric_ideal(r, y, module=module)
-    s2dim = data.s2.dim
     report = CertReport(
         rep_label=r.label,
-        dims={"V": r.dim, "S2V": s2dim, "module": module.dim, "ideal": ideal.dim},
-        rank_A=rank(a),
+        dims={"V": r.dim, "S2V": data.s2.dim, "module": module.dim, "ideal": ideal.dim},
+        rank_A=im_at.dim,
         symbols=list(gs.symbols),
         N=list(gs.box.N),
         seed=seed,
@@ -806,7 +804,7 @@ def certify_irreducibility(r: Rep, y, trials: int = 25, seed: int = 0,
         word = tuple(rng.choice(catalog) for _ in range(rng.randint(0, 4)))
         report.decompose_trials += 1
         try:
-            decompose_Q(r, y, gs, word)
+            data.decompose(word)
             report.decompose_passes += 1
             report.trial_log.append({"check": "decompose", "word": list(word),
                                      "ok": True})
@@ -816,7 +814,6 @@ def certify_irreducibility(r: Rep, y, trials: int = 25, seed: int = 0,
             report.witnesses.append({"check": "decompose", "word": list(word),
                                      "detail": str(exc)})
 
-    im_at = a.row_space()
     prods = _Products(gs.box, im_at)
 
     def process_hyperplane(psi, source):
@@ -830,7 +827,7 @@ def certify_irreducibility(r: Rep, y, trials: int = 25, seed: int = 0,
         report.hyperplane_good += 1
         report.forward_trials += 1
         v = im_at.basis[next(k for k, c in enumerate(psi) if c)]
-        out = _forward(r, y, gs, prods, psi, v)
+        out = _forward(data, prods, psi, v)
         if out.kind == "rank0":
             report.forward_rank0 += 1
         report.trial_log.append({"check": "forward", "source": source,
@@ -860,12 +857,12 @@ def certify_irreducibility(r: Rep, y, trials: int = 25, seed: int = 0,
     for _ in range(trials):
         x, recipe = _orbit_sample(rng, r, y)
         report.reverse_trials += 1
-        if not my_membership(r, y, x):
+        if not module.contains(yy_coords(x)):
             report.trial_log.append({"check": "reverse", "recipe": recipe, "ok": False})
             report.witnesses.append({"check": "reverse-membership", "recipe": recipe,
                                      "x": [format_scalar(e) for e in x]})
             continue
-        out = _reverse(r, y, gs, x)
+        out = _reverse(data, x)
         report.trial_log.append({"check": "reverse", "recipe": recipe, "ok": out.ok})
         if out.ok:
             report.reverse_passes += 1

@@ -31,8 +31,9 @@ from .linalg import (
     PivotedSpan,
     QQ,
     Subspace,
-    kernel_combinations,
+    annihilator,
     rref,
+    sparse,
     sym_pairs,
     vec_is_zero,
 )
@@ -96,7 +97,7 @@ class Rep:
         if len(v) != self.dim:
             raise DimensionMismatch("matrix-vector length mismatch")
         out = [QQ(0)] * self.dim
-        for i, e in self.act_sparse(symbol, {j: x for j, x in enumerate(v) if x}).items():
+        for i, e in self.act_sparse(symbol, sparse(v)).items():
             out[i] = QQ(e)
         return out
 
@@ -149,7 +150,7 @@ class Rep:
     @cached_property
     def _weight_frame(self):
         """(module, p, p_inv): this module in a basis of weight vectors, and the
-        change to it.
+        change to it, p given by its sparse columns.
 
         For a module whose coroots act diagonally this is (self, None, None).
         Otherwise the columns of p are the bases of ``weight_decomposition``,
@@ -161,7 +162,7 @@ class Rep:
                  for row in space.basis]).transpose()
         p_inv = p.inverse()
         action = {s: p_inv * m * p for s, m in self.action.items()}
-        return Rep(self.algebra, self.label, action, _checked=True), p, p_inv
+        return Rep(self.algebra, self.label, action, _checked=True), _columns_of(p), p_inv
 
 
 def _columns_of(m: Mat) -> list[list[tuple[int, Fraction | int]]]:
@@ -371,19 +372,10 @@ def weight_decomposition(r: Rep) -> list[tuple[Weight, Subspace]]:
     loudly.
     """
     n = r.dim
-    weights = r.weights
     spaces: list[tuple[Weight, Subspace]] = []
-    if weights is not None:
-        groups: dict[tuple, list[int]] = {}
-        for j, w in enumerate(weights):
-            groups.setdefault(w, []).append(j)
-        for w, idxs in groups.items():
-            rows = []
-            for j in idxs:
-                e = [QQ(0)] * n
-                e[j] = QQ(1)
-                rows.append(e)
-            spaces.append((_as_int_weight(w, r), Subspace(n, rows)))
+    if r.weights is not None:
+        spaces = [(_as_int_weight(w, r), Subspace(n, [{j: 1} for j in block]))
+                  for w, block in _weight_blocks(r.weights).items()]
     else:
         partial: list[tuple[tuple[int, ...], Subspace]] = [((), Subspace.full(n))]
         for h in (r.action[s] for s in r.algebra.h_symbols()):
@@ -413,6 +405,14 @@ def weight_decomposition(r: Rep) -> list[tuple[Weight, Subspace]]:
             "coroot actions are not simultaneously diagonalizable over QQ")
     spaces.sort(key=lambda ws: ws[0], reverse=True)
     return spaces
+
+
+def _weight_blocks(weights) -> dict[Weight, list[int]]:
+    """The coordinates of each weight, in increasing order."""
+    blocks: dict[Weight, list[int]] = {}
+    for j, mu in enumerate(weights):
+        blocks.setdefault(mu, []).append(j)
+    return blocks
 
 
 def _as_int_weight(w, r: Rep) -> Weight:
@@ -446,15 +446,29 @@ def weight_of(r: Rep, v) -> Weight:
 
 
 def highest_weight_vectors(r: Rep) -> list[tuple[Weight, Subspace]]:
-    """For each weight, the subspace killed by every positive-root action."""
-    xs = r.algebra.x_symbols()
+    """For each weight, the subspace killed by every positive-root action.
+
+    Worked one weight block at a time in the weight basis of
+    ``Rep._weight_frame``, where X sends e_j to column j of its action: the
+    block's highest weight vectors are the annihilator of the rows of the
+    matrix of those columns over all X, mapped back through p if needed.
+    """
+    graded, p, _ = r._weight_frame
+    xs = [graded.columns[x] for x in r.algebra.x_symbols()]
     out = []
-    for w, space in weight_decomposition(r):
-        basis = [list(row) for row in space.basis]
-        images = [[e for x in xs for e in r.act(x, b)] for b in basis]
-        rows = kernel_combinations(basis, images)
-        if rows:
-            out.append((w, Subspace(r.dim, rows)))
+    for w, block in sorted(_weight_blocks(graded.weights).items(), reverse=True):
+        # (generator, image coordinate) -> its entries by block coordinate
+        rows: dict[tuple[int, int], dict[int, Fraction | int]] = {}
+        for k, j in enumerate(block):
+            for t, cols in enumerate(xs):
+                for i, e in cols[j]:
+                    rows.setdefault((t, i), {})[k] = e
+        kernel = annihilator(Subspace(len(block), rows.values())).basis
+        if kernel:
+            vecs = [{block[k]: x for k, x in enumerate(row) if x} for row in kernel]
+            if p is not None:
+                vecs = [_apply(p, v.items()) for v in vecs]
+            out.append((_as_int_weight(w, r), Subspace(r.dim, vecs)))
     return out
 
 
@@ -474,28 +488,20 @@ def _graded_closure(r: Rep, w):
     weight in increasing order, with the recorded words.
     """
     weights = r.weights
-    coords: dict[Weight, list[int]] = {}
-    local = []
-    for j, mu in enumerate(weights):
-        block = coords.setdefault(mu, [])
-        local.append(len(block))
-        block.append(j)
+    coords = _weight_blocks(weights)
+    local = {j: k for block in coords.values() for k, j in enumerate(block)}
     spans = {mu: PivotedSpan(len(block)) for mu, block in coords.items()}
 
     def insert(v: dict[int, Fraction | int]) -> bool:
-        parts: dict[Weight, list] = {}
+        parts: dict[Weight, dict[int, Fraction | int]] = {}
         for j, x in v.items():
-            mu = weights[j]
-            part = parts.get(mu)
-            if part is None:
-                part = parts[mu] = [0] * len(coords[mu])
-            part[local[j]] = x
+            parts.setdefault(weights[j], {})[local[j]] = x
         grew = False
         for mu, part in parts.items():
             grew |= spans[mu].add(part)
         return grew
 
-    start = {j: _compact(QQ(x)) for j, x in enumerate(w) if x}
+    start = sparse(w)
     words: list[tuple[str, ...]] = []
     if not insert(start):
         return spans, coords, words
@@ -538,15 +544,10 @@ def cyclic_closure(r: Rep, w) -> ClosureResult:
         raise DimensionMismatch("vector length != ambient dimension")
     graded, p, p_inv = r._weight_frame
     spans, coords, words = _graded_closure(graded, w if p_inv is None else p_inv.apply(w))
-    rows = []
-    for mu, span in spans.items():
-        block = coords[mu]
-        for local_row in span.rows:
-            row = [QQ(0)] * r.dim
-            for k, x in enumerate(local_row):
-                if x:
-                    row[block[k]] = x
-            rows.append(row if p is None else p.apply(row))
+    rows = [{coords[mu][k]: x for k, x in row.items()}
+            for mu, span in spans.items() for row in span.rows]
+    if p is not None:
+        rows = [_apply(p, row.items()) for row in rows]
     return ClosureResult(Subspace(r.dim, rows), words)
 
 
@@ -603,14 +604,13 @@ def isotypic_decomposition(r: Rep) -> IsotypicDecomposition:
     for w, hw_space in highest_weight_vectors(r):
         span = PivotedSpan(r.dim)
         for row in hw_space.basis:
-            sub = cyclic_module(r, list(row))
-            span.add_all(list(b) for b in sub.basis)
+            span.add_all(cyclic_module(r, list(row))._rows.values())
         comps.append(IsotypicComponent(w, hw_space.dim, span.to_subspace()))
     total = PivotedSpan(r.dim)
     dim_sum = 0
     for c in comps:
         dim_sum += c.dim
-        total.add_all(list(b) for b in c.subspace.basis)
+        total.add_all(c.subspace._rows.values())
     if r.dim and (total.dim != r.dim or dim_sum != r.dim):
         raise StructuralError(
             f"isotypic components of {r.label} sum to {dim_sum} (span {total.dim}) "
@@ -631,7 +631,7 @@ def exp_act(r: Rep, symbol: str, t, v) -> list[Fraction]:
         raise DimensionMismatch("vector length != module dimension")
     t = QQ(t)
     out = list(map(QQ, v))
-    power = {j: x for j, x in enumerate(out) if x}
+    power = sparse(out)
     coeff = QQ(1)
     for k in range(1, r.dim + 2):
         power = r.act_sparse(symbol, power)

@@ -6,7 +6,8 @@ plain elimination over the dense RREF basis, sharing no code with the
 integer tables that ``certify_irreducibility`` reads.
 """
 
-from orbitquad.linalg import Subspace, kernel_combinations
+from kernel_reference import kernel_combinations
+from orbitquad.linalg import Subspace
 from orbitquad.orbit import _evaluation
 
 

@@ -3,8 +3,10 @@
 These are the row operations the library ran before it moved to
 fraction-free elimination on integer rows: every pivot row is divided by
 its pivot as soon as it is chosen, and every other row is cleared with
-``Fraction`` arithmetic.  The RREF of a row space is unique, so the library
-must return exactly what these return.
+``Fraction`` arithmetic, all on dense rows.  The RREF of a row space is
+unique, so the library must return exactly what these return.
+``kernel_combinations`` is the dense kernel of a linear map given by the
+images of vectors, which the library once used for highest weight vectors.
 """
 
 from fractions import Fraction
@@ -68,3 +70,23 @@ def reduce(v, rows, pivots):
                 if row[j]:
                     v[j] -= c * row[j]
     return v
+
+
+def kernel_combinations(vectors, images):
+    """The kernel of the linear map sending vectors[i] to images[i]: one
+    combination sum c_i vectors[i] per kernel basis vector c of the images,
+    read off the RREF of the matrix whose columns are the images.
+
+    The result is a basis of the kernel when ``vectors`` are independent.
+    """
+    d = len(vectors)
+    rows, pivots = rref_rows(list(zip(*images)), d)
+    out = []
+    for f in (c for c in range(d) if c not in pivots):
+        coeff = [Fraction(0)] * d
+        coeff[f] = ONE
+        for k, pc in enumerate(pivots):
+            coeff[pc] = -rows[k][f]
+        out.append([sum((c * v[i] for c, v in zip(coeff, vectors) if c), Fraction(0))
+                    for i in range(len(vectors[0]))])
+    return out

@@ -10,8 +10,9 @@ elimination.
 
 from dataclasses import dataclass
 
+from kernel_reference import kernel_combinations
 from orbitquad.errors import DimensionMismatch
-from orbitquad.linalg import QQ, Subspace, kernel_combinations, pair_coords, sym_pairs
+from orbitquad.linalg import QQ, Subspace, pair_coords, sym_pairs
 from orbitquad.multimatrix import Box, MultiVector
 
 

@@ -4,7 +4,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from orbitquad.cli import (
     EXIT_DIMENSION,
@@ -13,6 +13,7 @@ from orbitquad.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_UNSUPPORTED,
+    MAX_REP_DEPTH,
     main,
     parse_rep,
     parse_spec,
@@ -255,8 +256,14 @@ def _cli_inputs(draw):
     return argv
 
 
+_TOO_DEEP = "dual(" * 1200 + "std" + ")" * 1200
+
+
 @settings(max_examples=80, deadline=None)
 @given(_cli_inputs())
+@example(["decompose", "--alg", "sl:2", "--rep", _TOO_DEEP])
+# deeper than the recursion limit Hypothesis raises to while it runs a test
+@example(["decompose", "--alg", "sl:2", "--rep", "dual(" * 5000 + "std" + ")" * 5000])
 def test_cli_inputs_end_in_documented_exits(argv):
     # With no ValueError arm, a bare ValueError that some input reached would
     # escape main here as a traceback.
@@ -264,6 +271,17 @@ def test_cli_inputs_end_in_documented_exits(argv):
     assert code in (EXIT_OK, EXIT_PARSE, EXIT_DIMENSION, EXIT_UNSUPPORTED,
                     EXIT_DISCREPANCY, EXIT_INCONCLUSIVE)
     assert (out == "") == err.startswith("error: ")
+
+
+def test_rep_nesting_is_bounded():
+    at_bound = "dual(" * MAX_REP_DEPTH + "std" + ")" * MAX_REP_DEPTH
+    code, out, _ = invoke(["decompose", "--alg", "sl:2", "--rep", at_bound])
+    assert code == EXIT_OK and json.loads(out)["result"]["dim"] == 2
+    for rep in ("dual(" + at_bound + ")", _TOO_DEEP,
+                "tensor(std," + "sym2(" * 70 + "std" + ")" * 70 + ")"):
+        code, out, err = invoke(["decompose", "--alg", "sl:2", "--rep", rep])
+        assert code == EXIT_PARSE and out == ""
+        assert err == f"error: rep expression nested deeper than {MAX_REP_DEPTH}\n"
 
 
 def test_certify_box_cap_exit_6():
@@ -325,6 +343,14 @@ def test_output_file(tmp_path):
     assert out == ""
     doc = json.loads(path.read_text())
     assert doc["result"]["dim"] == 2
+
+
+def test_output_path_that_cannot_be_opened_exits_2(tmp_path):
+    for path in (tmp_path / "missing" / "x.json", tmp_path):
+        code, out, err = invoke(["decompose", "--alg", "sl:2", "--rep", "std",
+                                 "--output", str(path)])
+        assert code == EXIT_PARSE and out == ""
+        assert err.startswith("error: cannot write --output: ") and err.count("\n") == 1
 
 
 def test_console_entry_point():

@@ -14,7 +14,11 @@ check reads, so it pins the seeded sample drawn from ``indices()`` on a
 six-axis box.  ``certify`` of E12 + E34 + E56 in wedge^2 of sl(6) was
 written before the correspondence tables moved onto integer rows: its box
 has nine axes and 512 indices, so it pins the seeded random functionals
-drawn over every box coordinate.  Each command is run in a fresh
+drawn over every box coordinate.  ``decompose`` of sym2(wedge(2,std)) at
+sl:6 and ``chordal --n 6 --k 2 --p 1`` were written before the exact kernel
+moved onto sparse rows and highest weight vectors were found one weight
+block at a time: they pin the isotypic pieces, the chordal span and the
+matched tail at dim S^2 V = 120.  Each command is run in a fresh
 interpreter, so every module is built cold.
 """
 

@@ -20,6 +20,7 @@ MOVED_ORACLES = {
     "mu_of_pair_coords": "multimatrix",
     "antichain_brute_force": "chordal",
     "evaluation_hyperplane": "orbit",
+    "kernel_combinations": "linalg",
 }
 
 

@@ -1,9 +1,11 @@
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import kernel_reference
+from kernel_reference import kernel_combinations
 from orbitquad import linalg
 from orbitquad.errors import DimensionMismatch, StructuralError
 from orbitquad.linalg import (
@@ -12,7 +14,6 @@ from orbitquad.linalg import (
     Subspace,
     annihilator,
     format_scalar,
-    kernel_combinations,
     parse_scalar,
     rank,
     rref,
@@ -43,14 +44,19 @@ def sparse_rows(max_rows=6, max_cols=6):
 
 
 def assert_matches_reference(rows, ncols):
-    got, pivots, ints = linalg._rref_rows(rows, ncols)
+    # the library's rows are dicts of nonzero entries, the reference's dense
+    ints = linalg._rref_rows(map(linalg.sparse, rows))
+    pivots = list(ints)
+    got = [[F(row.get(c, 0), row[pc]) for c in range(ncols)] for pc, row in ints.items()]
     want, want_pivots = kernel_reference.rref_rows(rows, ncols)
     # the library drops the zero rows that the reference sinks to the bottom
     assert (got, pivots) == (want[:len(want_pivots)], want_pivots)
     assert not any(map(any, want[len(want_pivots):]))
-    # each integer row is its RREF row times its pivot
-    for row, pc, scaled in zip(got, pivots, ints):
-        assert [x * scaled[pc] for x in row] == scaled
+    # each integer row is its RREF row times its positive pivot, primitive,
+    # and holds only nonzero entries
+    for row, pc, scaled in zip(got, pivots, ints.values()):
+        assert scaled[pc] > 0 and gcd(*scaled.values()) == 1 and all(scaled.values())
+        assert linalg.sparse([x * scaled[pc] for x in row]) == scaled
 
 
 @given(sparse_rows())
@@ -87,15 +93,20 @@ def test_augmented_rref_matches_fraction_reference(case, rhs):
 def test_span_membership_matches_fraction_reference(case, probes, coeffs):
     rows, ncols = case
     basis, pivots = kernel_reference.rref_rows(rows, ncols)
-    span = PivotedSpan(ncols)
+    span, sparse_span = PivotedSpan(ncols), PivotedSpan(ncols)
     grew = [span.add(r) for r in rows]
-    assert sum(grew) == len(pivots) and span.pivots == pivots
+    assert [sparse_span.add(linalg.sparse(r)) for r in rows] == grew
+    assert sum(grew) == len(pivots) and span.pivots == sparse_span.pivots == pivots
     sub = Subspace(ncols, rows)
+    assert Subspace(ncols, map(linalg.sparse, rows)) == sub
     # combinations of the rows lie in the span; random probes mostly do not
     combos = [[sum((c * r[k] for c, r in zip(coeffs, rows)), F(0)) for k in range(ncols)]]
     for v in combos + [p[:ncols] for p in probes]:
         inside = all(not e for e in kernel_reference.reduce(v, basis, pivots))
+        # the same vector, dense and as a dict of its nonzero entries
+        d = linalg.sparse(v)
         assert span.contains(v) == sub.contains(v) == inside
+        assert sparse_span.contains(d) == span.contains(d) == sub.contains(d) == inside
 
 
 def test_rref_identity():

@@ -30,6 +30,7 @@ from orbitquad.reps import (
     weights_multiset,
 )
 
+import highest_weight_reference
 import weyl_oracle
 from closure_reference import dense_closure
 from construction_reference import dense_construction
@@ -182,6 +183,38 @@ def test_highest_weight_vectors(sl2):
     r6 = derived_rep(derived_rep(standard_rep(sl2), "sym", 2), "sym2")
     hw6 = highest_weight_vectors(r6)
     assert [(w, s.dim) for w, s in hw6] == [((4,), 1), ((0,), 1)]
+
+
+def _std(n):
+    return standard_rep(make_sl(n))
+
+
+HIGHEST_WEIGHT_MODULES = {
+    "std@sl3": lambda: _std(3),
+    "sym(3,std)@sl2": lambda: derived_rep(_std(2), "sym", 3),
+    "sym(2,std)@sl3": lambda: derived_rep(_std(3), "sym", 2),
+    "wedge(2,std)@sl4": lambda: derived_rep(_std(4), "wedge", 2),
+    "tensor(std,dual(std))@sl3": lambda: derived_rep(
+        _std(3), "tensor", other=derived_rep(_std(3), "dual")),
+    # weight (1,1) carries two highest weight vectors: a block of multiplicity 2
+    "tensor(std,tensor(std,std))@sl3": lambda: derived_rep(
+        _std(3), "tensor", other=derived_rep(_std(3), "tensor", other=_std(3))),
+    "sym2(wedge(2,std))@sl4": lambda: derived_rep(derived_rep(_std(4), "wedge", 2), "sym2"),
+    "sym2(wedge(2,std))@sl5": lambda: derived_rep(derived_rep(_std(5), "wedge", 2), "sym2"),
+    "twisted-sym3@sl2": lambda: twisted_sym3(make_sl(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HIGHEST_WEIGHT_MODULES))
+def test_highest_weight_vectors_match_dense_reference(name):
+    r = HIGHEST_WEIGHT_MODULES[name]()
+    got = highest_weight_vectors(r)
+    assert got == highest_weight_reference.highest_weight_vectors(r)
+    for _, space in got:
+        for row in space.basis:
+            assert all(not any(r.act(x, list(row))) for x in r.algebra.x_symbols())
+    if name.startswith("tensor(std,tensor"):
+        assert [(w, s.dim) for w, s in got] == [((3, 0), 1), ((1, 1), 2), ((0, 0), 1)]
 
 
 def test_weight_of(sl2):
