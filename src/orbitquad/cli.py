@@ -13,6 +13,8 @@ chordal or components module whose symmetric square is not multiplicity
 free), 5 discrepancy verdict or a StructuralError or RankOneError (one
 ``error:`` line on stderr, empty stdout), 6 caps or inconclusive.
 The environment variable ORBITQUAD_MAX_BOX bounds the accepted generator sequence's box.
+Before anything is built, n is checked against MAX_N and the dimension of
+every module a command would build against MAX_DIM (kinds ``n`` and ``dim``).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .chordal import ChordalSpec, chordal_ideal, component_analysis
 from .errors import (CapExceeded, DimensionMismatch, RankOneError, SpecParseError,
@@ -42,6 +45,10 @@ EXIT_DISCREPANCY = 5
 EXIT_INCONCLUSIVE = 6
 
 MAX_REP_DEPTH = 64  # constructor nesting a --rep expression may have
+MAX_N = 16  # largest n of --alg sl:<n> and of chordal --n
+# largest dimension of a module a command builds: every module of --rep, and
+# S^2 V for ideal, certify, components and chordal (chordal --n 9 --k 3 has 3570)
+MAX_DIM = 4000
 
 
 @dataclass
@@ -62,7 +69,8 @@ class RunSpec:
 # ---------------------------------------------------------------------------
 # parsing
 
-def parse_algebra(text: str):
+def parse_algebra(text: str) -> int:
+    """The n of an algebra spec sl:<n>, bounded by MAX_N; nothing is built."""
     if not text.startswith("sl:"):
         raise UnsupportedExpression(f"unknown algebra spec {text!r}; expected sl:<n>")
     try:
@@ -71,7 +79,13 @@ def parse_algebra(text: str):
         raise SpecParseError(f"bad algebra spec {text!r}") from None
     if n < 2:
         raise SpecParseError("sl(n) needs n >= 2")
-    return make_sl(n)
+    return _capped("n", n, MAX_N)
+
+
+def _capped(kind: str, value: int, cap: int) -> int:
+    if value > cap:
+        raise CapExceeded(kind, f"{kind} {value} exceeds cap {cap}", {kind: value, "cap": cap})
+    return value
 
 
 def parse_vector(text: str) -> list[Fraction]:
@@ -80,14 +94,13 @@ def parse_vector(text: str) -> list[Fraction]:
 
 class _RepParser:
     """Recursive descent over std | dual(E) | wedge(k,E) | sym(k,E) |
-    tensor(E,E) | sym2(E)."""
+    tensor(E,E) | sym2(E), into a tree of (constructor, degree, operands)."""
 
-    def __init__(self, text: str, algebra):
+    def __init__(self, text: str):
         self.text = text.replace(" ", "")
         self.pos = 0
-        self.algebra = algebra
 
-    def parse(self) -> Rep:
+    def parse(self) -> tuple:
         rep = self._expr(0)
         if self.pos != len(self.text):
             raise SpecParseError(f"trailing input in rep expression {self.text!r}")
@@ -114,39 +127,77 @@ class _RepParser:
             raise SpecParseError(f"expected an integer at position {start}")
         return int(self.text[start:self.pos])
 
-    def _expr(self, depth: int) -> Rep:
+    def _expr(self, depth: int) -> tuple:
         if depth > MAX_REP_DEPTH:
             raise SpecParseError(f"rep expression nested deeper than {MAX_REP_DEPTH}")
         name = self._name()
         if name == "std":
-            return standard_rep(self.algebra)
+            return name, None, ()
         if name in ("dual", "sym2"):
             self._expect("(")
             inner = self._expr(depth + 1)
             self._expect(")")
-            return derived_rep(inner, name)
+            return name, None, (inner,)
         if name in ("wedge", "sym"):
             self._expect("(")
             k = self._int()
             self._expect(",")
             inner = self._expr(depth + 1)
             self._expect(")")
-            return derived_rep(inner, name, k)
+            return name, k, (inner,)
         if name == "tensor":
             self._expect("(")
             left = self._expr(depth + 1)
             self._expect(",")
             right = self._expr(depth + 1)
             self._expect(")")
-            return derived_rep(left, "tensor", other=right)
+            return name, None, (left, right)
         raise UnsupportedExpression(f"unknown rep constructor {name!r}")
 
 
-def parse_rep(text: str, algebra) -> Rep:
+def _parse_tree(text: str) -> tuple:
     try:
-        return _RepParser(text, algebra).parse()
+        return _RepParser(text).parse()
+    except ValueError as exc:  # an integer literal too long to convert
+        raise UnsupportedExpression(str(exc)) from None
+
+
+def _predicted_dim(tree: tuple, n: int) -> int:
+    """The dimension of the module a tree builds at sl(n), read off the
+    tree alone, ``CapExceeded`` of kind ``dim`` once any of its modules
+    would exceed MAX_DIM."""
+    name, k, args = tree
+    d = [_predicted_dim(a, n) for a in args]
+    if name == "std":
+        dim = n
+    elif name == "tensor":
+        dim = d[0] * d[1]
+    elif name == "wedge":
+        dim = comb(d[0], k)
+    elif name == "sym":
+        dim = comb(d[0] + k - 1, k) if k else 1
+    elif name == "sym2":
+        dim = comb(d[0] + 1, 2)
+    else:  # dual
+        dim = d[0]
+    return _capped("dim", dim, MAX_DIM)
+
+
+def _build_rep(tree: tuple, algebra) -> Rep:
+    name, k, args = tree
+    try:
+        if name == "std":
+            return standard_rep(algebra)
+        inner = [_build_rep(a, algebra) for a in args]
+        if name == "tensor":
+            return derived_rep(inner[0], "tensor", other=inner[1])
+        return derived_rep(inner[0], name, k)
     except ValueError as exc:  # a degree outside its constructor's domain
         raise UnsupportedExpression(str(exc)) from None
+
+
+def parse_rep(text: str, algebra) -> Rep:
+    return _build_rep(_parse_tree(text), algebra)
 
 
 def _build_argparser() -> argparse.ArgumentParser:
@@ -230,9 +281,15 @@ def parse_spec(argv) -> RunSpec:
 # ---------------------------------------------------------------------------
 # dispatch
 
-def _rep_and_vectors(spec: RunSpec):
-    algebra = parse_algebra(spec.algebra)
-    rep = parse_rep(spec.rep, algebra)
+def _rep_and_vectors(spec: RunSpec, squares: bool = True):
+    """The module and vectors of a spec, once n and the dimension of every
+    module to be built (with S^2 V when ``squares``) are within their caps."""
+    n = parse_algebra(spec.algebra)
+    tree = _parse_tree(spec.rep)
+    dim = _predicted_dim(tree, n)
+    if squares:
+        _capped("dim", comb(dim + 1, 2), MAX_DIM)
+    rep = _build_rep(tree, make_sl(n))
     vectors = spec.y or []
     for v in vectors:
         if len(v) != rep.dim:
@@ -242,7 +299,7 @@ def _rep_and_vectors(spec: RunSpec):
 
 
 def _cmd_decompose(spec: RunSpec) -> tuple[dict, int]:
-    rep, _ = _rep_and_vectors(spec)
+    rep, _ = _rep_and_vectors(spec, squares=False)
     decomp = isotypic_decomposition(rep)
     result = {
         "dim": rep.dim,
@@ -285,6 +342,8 @@ def _cmd_certify(spec: RunSpec) -> tuple[dict, int]:
 
 
 def _cmd_chordal(spec: RunSpec) -> tuple[dict, int]:
+    _capped("n", spec.n, MAX_N)
+    _capped("dim", comb(comb(spec.n, spec.k) + 1, 2), MAX_DIM)
     report = chordal_ideal(ChordalSpec(spec.n, spec.k, spec.p),
                            samples=spec.samples, seed=spec.seed)
     return report.to_json_dict(), EXIT_OK

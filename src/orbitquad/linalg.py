@@ -8,15 +8,19 @@ Everything is exact; there are no tolerances anywhere in this package.
 A row is a dict of its nonzero entries by column, the form in which the
 module action returns its images.  Dense rows come in only at the public
 edges (``Subspace``, ``PivotedSpan.add``, the ``contains`` methods,
-``rref``, ``rank``, ``solve``, ``Mat.inverse``) and go out only as
-``Subspace.basis`` and ``Mat`` grids.
+``rref``, ``rank``, ``solve``, ``augmented_rref``, ``Mat.inverse``) and go
+out only as ``Subspace.basis`` and ``Mat`` grids.
 
 Every row operation in the package happens in three functions here:
 
 - ``_rref_rows``, the one Gauss-Jordan elimination, behind ``Subspace``,
-  ``rref``, ``rank``, ``solve`` and ``integer_inverse``;
+  ``rref``, ``rank``, ``solve`` and ``augmented_rref``, which reduces rows
+  augmented by unit columns, so each reduced row carries the combination of
+  input rows it came from (inverses, coordinates on a fixed set of rows,
+  and the relations among rows);
 - ``_reduce``, which clears the pivot columns of a row against echelon
-  rows, behind ``Subspace.contains`` and ``PivotedSpan``;
+  rows, behind ``Subspace.contains``, ``PivotedSpan`` and the rank-limited
+  pass of ``augmented_rref``;
 - ``_kernel_rows``, which reads a kernel basis off a reduced matrix, behind
   ``rref`` and ``annihilator``.
 
@@ -169,8 +173,12 @@ class Mat:
     def inverse(self) -> "Mat":
         if self.rows != self.cols:
             raise DimensionMismatch("only square matrices have inverses")
-        rows, den = integer_inverse(self.data)
-        return Mat([[Fraction(x, den) for x in row] for row in rows])
+        n = self.rows
+        reduced = augmented_rref(self.data, n)
+        if list(reduced)[:n] != list(range(n)):
+            raise StructuralError("matrix is singular")
+        return Mat([[Fraction(row.get(n + j, 0), row[k]) for j in range(n)]
+                    for k, row in reduced.items()])
 
     def trace(self) -> Fraction:
         return sum((self.data[i][i] for i in range(min(self.rows, self.cols))), ZERO)
@@ -180,16 +188,11 @@ class Mat:
 # symmetric-square coordinates
 #
 # S^2(QQ^n) has one coordinate per index pair (k, l), k <= l, listed by
-# ``sym_pairs``.  Two conventions read these coordinates, and they differ by
-# a factor of 2 off the diagonal:
-# - matrix entries: the symmetric matrix M has coordinates M_kl, so the
-#   symmetric product u.w = (u w^t + w u^t)/2 has (u_k w_l + u_l w_k)/2 off
-#   the diagonal (``sym_product_coords``);
-# - monomials: (sum u_p z_p)(sum w_q z_q) has the coefficient
-#   u_k w_l + u_l w_k on z_k z_l (``pair_coords``).
-# A functional on matrix-entry coordinates is the full trace pairing with the
-# symmetric matrix ``trace_pairing_mat``, whose off-diagonal entries are
-# halved for the same reason.
+# ``sym_pairs``: the matrix entry M_kl of a symmetric matrix M, so y y^t has
+# the coordinates y_k y_l (``yy_coords``).  A functional on these
+# coordinates is the full trace pairing with the symmetric matrix
+# ``trace_pairing_mat``, whose off-diagonal entries are halved, since M_kl
+# appears twice in M.
 
 def sym_pairs(n: int) -> list[tuple[int, int]]:
     """Index pairs (k, l) with k <= l, in lexicographic order."""
@@ -207,31 +210,11 @@ def yy_coords(y) -> list[Fraction]:
     return [y[k] * y[l] for k, l in sym_pairs(len(y))]
 
 
-def mat_to_sym_coords(m: Mat) -> list[Fraction]:
-    """Upper-triangle coordinates of a symmetric matrix."""
-    return [m.data[k][l] for k, l in sym_pairs(m.rows)]
-
-
 def sym_coords_to_mat(coords, n: int) -> Mat:
     m = Mat.zero(n, n)
     for (k, l), c in zip(sym_pairs(n), coords, strict=True):
         m.data[k][l] = m.data[l][k] = QQ(c)
     return m
-
-
-def _products(u, w, off) -> list[Fraction]:
-    return [u[k] * w[k] if k == l else off * (u[k] * w[l] + u[l] * w[k])
-            for k, l in sym_pairs(len(u))]
-
-
-def sym_product_coords(u, w) -> list[Fraction]:
-    """Matrix-entry coordinates of the symmetric product (u w^t + w u^t)/2."""
-    return _products(u, w, QQ(1, 2))
-
-
-def pair_coords(u, w) -> list[Fraction]:
-    """Monomial coefficients of the polynomial (sum u_p z_p)(sum w_q z_q)."""
-    return _products(u, w, 1)
 
 
 def trace_pairing_mat(row, n: int) -> Mat:
@@ -336,17 +319,26 @@ def _dense(row: dict[int, int], pc: int, n: int) -> list[Fraction]:
     return out
 
 
-def integer_inverse(rows) -> tuple[list[list[int]], int]:
-    """M^-1 as integer rows over one positive denominator, read off the
-    primitive rows p_k [e_k | row k of M^-1] of [M | I]'s elimination; the
-    rows of M are dense or given by their nonzero entries."""
-    n = len(rows)
-    reduced = _rref_rows({**_row(row, n), n + i: 1} for i, row in enumerate(rows))
-    if list(reduced)[:n] != list(range(n)):
-        raise StructuralError("matrix is singular")
-    den = lcm(*(row[k] for k, row in reduced.items()))
-    return [[row.get(n + j, 0) * (den // row[k]) for j in range(n)]
-            for k, row in reduced.items()], den
+def augmented_rref(rows, ncols: int, limit: int | None = None) -> dict[int, dict[int, int]]:
+    """The primitive integer RREF rows, by pivot column, of the rows
+    [r_i | e_i]: r_i dense or by its nonzero entries below column ncols, e_i
+    the unit vector at column ncols + i.  A row with pivot c < ncols is
+    [p R | E], R the RREF row of the r's with pivot c and p R = sum_i E_i r_i;
+    the rows with pivots from ncols on are the RREF of the relations
+    {E | sum_i E_i r_i = 0}.  With ``limit``, a row dependent on the rows kept
+    before it is dropped and the elimination stops once ``limit`` are kept,
+    so every E lies on the lex-earliest independent rows."""
+    augmented = ({**_row(r, ncols), ncols + i: 1} for i, r in enumerate(rows))
+    if limit is None:
+        return _rref_rows(augmented)
+    kept: dict[int, dict[int, int]] = {}
+    for v in augmented:
+        v = _reduce(_primitive(v), kept)
+        if min(v) < ncols:
+            kept[min(v)] = v
+            if len(kept) == limit:
+                break
+    return _rref_rows(kept.values())
 
 
 def _kernel_rows(rows: dict[int, dict[int, int]], ncols: int) -> list[dict]:

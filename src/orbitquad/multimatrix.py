@@ -44,6 +44,10 @@ class Box:
     def indices(self) -> list[tuple[int, ...]]:
         return list(itertools.product(*(range(b + 1) for b in self.N)))
 
+    def index(self, pos: int) -> tuple[int, ...]:
+        """The index at a position: its mixed-radix digits."""
+        return tuple(pos // s % (n + 1) for n, s in zip(self.N, self.strides))
+
     def position(self, idx) -> int:
         if idx not in self:
             raise IndexError(f"{tuple(idx)} outside box {self.N}")
@@ -93,6 +97,11 @@ class MultiVector:
     @staticmethod
     def from_entries(box: Box, entries) -> "MultiVector":
         return MultiVector(box, tuple(QQ(e) for e in entries))
+
+    @staticmethod
+    def from_sparse(box: Box, entries: dict) -> "MultiVector":
+        """The multi-vector with the given entries by position, zero elsewhere."""
+        return MultiVector(box, tuple(QQ(entries.get(p, 0)) for p in range(box.size)))
 
     @staticmethod
     def zero(box: Box) -> "MultiVector":

@@ -35,26 +35,19 @@ from .linalg import (
     Mat,
     PivotedSpan,
     QQ,
-    ZERO,
     Subspace,
     annihilator,
+    augmented_rref,
     format_scalar,
-    integer_inverse,
     rank,
     sparse,
     sym_coords_to_mat,
     sym_pairs,
-    sym_square,
     trace_pairing_mat,
     vec_is_zero,
     yy_coords,
 )
-from .multimatrix import (
-    Box,
-    MultiMatrix,
-    MultiVector,
-    rank_one_factor,
-)
+from .multimatrix import Box, MultiMatrix, MultiVector
 from .reps import ClosureResult, Rep, cyclic_closure, exp_act
 
 MAX_BOX = 20000
@@ -211,6 +204,20 @@ def _normalized(r: Rep, symbols, box: Box, memo: dict, idx) -> dict:
     return v
 
 
+def _nonzero_columns(r: Rep, symbols, box: Box, y: dict) -> dict[int, dict]:
+    """The nonzero D^i y / i! by position, walked from position 0: the
+    children of i (those with lexicographic parent i) are i + e_s for s up
+    to i's first nonzero axis, and a zero column has only zero children."""
+    memo, todo = {0: y}, [0]
+    while todo:
+        idx = box.index(pos := todo.pop())
+        for s in range(next((k for k, e in enumerate(idx) if e), box.r - 1) + 1):
+            child = idx[:s] + (idx[s] + 1,) + idx[s + 1:]
+            if child[s] <= box.N[s] and _normalized(r, symbols, box, memo, child):
+                todo.append(pos + box.strides[s])
+    return {pos: v for pos, v in memo.items() if v}
+
+
 def _integer_rows(rows) -> tuple[list[dict[int, int]], int]:
     """Rational rows, given as dicts of entries, as integer rows over one
     positive denominator, the lcm of the denominators of their entries."""
@@ -341,15 +348,16 @@ def _search_sequence(r: Rep, y) -> GenSeq:
 def build_A(r: Rep, y, gs: GenSeq) -> MultiMatrix:
     """The dim(V) x box multi-matrix whose column at i is D^i y / i!."""
     data = _seq_data(r, y, gs)
-    return MultiMatrix([[Fraction(col.get(k, 0), data.col_den) for col in data.columns]
-                        for k in range(r.dim)], None, gs.box)
+    return MultiMatrix([[Fraction(data.columns.get(p, {}).get(k, 0), data.col_den)
+                         for p in range(gs.box.size)] for k in range(r.dim)], None, gs.box)
 
 
 class _SeqData:
     """Shared exact artifacts of a (rep, y, generator sequence) triple: the
-    orbit module, A's columns as sparse integer rows over ``col_den``, and
-    the pair sums over ``den`` = col_den^2 as rows keyed by doubled
-    position, held only where reached."""
+    orbit module, A's nonzero columns as sparse integer rows over
+    ``col_den`` by box position, and the pair sums over ``den`` = col_den^2
+    as rows keyed by doubled position, held only where reached.  Solving
+    reads one elimination of the pair sums, each augmented by a unit column."""
 
     def __init__(self, r: Rep, y, gs: GenSeq):
         self.rep = r
@@ -358,17 +366,17 @@ class _SeqData:
         self.module = _closure(r, y).subspace
         self.yy = sparse(yy_coords(y))
         self.doubled = gs.box.doubled()
-        memo = {0: sparse(map(QQ, y))}  # each column's parent comes before it
-        self.columns, self.col_den = _integer_rows(
-            [_normalized(r, gs.symbols, gs.box, memo, i) for i in gs.box.indices()])
+        walked = sorted(_nonzero_columns(r, gs.symbols, gs.box, sparse(map(QQ, y))).items())
+        rows, self.col_den = _integer_rows([col for _, col in walked])
+        self.columns = {pos: row for (pos, _), row in zip(walked, rows)}
         self.den = self.col_den ** 2
         self.dyy = {0: self.yy}  # D^n(yy)/n! by position, as ``leibniz`` reads them
         # position of n -> sum over i + j = n of the symmetric product of columns
         # i and j: each ordered pair (i, j) adds col_i[k] col_j[l] to slot k <= l
         sums: defaultdict[int, defaultdict[int, int]] = defaultdict(lambda: defaultdict(int))
         slot = {kl: t for t, kl in enumerate(sym_pairs(r.dim))}
-        nonzero = [(o, list(col.items()))
-                   for o, col in zip(gs.box.doubled_offsets(), self.columns) if col]
+        nonzero = [(self.doubled.position(gs.box.index(pos)), list(row.items()))
+                   for pos, row in self.columns.items()]
         for o_i, col_i in nonzero:
             for o_j, col_j in nonzero:
                 acc = sums[o_i + o_j]
@@ -378,55 +386,52 @@ class _SeqData:
                             acc[slot[k, l]] += x * z
         self._pair_sums = {p: {t: x for t, x in acc.items() if x} for p, acc in sums.items()}
 
+    def image(self) -> Subspace:
+        """im A^t, spanned by the rows of A's integer columns."""
+        return Subspace(self.gs.box.size, ({p: col[k] for p, col in self.columns.items() if k in col}
+                                           for k in range(self.rep.dim)))
+
     @cached_property
     def _solver(self):
-        """The lex-earliest independent coefficient columns, the nonzero
-        (column, entry) pairs of each row of the matrix M they form, the
-        pivot rows of their span, and M's inverse on those rows over one
-        denominator.  Every pair sum is D^n(yy)/n!, in U(yy), so the search
-        stops at its dimension; an unreached position's zero sum never grows
-        the span."""
-        span = PivotedSpan(self.s2.dim)
-        positions = []
-        for p in sorted(self._pair_sums):
-            if span.dim == self.module.dim:
-                break
-            if span.add(self._pair_sums[p]):
-                positions.append(p)
-        cols = [self._pair_sums[p] for p in positions]
-        rows = [[(j, col[t]) for j, col in enumerate(cols) if t in col] for t in range(self.s2.dim)]
-        inverse, den = integer_inverse([dict(rows[t]) for t in span.pivots])
-        return positions, rows, span.pivots, inverse, den
+        """The reached positions in order, the RREF rows [p R | E] of the
+        lex-earliest independent pair sums augmented by unit columns, and the
+        lcm of their pivots; every pair sum is D^n(yy)/n!, in U(yy), so the
+        elimination stops at its dimension."""
+        positions = sorted(self._pair_sums)
+        rows = augmented_rref((self._pair_sums[p] for p in positions),
+                              self.s2.dim, self.module.dim)
+        return positions, rows, lcm(*(row[c] for c, row in rows.items()))
 
-    def solve_coefficients(self, target: dict) -> list[Fraction] | None:
-        """One b with sum b_n C_n = target (its nonzero entries), free
-        variables at zero, or None.
-
-        Restricting to the lex-earliest independent columns gives exactly the
-        particular solution full row reduction would produce.  For target T /
-        t and inverse I / d it is S den / (d t), S = I T on the pivot rows,
-        checked exactly on every row as M S = T d."""
-        positions, rows, pivots, inverse, d = self._solver
-        (tgt,), t = _integer_rows([target])
-        picked = [(k, tgt[p]) for k, p in enumerate(pivots) if p in tgt]
-        small = [sum(row[k] * x for k, x in picked) for row in inverse]
-        if any(sum(small[j] * e for j, e in row) != tgt.get(i, 0) * d
-               for i, row in enumerate(rows)):
+    def solve_coefficients(self, target: dict) -> dict[int, Fraction] | None:
+        """One b with sum b_n C_n = target, free variables at zero, by
+        position of its nonzero entries, or None.  Restricting to the
+        lex-earliest independent columns gives exactly the particular
+        solution full row reduction would produce: for the integer target T /
+        t, the sum over pivots c of T_c L / p_c [p_c R_c | E_c] is [L T | S],
+        checked on every coordinate, and b = S den / (L t)."""
+        positions, rows, big = self._solver
+        n = self.s2.dim
+        (tgt,), t = _integer_rows([{k: x for k, x in target.items() if x}])
+        acc: defaultdict[int, int] = defaultdict(int)
+        for c, x in tgt.items():
+            if c in rows:
+                f = x * (big // rows[c][c])
+                for k, e in rows[c].items():
+                    acc[k] += f * e
+        if {k: e for k, e in acc.items() if k < n and e} != {k: big * x for k, x in tgt.items()}:
             return None
-        b = [ZERO] * self.doubled.size
-        for p, c in zip(positions, small):
-            if c:
-                b[p] = Fraction(c * self.den, d * t)
-        return b
+        return {positions[k - n]: Fraction(e * self.den, big * t)
+                for k, e in acc.items() if k >= n and e}
 
-    def phi_of_coefficients(self, b) -> Mat:
-        """A B A^t for the catalecticant defined by b, via sum b_n C_n over b's nonzero entries."""
-        (coeffs,), t = _integer_rows([{p: b[p] for p in self._pair_sums if b[p]}])
+    def phi_of_coefficients(self, b: dict) -> tuple[list[int], int]:
+        """A B A^t for the catalecticant defined by b (by position), via sum
+        b_n C_n: integer symmetric coordinates and their denominator."""
+        (coeffs,), t = _integer_rows([b])
         acc = [0] * self.s2.dim
         for p, c in coeffs.items():
-            for k, e in self._pair_sums[p].items():
+            for k, e in self._pair_sums.get(p, {}).items():
                 acc[k] += c * e
-        return sym_coords_to_mat([Fraction(x, t * self.den) for x in acc], self.rep.dim)
+        return acc, t * self.den
 
     def leibniz(self, n) -> bool:
         """D^n(yy)/n! equals the pair sum at n exactly, on every coordinate:
@@ -437,8 +442,8 @@ class _SeqData:
         return len(want) == len(v) and all(
             c.numerator * self.den == want.get(k, 0) * c.denominator for k, c in v.items())
 
-    def decompose(self, word) -> MultiVector:
-        """Coefficients b on the doubled box with Q(yy) = sum b_(i+j) A_i A_j,
+    def decompose(self, word) -> dict[int, Fraction]:
+        """Coefficients b by doubled position with Q(yy) = sum b_(i+j) A_i A_j,
         for Q the word; ``decompose_Q`` reads it."""
         b = self.solve_coefficients(_word_image(self.s2, word, self.yy))
         if b is None:
@@ -446,7 +451,7 @@ class _SeqData:
                 "decomposition inconsistent: generator sequence span contract violated",
                 {"word": list(word), "symbols": list(self.gs.symbols), "N": list(self.gs.box.N)},
             )
-        return MultiVector(self.doubled, tuple(b))
+        return b
 
 
 _SEQDATA_CACHE: dict[tuple, _SeqData] = {}
@@ -476,7 +481,8 @@ def decompose_Q(r: Rep, y, gs: GenSeq, word) -> MultiVector:
     An unsolvable system means the sequence violated its span contract, which
     is reported loudly with diagnostics.
     """
-    return _seq_data(r, y, gs).decompose(word)
+    data = _seq_data(r, y, gs)
+    return MultiVector.from_sparse(data.doubled, data.decompose(word))
 
 
 # ---------------------------------------------------------------------------
@@ -490,38 +496,39 @@ class HyperplaneReport:
 
 class _Products:
     """The products mu(e_a e_b), a <= b, of the RREF basis e of U = im A^t,
-    reduced once: their kernel in pair coordinates, their image F, and the
-    inverse of an independent subset restricted to F's pivot columns.  They
-    are convolved from U's primitive rows p_a e_a on the positions reached,
-    so hold p_a p_b mu(e_a e_b); the kernel and ``functional`` undo p_a p_b."""
+    each augmented by a unit column and reduced once (``augmented_rref``):
+    the rows [p R | E] with p R = E . products give the RREF basis R of their
+    image F, and the rest are ker mu, canonical as the RREF of a row space.
+    They are convolved from U's primitive rows p_a e_a on the positions those
+    rows reach, so hold p_a p_b mu(e_a e_b); the kernel and ``functional``
+    undo p_a p_b."""
 
     def __init__(self, box: Box, u: Subspace):
         self.u = u
-        self.doubled_size = box.doubled().size
-        offsets = box.doubled_offsets()
         self.rows = list(u._rows.values())
         self.scale = [row[c] for c, row in u._rows.items()]
+        self.columns = sorted(set().union(*self.rows))  # the box positions U's rows reach
+        doubled = box.doubled()
+        offset = {c: doubled.position(box.index(c)) for c in self.columns}
         self.pairs = sym_pairs(len(self.rows))
-        products = [defaultdict(int) for _ in self.pairs]
-        by_position: defaultdict[int, dict[int, int]] = defaultdict(dict)  # their transpose
-        for s, (acc, (a, b)) in enumerate(zip(products, self.pairs)):
+        self.products = []
+        for a, b in self.pairs:
+            acc: defaultdict[int, int] = defaultdict(int)
             for c, x in self.rows[a].items():
                 for d, z in self.rows[b].items():
-                    acc[offsets[c] + offsets[d]] += x * z
-            for o, x in acc.items():
-                by_position[o][s] = x
-        kernel = annihilator(Subspace(len(self.pairs), by_position.values()))._rows.values()
+                    acc[offset[c] + offset[d]] += x * z
+            self.products.append(acc)
+        n = doubled.size
+        reduced = augmented_rref(self.products, n)
         self.kernel = [[(k * self.scale[a] * self.scale[b], a, b)
-                        for s, k in kappa.items() for a, b in (self.pairs[s],)] for kappa in kernel]
-        image = PivotedSpan(self.doubled_size)
-        self.independent = [s for s, p in enumerate(products) if image.add(p)]
-        self.pivots = image.pivots
-        # a product on F's pivots is its coordinate vector on F's RREF basis
-        self.coords = [[p.get(c, 0) for c in self.pivots] for p in products]
-        self.inverse, self.den = integer_inverse([self.coords[s] for s in self.independent])
+                        for c, k in row.items() for a, b in (self.pairs[c - n],)]
+                       for pc, row in reduced.items() if pc >= n]
+        self.f_rows = [(pc, row[pc], [(c - n, x) for c, x in row.items() if c >= n])
+                      for pc, row in reduced.items() if pc < n]
+        self.lcm = lcm(*(p for _, p, _ in self.f_rows))
 
     def on_basis(self, psi):
-        """psi on the RREF basis of U, or None when it vanishes there."""
+        """psi (by box position) on the RREF basis of U, or None when it vanishes there."""
         vals = [Fraction(sum(psi[c] * x for c, x in row.items()), p)
                 for row, p in zip(self.rows, self.scale)]
         return vals if any(vals) else None
@@ -533,27 +540,22 @@ class _Products:
                 return HyperplaneReport("full", 0)
         return HyperplaneReport("hyperplane", 1)
 
-    def functional(self, psi, v) -> list[Fraction] | None:
+    def functional(self, psi, v) -> dict[int, Fraction] | None:
         """The b supported on F's pivots with b(mu(e_a e_b)) = psi_a psi_b /
-        psi(v)^2 for all a <= b, checked exactly, or None; so b vanishes on
-        mu(W.U) and b(mu(v.v)) = 1.  Scaling psi changes nothing, so psi is
-        an integer row, and the scaled products ask for w / psi(v)^2, w_ab =
-        p_a p_b psi_a psi_b: b = S / (d psi(v)^2) for S = I w on the
-        independent ones, checked as coords . S = w d on every product."""
+        psi(v)^2 for all a <= b, by position, checked exactly, or None; so b
+        vanishes on mu(W.U) and b(mu(v.v)) = 1.  Scaling psi changes nothing,
+        so psi is an integer row, and the scaled products ask for w /
+        psi(v)^2, w_ab = p_a p_b psi_a psi_b: b_c = (E . w) L / p over L
+        psi(v)^2, checked as product . b = w / psi(v)^2 on every product."""
         (psi,), _ = _integer_rows([dict(enumerate(psi))])
         pv = QQ(sum(psi[a] * v[c] for a, c in enumerate(self.u.pivots)))
         want = [self.scale[a] * self.scale[b] * psi[a] * psi[b] for a, b in self.pairs]
-        picked = [(k, want[s]) for k, s in enumerate(self.independent) if want[s]]
-        small = [sum(row[k] * w for k, w in picked) for row in self.inverse]
-        if any(sum(x * e for x, e in zip(small, row) if e) != w * self.den
-               for row, w in zip(self.coords, want)):
+        small = {c: sum(x * want[s] for s, x in e) * (self.lcm // p) for c, p, e in self.f_rows}
+        if any(sum(x * small[o] for o, x in product.items() if o in small) != w * self.lcm
+               for product, w in zip(self.products, want)):
             return None
-        b = [ZERO] * self.doubled_size
-        q = self.den * pv * pv
-        for c, x in zip(self.pivots, small):
-            if x:
-                b[c] = x / q
-        return b
+        q = self.lcm * pv * pv
+        return {c: x / q for c, x in small.items() if x}
 
 
 def _hyperplane_functional(a: MultiMatrix, w: Subspace) -> tuple[_Products, list[Fraction]]:
@@ -587,7 +589,7 @@ class ForwardOutcome:
     ok: bool
     kind: str  # "rank1" | "rank0" | "discrepancy"
     rank: int | None = None
-    b: MultiVector | None = None
+    b: MultiVector | None = None  # by doubled position until rank1_correspondence
     factor: list[Fraction] | None = None
     membership: bool | None = None
     failure: str | None = None
@@ -597,23 +599,36 @@ class ForwardOutcome:
 @dataclass
 class ReverseOutcome:
     ok: bool
-    b: MultiVector | None = None
+    b: MultiVector | None = None  # by doubled position until rank1_correspondence
     failure: str | None = None
+
+
+def _rank_one(m: list[int], n: int) -> tuple[int, list[Fraction] | None]:
+    """The rank of the symmetric matrix M with coordinates m and, at rank
+    one, its factor u with first nonzero coordinate 1.  For M_ii the first
+    nonzero diagonal entry, rank M <= 1 exactly when M_kl M_ii = M_ik M_il
+    for all k <= l, and u_k = M_ik / M_ii; a nonzero M with a zero diagonal
+    has rank >= 2.  The exact rank is computed only above one."""
+    pairs = sym_pairs(n)
+    i = next((k for (k, l), x in zip(pairs, m) if k == l and x), None)
+    if i is not None:
+        col = [x for kl, x in zip(pairs, m) if i in kl]  # M_0i, ..., M_ii, ..., M_i(n-1)
+        if all(x * col[i] == col[k] * col[l] for (k, l), x in zip(pairs, m)):
+            return 1, [Fraction(x, col[i]) for x in col]
+    return (rank(sym_coords_to_mat(m, n)) if any(m) else 0), None
 
 
 def _forward(data: _SeqData, prods: _Products, psi, v) -> ForwardOutcome:
     """The forward direction for W = ker psi (psi on the RREF basis of im A^t)
     and a complement v, once hyperplane_check has found codimension 1."""
-    b_data = prods.functional(psi, v)
-    if b_data is None:
+    b = prods.functional(psi, v)
+    if b is None:
         return ForwardOutcome(
             ok=False, kind="discrepancy",
             failure="the forward functional failed its exact check on mu(im A^t . im A^t)",
             witness={"v": [format_scalar(e) for e in v]},
         )
-    b = MultiVector(data.doubled, tuple(b_data))
-    phi = data.phi_of_coefficients(b_data)
-    rk = rank(phi)
+    rk, factor = _rank_one(data.phi_of_coefficients(b)[0], data.rep.dim)
     if rk > 1:
         return ForwardOutcome(
             ok=False, kind="discrepancy", rank=rk, b=b,
@@ -624,7 +639,6 @@ def _forward(data: _SeqData, prods: _Products, psi, v) -> ForwardOutcome:
         # the zero matrix has no projective factor: excluded from the
         # Veronese locus and logged by the caller
         return ForwardOutcome(ok=True, kind="rank0", rank=0, b=b)
-    factor = rank_one_factor(phi)
     if not data.module.contains(yy_coords(factor)):
         return ForwardOutcome(
             ok=False, kind="discrepancy", rank=1, b=b, factor=factor, membership=False,
@@ -636,13 +650,14 @@ def _forward(data: _SeqData, prods: _Products, psi, v) -> ForwardOutcome:
 
 def _reverse(data: _SeqData, x) -> ReverseOutcome:
     """The reverse direction for a point x with x x^t in the orbit module."""
-    b = data.solve_coefficients(sparse(yy_coords(x)))
+    xx = yy_coords(x)
+    b = data.solve_coefficients(sparse(xx))
     if b is None:
         return ReverseOutcome(ok=False, failure="no catalecticant preimage: system inconsistent")
-    bv = MultiVector(data.doubled, tuple(b))
-    if data.phi_of_coefficients(b) != sym_square(list(map(QQ, x))):
-        return ReverseOutcome(ok=False, b=bv, failure="preimage fails to reproduce x x^t")
-    return ReverseOutcome(ok=True, b=bv)
+    phi, q = data.phi_of_coefficients(b)
+    if any(c != q * e for c, e in zip(phi, xx)):
+        return ReverseOutcome(ok=False, b=b, failure="preimage fails to reproduce x x^t")
+    return ReverseOutcome(ok=True, b=b)
 
 
 def rank1_correspondence(r: Rep, y, gs: GenSeq, a: MultiMatrix, direction: str,
@@ -652,6 +667,7 @@ def rank1_correspondence(r: Rep, y, gs: GenSeq, a: MultiMatrix, direction: str,
     Structural failures come back as outcome records with exact witnesses;
     only precondition violations raise.
     """
+    data = _seq_data(r, y, gs)
     if direction == "forward":
         if W is None or v is None:
             raise ValueError("forward direction needs W and v")
@@ -661,14 +677,18 @@ def rank1_correspondence(r: Rep, y, gs: GenSeq, a: MultiMatrix, direction: str,
             raise ValueError(f"forward direction needs a hyperplane W, got codimension {hyp.codim}")
         if not prods.u.contains(v) or W.contains(v):
             raise ValueError("v must span a complement of W in im A^t")
-        return _forward(_seq_data(r, y, gs), prods, psi, v)
-    if direction == "reverse":
+        out = _forward(data, prods, psi, v)
+    elif direction == "reverse":
         if x is None:
             raise ValueError("reverse direction needs x")
         if not my_membership(r, y, x):
             raise ValueError("reverse direction needs a point with x x^t in the orbit module")
-        return _reverse(_seq_data(r, y, gs), x)
-    raise ValueError(f"unknown direction {direction!r}")
+        out = _reverse(data, x)
+    else:
+        raise ValueError(f"unknown direction {direction!r}")
+    if out.b is not None:
+        out.b = MultiVector.from_sparse(data.doubled, out.b)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -739,12 +759,14 @@ def _sample_functional(rng: random.Random, prods: _Products):
     return None
 
 
-def _evaluation(box: Box | None, point) -> list[Fraction]:
-    """The functional f -> f(point) on multi-vectors over the box."""
+def _evaluation(box: Box | None, point, positions) -> dict[int, Fraction]:
+    """The functional f -> f(point) on multi-vectors over the box, at the
+    given positions."""
     if box is None or len(point) != box.r:
         raise ValueError("point length must match the number of box axes")
     point = [QQ(t) for t in point]
-    return [prod((t ** k for t, k in zip(point, idx)), start=QQ(1)) for idx in box.indices()]
+    return {p: prod((t ** k for t, k in zip(point, box.index(p))), start=QQ(1))
+            for p in positions}
 
 
 def _orbit_sample(rng: random.Random, r: Rep, y) -> tuple[list[Fraction], list]:
@@ -764,9 +786,10 @@ def certify_irreducibility(r: Rep, y, trials: int = 25, seed: int = 0,
                            max_box: int | None = None) -> CertReport:
     """End-to-end seeded certification of one (module, vector) instance.
 
-    Runs generator_sequence, build_A, the Leibniz identity over the doubled
-    box (sampled when large), seeded decompositions, hyperplane checks,
-    and both directions of the rank-one correspondence.  The verdict is
+    Runs generator_sequence, im A^t from A's integer columns, the Leibniz
+    identity over the doubled box (sampled when large, each sampled position
+    decoded by mixed radix), seeded decompositions, hyperplane checks, and
+    both directions of the rank-one correspondence.  The verdict is
     ``consistent`` when every structural assertion held exactly,
     ``discrepancy`` (with witnesses) otherwise.  Deterministic given seed.
     """
@@ -775,13 +798,12 @@ def certify_irreducibility(r: Rep, y, trials: int = 25, seed: int = 0,
     rng = random.Random(seed)
     gs = generator_sequence(r, y, max_box=max_box)
     data = _seq_data(r, y, gs)
-    a = build_A(r, y, gs)
-    im_at = a.row_space()
+    im_at = data.image()
     module = data.module
-    ideal = quadric_ideal(r, y, module=module)
     report = CertReport(
         rep_label=r.label,
-        dims={"V": r.dim, "S2V": data.s2.dim, "module": module.dim, "ideal": ideal.dim},
+        dims={"V": r.dim, "S2V": data.s2.dim, "module": module.dim,
+              "ideal": data.s2.dim - module.dim},
         rank_A=im_at.dim,
         symbols=list(gs.symbols),
         N=list(gs.box.N),
@@ -789,10 +811,12 @@ def certify_irreducibility(r: Rep, y, trials: int = 25, seed: int = 0,
         trials=trials,
     )
 
-    ns = data.doubled.indices()
-    if len(ns) > _LEIBNIZ_SAMPLE:
-        ns = [ns[0]] + rng.sample(ns[1:], _LEIBNIZ_SAMPLE - 1)
-    for n in ns:
+    # random.sample only indexes its population: the draws of the index list
+    size = data.doubled.size
+    positions = range(size)
+    if size > _LEIBNIZ_SAMPLE:
+        positions = [0] + rng.sample(range(1, size), _LEIBNIZ_SAMPLE - 1)
+    for n in map(data.doubled.index, positions):
         report.leibniz_trials += 1
         if data.leibniz(n):
             report.leibniz_passes += 1
@@ -850,7 +874,7 @@ def certify_irreducibility(r: Rep, y, trials: int = 25, seed: int = 0,
         attempts += 1
         point = tuple(QQ(rng.randint(-3, 3), rng.choice([1, 1, 2]))
                       for _ in range(gs.box.r))
-        psi = prods.on_basis(_evaluation(gs.box, point))
+        psi = prods.on_basis(_evaluation(gs.box, point, prods.columns))
         if psi is not None:
             process_hyperplane(psi, "evaluation")
 

@@ -31,4 +31,5 @@ def evaluation_hyperplane(a, point):
     samples; random functionals mostly land outside it.  Returns None when
     the evaluation vanishes on all of im A^t.
     """
-    return hyperplane_of(a.row_space(), _evaluation(a.col_box, point))
+    values = _evaluation(a.col_box, point, range(a.col_box.size))
+    return hyperplane_of(a.row_space(), [values[p] for p in range(a.col_box.size)])

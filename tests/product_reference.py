@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 from kernel_reference import kernel_combinations
 from orbitquad.errors import DimensionMismatch
-from orbitquad.linalg import QQ, Subspace, pair_coords, sym_pairs
+from orbitquad.linalg import QQ, Subspace, sym_pairs
 from orbitquad.multimatrix import Box, MultiVector
+from sym_coords_reference import pair_coords
 
 
 def mu_of_pair_coords(box: Box, coords) -> MultiVector:

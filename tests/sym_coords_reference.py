@@ -1,0 +1,32 @@
+"""Symmetric-square coordinates the library does not use, kept for tests.
+
+Two conventions read the coordinates of S^2(QQ^n), one per index pair
+(k, l), k <= l, and they differ by a factor of 2 off the diagonal:
+- matrix entries: the symmetric matrix M has coordinates M_kl, so the
+  symmetric product u.w = (u w^t + w u^t)/2 has (u_k w_l + u_l w_k)/2 off
+  the diagonal (``sym_product_coords``); the library reads these;
+- monomials: (sum u_p z_p)(sum w_q z_q) has the coefficient
+  u_k w_l + u_l w_k on z_k z_l (``pair_coords``).
+"""
+
+from orbitquad.linalg import QQ, sym_pairs
+
+
+def mat_to_sym_coords(m):
+    """Upper-triangle coordinates of a symmetric matrix."""
+    return [m.data[k][l] for k, l in sym_pairs(m.rows)]
+
+
+def _products(u, w, off):
+    return [u[k] * w[k] if k == l else off * (u[k] * w[l] + u[l] * w[k])
+            for k, l in sym_pairs(len(u))]
+
+
+def sym_product_coords(u, w):
+    """Matrix-entry coordinates of the symmetric product (u w^t + w u^t)/2."""
+    return _products(u, w, QQ(1, 2))
+
+
+def pair_coords(u, w):
+    """Monomial coefficients of the polynomial (sum u_p z_p)(sum w_q z_q)."""
+    return _products(u, w, 1)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -282,6 +283,58 @@ def test_rep_nesting_is_bounded():
         code, out, err = invoke(["decompose", "--alg", "sl:2", "--rep", rep])
         assert code == EXIT_PARSE and out == ""
         assert err == f"error: rep expression nested deeper than {MAX_REP_DEPTH}\n"
+
+
+def test_oversized_inputs_exit_6_before_anything_is_built(monkeypatch):
+    import orbitquad.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built past a cap")
+
+    monkeypatch.setattr(cli, "make_sl", refuse)
+    monkeypatch.setattr(cli, "chordal_ideal", refuse)
+    cases = [
+        (["decompose", "--alg", "sl:100000", "--rep", "std"], "n", 100000),
+        (["certify", "--alg", "sl:17", "--rep", "std", "--y", "1"], "n", 17),
+        (["decompose", "--alg", "sl:16", "--rep", "wedge(8,std)"], "dim", 12870),
+        # dim V = 120 passes, S^2 V = 7260 does not
+        (["ideal", "--alg", "sl:10", "--rep", "wedge(3,std)", "--y", "1"], "dim", 7260),
+        (["decompose", "--alg", "sl:2", "--rep", "sym2(" * 5 + "std" + ")" * 5], "dim", 26796),
+        (["chordal", "--n", "10", "--k", "3", "--p", "1"], "dim", 7260),
+        (["chordal", "--n", "100000", "--k", "1", "--p", "1"], "n", 100000),
+    ]
+    for argv, kind, value in cases:
+        code, out, err = invoke(argv)
+        assert code == EXIT_INCONCLUSIVE and err == ""
+        assert json.loads(out)["error"]["details"] == {kind: value, "cap": getattr(
+            cli, {"n": "MAX_N", "dim": "MAX_DIM"}[kind])}
+
+
+@pytest.mark.parametrize("n,rep", [
+    (2, "std"), (3, "dual(std)"), (4, "wedge(2,std)"), (2, "sym(4,std)"),
+    (3, "sym2(wedge(2,std))"), (2, "tensor(sym(2,std),dual(std))"),
+    (4, "wedge(3,dual(std))"), (3, "sym(2,sym2(std))"), (2, "sym(3,tensor(std,std))"),
+])
+def test_predicted_dim_is_the_built_dim(n, rep):
+    import orbitquad.cli as cli
+
+    assert cli._predicted_dim(cli._parse_tree(rep), n) == parse_rep(rep, make_sl(n)).dim
+
+
+def test_caps_admit_the_documented_commands():
+    # the largest commands of the README and ROADMAP tables: modules whose
+    # symmetric square is formed, modules only decomposed, chordal (n, k)
+    import orbitquad.cli as cli
+
+    squared = [(8, "wedge(3,std)"), (8, "wedge(2,std)"), (7, "wedge(3,std)")]
+    decomposed = [(8, "sym2(wedge(2,std))"), (7, "sym2(wedge(3,std))")]
+    for n, rep in squared + decomposed:
+        assert n <= cli.MAX_N
+        d = cli._predicted_dim(cli._parse_tree(rep), n)
+        assert (d * (d + 1) // 2 if (n, rep) in squared else d) <= cli.MAX_DIM
+    for n, k in [(9, 3), (10, 2), (8, 3)]:
+        assert n <= cli.MAX_N
+        assert comb(comb(n, k) + 1, 2) <= cli.MAX_DIM
 
 
 def test_certify_box_cap_exit_6():

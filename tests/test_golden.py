@@ -18,8 +18,14 @@ drawn over every box coordinate.  ``decompose`` of sym2(wedge(2,std)) at
 sl:6 and ``chordal --n 6 --k 2 --p 1`` were written before the exact kernel
 moved onto sparse rows and highest weight vectors were found one weight
 block at a time: they pin the isotypic pieces, the chordal span and the
-matched tail at dim S^2 V = 120.  Each command is run in a fresh
-interpreter, so every module is built cold.
+matched tail at dim S^2 V = 120.  ``certify`` of E12 + E34 in wedge^2 of
+sl(7) and of e123 + e456 in wedge^3 of sl(6) were written before each
+correspondence table was read through one augmented elimination: both boxes
+have 2^14 indices, so they pin the Leibniz sample drawn from 3^14 doubled
+positions (the set branch of ``random.sample``, where the sl(5) golden pins
+the pool branch), the r = 14 path through the tables and, for the second,
+a 3-form.  Each command is run in a fresh interpreter, so every module is
+built cold.
 """
 
 import json

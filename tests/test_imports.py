@@ -21,6 +21,9 @@ MOVED_ORACLES = {
     "antichain_brute_force": "chordal",
     "evaluation_hyperplane": "orbit",
     "kernel_combinations": "linalg",
+    "mat_to_sym_coords": "linalg",
+    "sym_product_coords": "linalg",
+    "pair_coords": "linalg",
 }
 
 
@@ -50,3 +53,39 @@ def test_moved_oracles_are_not_exported():
         assert name not in orbitquad.__all__
         assert not hasattr(orbitquad, name)
         assert not hasattr(importlib.import_module(f"orbitquad.{module}"), name)
+
+
+def _identifiers(node):
+    """Every name, attribute and imported or defined name under node."""
+    for n in ast.walk(node):
+        for field in ("id", "attr", "name"):
+            if isinstance(getattr(n, field, None), str):
+                yield getattr(n, field)
+
+
+def _mentions(node, word):
+    return any(word in name for name in _identifiers(node))
+
+
+def test_certify_builds_nothing_over_the_box():
+    """orbit.py calls no ``indices()`` and builds no list sized by the doubled
+    box (``[...] * <doubled size>``, or a comprehension over
+    ``range(<doubled size>)``); ``integer_inverse``, folded into
+    ``linalg.augmented_rref``, is named nowhere in the package."""
+    tree = ast.parse((SRC / "orbit.py").read_text())
+    offenders = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "indices"):
+            offenders.append(f"orbit.py:{node.lineno} indices()")
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            for a, b in ((node.left, node.right), (node.right, node.left)):
+                if isinstance(a, (ast.List, ast.ListComp)) and _mentions(b, "doubled"):
+                    offenders.append(f"orbit.py:{node.lineno} list sized by the doubled box")
+        if (isinstance(node, ast.comprehension) and isinstance(node.iter, ast.Call)
+                and getattr(node.iter.func, "id", "") == "range"
+                and _mentions(node.iter, "doubled")):
+            offenders.append(f"orbit.py:{node.iter.lineno} comprehension over the doubled box")
+    offenders += [path.name for path in sorted(SRC.glob("*.py"))
+                  if "integer_inverse" in _identifiers(ast.parse(path.read_text()))]
+    assert offenders == []

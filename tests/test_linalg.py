@@ -1,5 +1,6 @@
+import random
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -85,6 +86,90 @@ def test_augmented_rref_matches_fraction_reference(case, rhs):
     else:
         with pytest.raises(StructuralError, match="singular"):
             Mat(square).inverse()
+
+
+def _solve_on(kept, ncols, m, target):
+    """x with sum x_i r_i = target read off augmented_rref's rows [p R | E]:
+    the sum over pivots c of target_c L / p_c times each row is [L target | L x]
+    when target lies in the span (L the lcm of the pivots), else None."""
+    big = lcm(*(row[pc] for pc, row in kept.items()))
+    acc = [F(0)] * (ncols + m)
+    for pc, row in kept.items():
+        for c, x in row.items():
+            acc[c] += F(target[pc]) * big / row[pc] * x
+    if acc[:ncols] != [big * F(t) for t in target]:
+        return None
+    return [x / big for x in acc[ncols:]]
+
+
+def assert_augmented_contract(rows, ncols, rng):
+    m = len(rows)
+    reduced = linalg.augmented_rref(rows, ncols)
+    image = {pc: row for pc, row in reduced.items() if pc < ncols}
+    # rows [p R | E]: R the canonical RREF rows of the span, and p R = E . rows
+    sub = Subspace(ncols, rows)
+    assert list(image) == list(sub.pivots)
+    for (pc, row), want in zip(image.items(), sub.basis):
+        assert [F(row.get(c, 0), row[pc]) for c in range(ncols)] == list(want)
+        e = [row.get(ncols + i, 0) for i in range(m)]
+        assert ([sum(x * r[c] for x, r in zip(e, rows)) for c in range(ncols)]
+                == [row.get(c, 0) for c in range(ncols)])
+    # the rows pivoting in the unit part: the RREF of the left kernel, which
+    # is the annihilator of the transpose's rows
+    relations = [[F(row.get(ncols + i, 0), row[pc]) for i in range(m)]
+                 for pc, row in reduced.items() if pc >= ncols]
+    transpose = [list(col) for col in zip(*rows)]
+    assert relations == [list(r) for r in annihilator(Subspace(m, transpose)).basis]
+    # with the rank as limit: every E lies on the lex-earliest independent
+    # rows, and the solutions are solve()'s, free variables at zero
+    independent = [i for i in range(m) if rank(Mat(rows[:i + 1])) > rank(Mat(rows[:i]))]
+    kept = linalg.augmented_rref(rows, ncols, limit=len(independent))
+    assert list(kept) == list(sub.pivots)
+    assert {c - ncols for row in kept.values() for c in row if c >= ncols} <= set(independent)
+    coeffs = [F(rng.randint(-3, 3)) for _ in rows]
+    targets = [[sum(c * r[k] for c, r in zip(coeffs, rows)) for k in range(ncols)],
+               [F(rng.randint(-3, 3)) for _ in range(ncols)]]
+    targets += [[F(int(k == j)) for k in range(ncols)] for j in range(ncols)]
+    solved = 0
+    for target in targets:
+        want = solve(Mat(transpose), target)
+        assert _solve_on(kept, ncols, m, target) == want
+        solved += want is not None
+    assert solved
+
+
+def _integer_matrix(rng, r, c):
+    return [[rng.randint(-4, 4) for _ in range(c)] for _ in range(r)]
+
+
+def _product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+@pytest.mark.parametrize("kind", ["full_rank", "rank_deficient", "zero_row", "single_row"])
+@pytest.mark.parametrize("seed", range(4))
+def test_augmented_rref_matches_solve_and_annihilator(kind, seed):
+    rng = random.Random(seed)
+    rows = {
+        "full_rank": lambda: _integer_matrix(rng, 4, 6),
+        "rank_deficient": lambda: _product(_integer_matrix(rng, 6, 2), _integer_matrix(rng, 2, 5)),
+        "zero_row": lambda: (_integer_matrix(rng, 2, 4) + [[0] * 4]
+                             + _integer_matrix(rng, 2, 4)),
+        "single_row": lambda: _integer_matrix(rng, 1, 5),
+    }[kind]()
+    if kind == "full_rank":
+        assert rank(Mat(rows)) == 4
+    if kind == "rank_deficient":
+        assert rank(Mat(rows)) < len(rows)
+    assert_augmented_contract(rows, len(rows[0]), rng)
+
+
+@given(sparse_rows(max_rows=5, max_cols=5), st.integers(0, 2 ** 16))
+@settings(deadline=None, max_examples=60)
+def test_augmented_rref_contract_on_sparse_rows(case, seed):
+    rows, ncols = case
+    if rows:
+        assert_augmented_contract(rows, ncols, random.Random(seed))
 
 
 @given(sparse_rows(), st.lists(st.lists(small_fracs, min_size=6, max_size=6), max_size=4),

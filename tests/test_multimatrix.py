@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitquad.errors import DimensionMismatch, RankOneError
-from orbitquad.linalg import Mat, Subspace, pair_coords, rank
+from orbitquad.linalg import Mat, Subspace, rank
 from orbitquad.multimatrix import (
     Box,
     MultiMatrix,
@@ -19,6 +19,7 @@ from orbitquad.multimatrix import (
     rank_one_factor,
 )
 from product_reference import dot_span, mu_kernel, mu_of_pair_coords
+from sym_coords_reference import pair_coords
 
 small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=3)
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -12,6 +13,7 @@ from orbitquad.linalg import (
     rank,
     solve,
     sym_coords_to_mat,
+    sym_pairs,
     sym_square,
     yy_coords,
 )
@@ -23,6 +25,7 @@ from orbitquad.multimatrix import (
     mu,
     mu_image_span,
     phi_A,
+    rank_one_factor,
 )
 from orbitquad.orbit import (
     HyperplaneReport,
@@ -41,6 +44,7 @@ from orbitquad.orbit import (
 from orbitquad.reps import Rep, derived_rep, standard_rep
 
 import sequence_reference
+import weyl_oracle
 from hyperplane_reference import evaluation_hyperplane, hyperplane_of
 from sequence_reference import multi_pass_sequence
 
@@ -599,6 +603,15 @@ def test_extension_independence():
         assert phi_A(a, catalecticant_from_vector(shifted)) == reference
 
 
+def _dense(b, size):
+    """A coefficient dict by doubled position as a dense list, once its keys
+    are checked to be positions of the doubled box holding nonzero values."""
+    if b is None:
+        return None
+    assert all(0 <= p < size and b[p] for p in b)
+    return [b.get(p, F(0)) for p in range(size)]
+
+
 def test_solver_shortcut_matches_full_reduction():
     # the inverted-block solver must reproduce the free-variables-at-zero
     # particular solution of full row reduction, coordinate for coordinate,
@@ -642,7 +655,8 @@ def test_solver_shortcut_matches_full_reduction():
         outside = 0
         for target in targets:
             want = solve(full_system, target)
-            assert data.solve_coefficients(dict(enumerate(target))) == want
+            got = data.solve_coefficients(dict(enumerate(target)))
+            assert _dense(got, data.doubled.size) == want
             outside += want is None
         # unsolvable targets are exercised wherever the module is proper
         assert (outside > 0) == (module.dim < data.s2.dim)
@@ -724,7 +738,7 @@ def test_hyperplane_criterion_matches_product_span():
                 assert prods.functional(psi_bar, v) is None
                 continue
             b = _product_span_forward(box, full, part, v)
-            assert prods.functional(psi_bar, v) == b
+            assert _dense(prods.functional(psi_bar, v), box.doubled().size) == b
             if module is not None:
                 out = rank1_correspondence(*module, a, "forward", W=w, v=v)
                 assert out.ok and list(out.b.data) == b
@@ -797,3 +811,61 @@ def test_certify_cap_propagates():
     r = sl2_sym(3)
     with pytest.raises(CapExceeded):
         certify_irreducibility(r, unit(4, 0), trials=5, seed=0, max_box=2)
+
+
+@pytest.mark.parametrize("m", [
+    [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+    # -2 u u^t for u = (0, 0, 2, -3): leading zeros in u
+    [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, -8, 12], [0, 0, 12, -18]],
+    [[0, 1], [1, 0]],
+    [[0, 0, 0], [0, 0, 5], [0, 5, 0]],
+    [[1, 2], [2, 1]],
+    [[2, 1, 0], [1, 2, 1], [0, 1, 2]],
+    [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+], ids=["zero", "rank1-leading-zeros", "rank2-zero-diagonal", "rank2-zero-diagonal-3x3",
+        "rank2", "rank3", "rank3-zero-diagonal"])
+def test_rank_one_read_matches_dense_rank_and_factor(m):
+    # the integer read off symmetric coordinates against the dense exact rank
+    # and rank_one_factor; above rank one it reports the exact rank
+    mat = Mat(m)
+    got, factor = orbit._rank_one([m[k][l] for k, l in sym_pairs(mat.rows)], mat.rows)
+    assert got == rank(mat)
+    assert factor == (rank_one_factor(mat) if got == 1 else None)
+
+
+def wedge_point(n, k, terms):
+    """The sum of the basis vectors e_t, t in terms, of wedge^k QQ^n (basis
+    in lexicographic order)."""
+    return [F(int(t in terms)) for t in combinations(range(1, n + 1), k)]
+
+
+G2_FORM = [(1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7), (3, 4, 7), (3, 5, 6)]
+
+
+# Each point has a dense GL orbit (Sato-Kimura, Nagoya Math. J. 65, 1977),
+# so the cone over its SL orbit is dense, no nonzero quadric vanishes on it,
+# and the orbit module is all of S^2 V.
+@pytest.mark.parametrize("n,k,terms", [
+    (6, 3, [(1, 2, 3), (4, 5, 6)]),
+    (8, 2, [(1, 2), (3, 4), (5, 6), (7, 8)]),
+    pytest.param(7, 3, G2_FORM, marks=pytest.mark.slow),
+], ids=["e123+e456@sl6", "E12+E34+E56+E78@sl8", "G2@sl7"])
+def test_certify_open_orbit_at_the_frontier(n, k, terms):
+    r = derived_rep(standard_rep(make_sl(n)), "wedge", k)
+    report = certify_irreducibility(r, wedge_point(n, k, terms), trials=5, seed=0)
+    s2 = r.dim * (r.dim + 1) // 2
+    assert report.verdict == "consistent"
+    assert report.dims == {"V": r.dim, "S2V": s2, "module": s2, "ideal": 0}
+
+
+# The orbit module of a highest weight vector of V(lam) is V(2 lam)
+# (Lichtenstein, Proc. AMS 84, 1982), so the ideal is its complement in S^2 V:
+# for E12 in wedge^2 QQ^n it is wedge^4 QQ^n.
+@pytest.mark.parametrize("n,k,ideal", [(6, 2, 15), (8, 2, 70), (6, 3, 35)])
+def test_certify_highest_weight_ideal_at_the_frontier(n, k, ideal):
+    r = derived_rep(standard_rep(make_sl(n)), "wedge", k)
+    s2 = r.dim * (r.dim + 1) // 2
+    assert s2 - weyl_oracle.weyl_dim(n, tuple(2 * int(i == k - 1) for i in range(n - 1))) == ideal
+    report = certify_irreducibility(r, unit(r.dim, 0), trials=5, seed=0)
+    assert report.verdict == "consistent"
+    assert report.dims == {"V": r.dim, "S2V": s2, "module": s2 - ideal, "ideal": ideal}

@@ -9,9 +9,7 @@ from orbitquad.linalg import (
     Mat,
     PivotedSpan,
     Subspace,
-    mat_to_sym_coords,
     sym_coords_to_mat,
-    sym_product_coords,
 )
 from orbitquad import orbit
 from orbitquad.orbit import orbit_module
@@ -33,6 +31,7 @@ from orbitquad.reps import (
 import highest_weight_reference
 import weyl_oracle
 from closure_reference import dense_closure
+from sym_coords_reference import mat_to_sym_coords, sym_product_coords
 from construction_reference import dense_construction
 
 
