@@ -317,6 +317,10 @@ def _cmd_ideal(spec: RunSpec) -> tuple[dict, int]:
     rep, (y,) = _rep_and_vectors(spec)
     module = orbit_module(rep, y)
     ideal = quadric_ideal(rep, y, module=module)
+    grids = [[["0"] * rep.dim for _ in range(rep.dim)] for _ in range(ideal.dim)]
+    for q, grid in enumerate(grids):
+        for k, l, e in ideal.pairing(q):
+            grid[k][l] = grid[l][k] = format_scalar(e)
     result = {
         "dims": {
             "V": rep.dim,
@@ -324,9 +328,7 @@ def _cmd_ideal(spec: RunSpec) -> tuple[dict, int]:
             "module": module.dim,
             "ideal": ideal.dim,
         },
-        "ideal_basis": [
-            [[format_scalar(e) for e in row] for row in phi.data] for phi in ideal.basis
-        ],
+        "ideal_basis": grids,
     }
     return result, EXIT_OK
 

@@ -53,6 +53,11 @@ class LieAlgebra:
     Catalog order: all X_beta in lexicographic root order, then all Y_beta,
     then the simple H_i.  The order is part of the interface: it makes every
     generator-sequence construction deterministic.
+
+    The simple X_i, Y_i generate sl(n) (Humphreys, Lie Algebras, 18), so a
+    linear rho is a homomorphism once rho[s,b] = [rho s, rho b] for simple s
+    and every b: L = {a : rho[a,b] = [rho a, rho b] for all b} is a subspace,
+    by Jacobi closed under the bracket, and holds every simple s.
     """
 
     def __init__(self, n: int):
@@ -96,14 +101,17 @@ class LieAlgebra:
         return h
 
     @cached_property
-    def structure_constants(self) -> dict[tuple[str, str], dict[str, Fraction]]:
-        """[a, b] expanded in the catalog, for each pair a before b in catalog
-        order; computed once per algebra, from the nonzero entries alone."""
+    def simple_structure_constants(self) -> dict[tuple[str, str], dict[str, Fraction]]:
+        """[a, b] expanded in the catalog for each pair a before b in catalog
+        order with a simple member; computed once, from the nonzero entries."""
+        simple = {f(Root(i, i + 1)) for i in range(1, self.n) for f in (x_symbol, y_symbol)}
         nonzero = {s: [(i, j, e) for i, row in enumerate(m.data) for j, e in enumerate(row) if e]
                    for s, m in self.generators.items()}
         out = {}
         for ia, a in enumerate(self.catalog):
             for b in self.catalog[ia + 1:]:
+                if a not in simple and b not in simple:
+                    continue
                 entries: dict[tuple[int, int], Fraction] = {}
                 for sign, left, right in ((1, a, b), (-1, b, a)):
                     for i, k, e in nonzero[left]:

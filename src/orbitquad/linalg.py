@@ -9,7 +9,7 @@ A row is a dict of its nonzero entries by column, the form in which the
 module action returns its images.  Dense rows come in only at the public
 edges (``Subspace``, ``PivotedSpan.add``, the ``contains`` methods,
 ``rref``, ``rank``, ``solve``, ``augmented_rref``, ``Mat.inverse``) and go
-out only as ``Subspace.basis`` and ``Mat`` grids.
+out only as ``Subspace.basis`` (built on first read) and ``Mat`` grids.
 
 Every row operation in the package happens in three functions here:
 
@@ -190,9 +190,8 @@ class Mat:
 # S^2(QQ^n) has one coordinate per index pair (k, l), k <= l, listed by
 # ``sym_pairs``: the matrix entry M_kl of a symmetric matrix M, so y y^t has
 # the coordinates y_k y_l (``yy_coords``).  A functional on these
-# coordinates is the full trace pairing with the symmetric matrix
-# ``trace_pairing_mat``, whose off-diagonal entries are halved, since M_kl
-# appears twice in M.
+# coordinates is the full trace pairing with a symmetric matrix whose
+# off-diagonal entries are halved, since M_kl appears twice in M.
 
 def sym_pairs(n: int) -> list[tuple[int, int]]:
     """Index pairs (k, l) with k <= l, in lexicographic order."""
@@ -215,13 +214,6 @@ def sym_coords_to_mat(coords, n: int) -> Mat:
     for (k, l), c in zip(sym_pairs(n), coords, strict=True):
         m.data[k][l] = m.data[l][k] = QQ(c)
     return m
-
-
-def trace_pairing_mat(row, n: int) -> Mat:
-    """The symmetric Phi with sum_ij Phi_ij M_ij = sum_(k<=l) row_kl M_kl."""
-    half = QQ(1, 2)
-    return sym_coords_to_mat([c if k == l else half * c
-                              for (k, l), c in zip(sym_pairs(n), row, strict=True)], n)
 
 
 # ---------------------------------------------------------------------------
@@ -356,18 +348,31 @@ def _kernel_rows(rows: dict[int, dict[int, int]], ncols: int) -> list[dict]:
 class Subspace:
     """A linear subspace of QQ^n in canonical reduced-row-echelon form.
 
-    Construction always re-reduces, so two subspaces are equal exactly when
-    their ``basis`` grids are equal.  Rows come in dense or as dicts of
-    their nonzero entries.
+    Construction always re-reduces and keeps the primitive integer RREF rows,
+    which are unique (positive pivot, gcd 1), so two subspaces are equal
+    exactly when their rows are.  Rows come in dense or as dicts of their
+    nonzero entries; ``basis``, the RREF rows dense, is built on first read.
     """
 
-    __slots__ = ("ambient_dim", "basis", "pivots", "_rows")
+    __slots__ = ("ambient_dim", "pivots", "_rows", "_basis")
 
     def __init__(self, ambient_dim: int, rows=None):
         self._rows = _rref_rows(_row(r, ambient_dim) for r in rows or ())
         self.ambient_dim = ambient_dim
-        self.basis = tuple(tuple(_dense(row, pc, ambient_dim)) for pc, row in self._rows.items())
         self.pivots = tuple(self._rows)
+        self._basis = None
+
+    @property
+    def basis(self) -> tuple[tuple[Fraction, ...], ...]:
+        if self._basis is None:
+            self._basis = tuple(tuple(_dense(row, pc, self.ambient_dim))
+                                for pc, row in self._rows.items())
+        return self._basis
+
+    def basis_row(self, k: int) -> list[Fraction]:
+        """``basis[k]`` as a list, built alone."""
+        pc = self.pivots[k]
+        return _dense(self._rows[pc], pc, self.ambient_dim)
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -379,17 +384,17 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self._rows)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self._rows == other._rows
         )
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, self.pivots))
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of QQ^{self.ambient_dim})"
@@ -398,7 +403,9 @@ class Subspace:
         return _reduce(_primitive(_row(v, self.ambient_dim)), self._rows) is None
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(list(r)) for r in other.basis)
+        if self.ambient_dim != other.ambient_dim:
+            raise DimensionMismatch("vector length != ambient dimension")
+        return all(self.contains(r) for r in other._rows.values())
 
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:

@@ -43,7 +43,6 @@ from .linalg import (
     sparse,
     sym_coords_to_mat,
     sym_pairs,
-    trace_pairing_mat,
     vec_is_zero,
     yy_coords,
 )
@@ -77,36 +76,50 @@ def orbit_module(r: Rep, y) -> Subspace:
 class QuadraticIdeal:
     """Degree-two ideal of the orbit closure of y.
 
-    ``basis`` holds symmetric matrices Phi acting on S^2(V) through the full
-    trace pairing <Phi, M> = sum_ij Phi_ij M_ij; evaluating the quadric at a
-    point x is x^t Phi x.  ``dual_coords`` is the same space as an annihilator
-    in plain symmetric coordinates.
+    ``dual_coords``, the annihilator of the module in symmetric coordinates,
+    holds one RREF row per quadric: its entry c at the pair (k, l) is the
+    term c x_k x_l.  ``basis``, built on first read, holds the trace-pairing
+    matrices Phi (c on the diagonal, c/2 off it), so <Phi, M> = sum_ij
+    Phi_ij M_ij and the quadric at x is x^t Phi x.
     """
 
     rep: Rep
     module: Subspace
     dual_coords: Subspace
-    basis: list[Mat]
 
     @property
     def dim(self) -> int:
         return self.dual_coords.dim
 
+    @cached_property
+    def _pairs(self) -> list[tuple[int, int]]:
+        return sym_pairs(self.rep.dim)
+
+    def terms(self, q: int) -> list[tuple[int, int, Fraction]]:
+        """(k, l, c) for each term c x_k x_l of quadric q, k <= l."""
+        pc = self.dual_coords.pivots[q]
+        row = self.dual_coords._rows[pc]
+        return [(*self._pairs[c], Fraction(x, row[pc])) for c, x in row.items()]
+
+    def pairing(self, q: int) -> list[tuple[int, int, Fraction]]:
+        """(k, l, Phi_kl) for the nonzero entries k <= l of quadric q's Phi."""
+        return [(k, l, c if k == l else c / 2) for k, l, c in self.terms(q)]
+
+    @cached_property
+    def basis(self) -> list[Mat]:
+        out = [Mat.zero(self.rep.dim, self.rep.dim) for _ in range(self.dim)]
+        for q, phi in enumerate(out):
+            for k, l, e in self.pairing(q):
+                phi.data[k][l] = phi.data[l][k] = e
+        return out
+
     def evaluate(self, k: int, x) -> Fraction:
-        phi = self.basis[k]
-        total = QQ(0)
-        for i, row in enumerate(phi.data):
-            for j, e in enumerate(row):
-                if e:
-                    total += e * x[i] * x[j]
-        return total
+        return sum((c * x[i] * x[j] for i, j, c in self.terms(k)), QQ(0))
 
 
 def ideal_of_module(r: Rep, module: Subspace) -> QuadraticIdeal:
-    """Annihilator of a submodule of S^2(V), as trace-pairing symmetric matrices."""
-    dual = annihilator(module)
-    basis = [trace_pairing_mat(row, r.dim) for row in dual.basis]
-    return QuadraticIdeal(r, module, dual, basis)
+    """Annihilator of a submodule of S^2(V), one sparse dual row per quadric."""
+    return QuadraticIdeal(r, module, annihilator(module))
 
 
 def quadric_ideal(r: Rep, y, module: Subspace | None = None) -> QuadraticIdeal:
@@ -850,7 +863,7 @@ def certify_irreducibility(r: Rep, y, trials: int = 25, seed: int = 0,
             return
         report.hyperplane_good += 1
         report.forward_trials += 1
-        v = im_at.basis[next(k for k, c in enumerate(psi) if c)]
+        v = im_at.basis_row(next(k for k, c in enumerate(psi) if c))
         out = _forward(data, prods, psi, v)
         if out.kind == "rank0":
             report.forward_rank0 += 1

@@ -5,13 +5,32 @@ sparse columns: each fills a dense d x d grid of ``Fraction``s from the
 parent module's dense ``action`` matrices and wraps it in a ``Mat``.  They
 share nothing with the library's constructions but ``sym_pairs``, the
 coordinate convention of the symmetric square.
+
+``all_pairs_homomorphism_check`` is the homomorphism check on every pair of
+catalog symbols, which the library ran before it checked only the pairs with
+a simple member.
 """
 
 import itertools
 from fractions import Fraction
 
+from orbitquad.errors import StructuralError
+from orbitquad.lie import bracket
 from orbitquad.linalg import Mat, QQ, sym_pairs
 from orbitquad.reps import Rep
+
+
+def all_pairs_homomorphism_check(r: Rep) -> None:
+    """rho([a,b]) = [rho(a), rho(b)] on dense matrices for every pair a before
+    b in catalog order; raises StructuralError at the first that fails."""
+    g, rho = r.algebra, r.action
+    for i, a in enumerate(g.catalog):
+        for b in g.catalog[i + 1:]:
+            want = Mat.zero(r.dim, r.dim)
+            for s, c in g.expand_in_catalog(bracket(g.generators[a], g.generators[b])).items():
+                want = want + rho[s].scale(c)
+            if rho[a] * rho[b] - rho[b] * rho[a] != want:
+                raise StructuralError(f"action is not a Lie homomorphism on ({a}, {b})")
 
 
 def sym_pair_index(n: int) -> dict[tuple[int, int], int]:

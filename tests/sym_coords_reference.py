@@ -7,9 +7,13 @@ Two conventions read the coordinates of S^2(QQ^n), one per index pair
   the diagonal (``sym_product_coords``); the library reads these;
 - monomials: (sum u_p z_p)(sum w_q z_q) has the coefficient
   u_k w_l + u_l w_k on z_k z_l (``pair_coords``).
+
+A functional on matrix-entry coordinates is the full trace pairing with a
+symmetric matrix (``trace_pairing_mat``), the dense form in which the
+library once built every quadric of an ideal.
 """
 
-from orbitquad.linalg import QQ, sym_pairs
+from orbitquad.linalg import QQ, sym_coords_to_mat, sym_pairs
 
 
 def mat_to_sym_coords(m):
@@ -30,3 +34,10 @@ def sym_product_coords(u, w):
 def pair_coords(u, w):
     """Monomial coefficients of the polynomial (sum u_p z_p)(sum w_q z_q)."""
     return _products(u, w, 1)
+
+
+def trace_pairing_mat(row, n):
+    """The symmetric Phi with sum_ij Phi_ij M_ij = sum_(k<=l) row_kl M_kl."""
+    half = QQ(1, 2)
+    return sym_coords_to_mat([c if k == l else half * c
+                              for (k, l), c in zip(sym_pairs(n), row, strict=True)], n)

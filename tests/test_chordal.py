@@ -22,6 +22,8 @@ from orbitquad.lie import make_sl
 from orbitquad.orbit import my_membership, orbit_module, quadric_ideal
 from orbitquad.reps import derived_rep, isotypic_decomposition, standard_rep
 
+import weyl_oracle
+
 
 def unit(n, i):
     v = [F(0)] * n
@@ -271,3 +273,28 @@ def test_component_analysis_partial_order():
         for j2, k in rel:
             if j2 == j and (i, k) not in rel and i != k:
                 raise AssertionError("containment relation is not transitive")
+
+
+def _two_omega(n, k):
+    return tuple(2 * int(i == k - 1) for i in range(n - 1))
+
+
+# At p = 1 the chordal span is the Cartan component V(2 omega_k) of
+# S^2(wedge^k V), the orbit module of the highest weight vector e_1 ^ ... ^ e_k
+# (Lichtenstein, Proc. AMS 84, 1982), so the ideal is its complement
+@pytest.mark.parametrize("n,k,span", [(5, 2, 50), (6, 2, 105), (7, 2, 196), (8, 2, 336),
+                                      (6, 3, 175), (7, 3, 490),
+                                      pytest.param(8, 3, 1176, marks=pytest.mark.slow)])
+def test_chordal_span_is_the_cartan_component(n, k, span):
+    m = comb(n, k)
+    assert weyl_oracle.weyl_dim(n, _two_omega(n, k)) == span
+    report = chordal_ideal(ChordalSpec(n, k, 1), seed=0)
+    assert report.span_dim == span
+    assert report.ideal.dim == m * (m + 1) // 2 - span
+
+
+def test_highest_weight_ideal_of_wedge3_at_sl8():
+    r = derived_rep(standard_rep(make_sl(8)), "wedge", 3)
+    span = weyl_oracle.weyl_dim(8, _two_omega(8, 3))
+    assert orbit_module(r, unit(56, 0)).dim == span == 1176
+    assert quadric_ideal(r, unit(56, 0)).dim == 56 * 57 // 2 - span == 420

@@ -24,8 +24,11 @@ correspondence table was read through one augmented elimination: both boxes
 have 2^14 indices, so they pin the Leibniz sample drawn from 3^14 doubled
 positions (the set branch of ``random.sample``, where the sl(5) golden pins
 the pool branch), the r = 14 path through the tables and, for the second,
-a 3-form.  Each command is run in a fresh interpreter, so every module is
-built cold.
+a 3-form.  ``ideal`` of e1^e2^e3 in wedge^3 of sl(6) (35 quadrics, entries
++-1/2) and of (1,0,0,-1,0) in sym^4 of sl(2) (one quadric, 1/12 on the
+diagonal, 1/2 and -1/8 off it) were written before the quadrics were kept
+as sparse dual rows and the ``ideal`` command wrote its matrices from them.
+Each command is run in a fresh interpreter, so every module is built cold.
 """
 
 import json

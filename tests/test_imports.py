@@ -9,6 +9,7 @@ import inspect
 from pathlib import Path
 
 import orbitquad
+from orbitquad.lie import LieAlgebra
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "orbitquad"
 
@@ -24,6 +25,7 @@ MOVED_ORACLES = {
     "mat_to_sym_coords": "linalg",
     "sym_product_coords": "linalg",
     "pair_coords": "linalg",
+    "trace_pairing_mat": "linalg",
 }
 
 
@@ -89,3 +91,41 @@ def test_certify_builds_nothing_over_the_box():
     offenders += [path.name for path in sorted(SRC.glob("*.py"))
                   if "integer_inverse" in _identifiers(ast.parse(path.read_text()))]
     assert offenders == []
+
+
+def _definition(path, qualname):
+    """The def or class node at a dotted name (``Class.method``) of a module."""
+    node = ast.parse((SRC / path).read_text())
+    for part in qualname.split("."):
+        node = next(n for n in node.body
+                    if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == part)
+    return node
+
+
+def test_the_ideal_path_builds_no_dense_quadric():
+    """``ideal_of_module``, ``quadric_ideal`` and the ``ideal`` command read
+    the sparse dual rows: they call no dense constructor and read no
+    ``basis``, which builds one dense matrix per quadric."""
+    dense = ("Mat", "Mat.zero", "trace_pairing_mat", "sym_coords_to_mat")
+    offenders = []
+    for path, name in [("orbit.py", "ideal_of_module"), ("orbit.py", "quadric_ideal"),
+                       ("cli.py", "_cmd_ideal")]:
+        for node in ast.walk(_definition(path, name)):
+            if isinstance(node, ast.Call):
+                call = ast.unparse(node.func)
+                offenders += [f"{name} calls {call}" for d in dense
+                              if call == d or call.endswith("." + d)]
+            if isinstance(node, ast.Attribute) and node.attr == "basis":
+                offenders.append(f"{name} reads basis")
+    assert offenders == []
+
+
+def test_homomorphism_check_reads_the_simple_pairs_only():
+    """``Rep.verify_homomorphism`` reads the table of pairs with a simple
+    member and no all-pairs table, nor the catalog to pair it up itself; the
+    all-pairs table is gone from ``LieAlgebra``."""
+    names = set(_identifiers(_definition("reps.py", "Rep.verify_homomorphism")))
+    assert "simple_structure_constants" in names
+    assert names.isdisjoint({"structure_constants", "catalog", "generators", "bracket",
+                             "combinations", "product", "permutations"})
+    assert not hasattr(LieAlgebra, "structure_constants")

@@ -47,6 +47,7 @@ import sequence_reference
 import weyl_oracle
 from hyperplane_reference import evaluation_hyperplane, hyperplane_of
 from sequence_reference import multi_pass_sequence
+from sym_coords_reference import trace_pairing_mat
 
 
 def unit(n, i):
@@ -135,6 +136,28 @@ def test_plucker_quadric_shape():
     assert val != 0
     x = [F(1), F(2), F(3), F(4), F(5), F(6)]
     assert ideal.evaluate(0, x) / val == x[0] * x[5] - x[1] * x[4] + x[2] * x[3]
+
+
+@pytest.mark.parametrize("case", ["sym3@sl2", "sym4@sl2", "wedge2@sl4", "wedge3@sl6"])
+def test_quadrics_match_the_dense_trace_pairing(case):
+    # evaluate reads the sparse dual rows, basis is built from them on first
+    # read; both agree with x^t Phi x for the dense reference Phi
+    r, y = {"sym3@sl2": (sl2_sym(3), unit(4, 0)),
+            "sym4@sl2": (sl2_sym(4), [1, 0, 0, -1, 0]),
+            "wedge2@sl4": (wedge2_sl4(), E12),
+            "wedge3@sl6": (derived_rep(standard_rep(make_sl(6)), "wedge", 3), unit(20, 0))}[case]
+    ideal = quadric_ideal(r, y)
+    assert ideal.dim > 0
+    phis = [trace_pairing_mat(row, r.dim) for row in ideal.dual_coords.basis]
+    assert ideal.basis == phis
+    assert all(ideal.evaluate(k, y) == 0 for k in range(ideal.dim))  # y is on its orbit
+    rng = random.Random(7)
+    for _ in range(3):
+        x = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(r.dim)]
+        for k, phi in enumerate(phis):
+            want = sum(phi.data[i][j] * x[i] * x[j] for i in range(r.dim) for j in range(r.dim))
+            got = ideal.evaluate(k, x)
+            assert got == want and isinstance(got, F)
 
 
 def test_my_membership():

@@ -32,7 +32,7 @@ import highest_weight_reference
 import weyl_oracle
 from closure_reference import dense_closure
 from sym_coords_reference import mat_to_sym_coords, sym_product_coords
-from construction_reference import dense_construction
+from construction_reference import all_pairs_homomorphism_check, dense_construction
 
 
 def unit(n, i):
@@ -439,6 +439,39 @@ def test_homomorphism_guard_catches_a_fault_on_a_non_simple_pair():
     wrong[i][j] += 1
     with pytest.raises(StructuralError, match="not a Lie homomorphism"):
         Rep(real.algebra, "sym(2,std) with one wrong entry", action)
+
+
+def _raises(check) -> bool:
+    try:
+        check()
+    except StructuralError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("kind,n", [("sym", 3), ("wedge", 4)], ids=["sym2@sl3", "wedge2@sl4"])
+def test_simple_pair_check_is_as_strong_as_every_pair(kind, n):
+    # add 1 to one entry of one generator's columns, each nonzero entry and
+    # one zero entry per column in turn: the check on the pairs with a simple
+    # member raises exactly when the check on every pair does
+    real = derived_rep(standard_rep(make_sl(n)), kind, 2)
+    assert not _raises(real.verify_homomorphism)
+    assert not _raises(lambda: all_pairs_homomorphism_check(real))
+    verdicts = []
+    for s, cols in real.columns.items():
+        for j, col in enumerate(cols):
+            entries = dict(col)
+            zero = next(i for i in range(real.dim) if i not in entries)
+            for i in [*entries, zero]:
+                changed = {**entries, i: entries.get(i, 0) + 1}
+                new = sorted((k, e) for k, e in changed.items() if e)
+                mutant = Rep(real.algebra, "mutant",
+                             {**real.columns, s: [*cols[:j], new, *cols[j + 1:]]}, _checked=True)
+                simple = _raises(mutant.verify_homomorphism)
+                assert simple == _raises(lambda: all_pairs_homomorphism_check(mutant)), (s, j, i)
+                verdicts.append(simple)
+    assert len(verdicts) == sum(len(c) + 1 for cols in real.columns.values() for c in cols)
+    assert any(verdicts)
 
 
 @pytest.mark.parametrize(
