@@ -26,7 +26,6 @@ from .linalg import (
     rank,
     rref,
     solve,
-    subspace_combine,
     sym_square,
 )
 from .lie import LieAlgebra, Root, bracket, make_sl
@@ -84,8 +83,8 @@ __all__ = [
     "RankOneError", "SpecParseError", "StructuralError",
     "UnsupportedExpression", "Mat", "PivotedSpan", "Scalar", "Subspace",
     "annihilator", "format_scalar", "parse_scalar", "rank", "rref", "solve",
-    "subspace_combine", "sym_square", "LieAlgebra", "Root", "bracket",
-    "make_sl", "Rep", "act_word", "cyclic_module", "derived_rep",
+    "sym_square", "LieAlgebra", "Root", "bracket", "make_sl", "Rep", "act_word",
+    "cyclic_module", "derived_rep",
     "exp_nilpotent", "highest_weight_vectors", "isotypic_decomposition",
     "standard_rep", "weight_decomposition", "weights_multiset", "Box",
     "Catalecticant", "MultiMatrix", "MultiVector", "catalecticant",

@@ -19,7 +19,7 @@ from math import comb
 from .errors import (CapExceeded, GenericVectorError, StructuralError,
                      UnsupportedExpression)
 from .lie import make_sl
-from .linalg import Mat, PivotedSpan, QQ, rank, solve, vec_is_zero, yy_coords
+from .linalg import Coordinates, Mat, PivotedSpan, QQ, rank, vec_is_zero, yy_coords
 from .orbit import QuadraticIdeal, ideal_of_module, orbit_module
 from .reps import (
     IsotypicDecomposition,
@@ -207,19 +207,20 @@ def chordal_ideal(spec: ChordalSpec, samples: int = 0, seed: int = 0) -> Chordal
 # ---------------------------------------------------------------------------
 # generic vectors and component analysis
 
-def _projection_flags(s2_dim: int, components, yy) -> list[bool]:
-    """Which isotypic projections of yy are nonzero."""
-    rows = []
-    blocks = []
-    for comp in components:
-        start = len(rows)
-        rows.extend(list(r) for r in comp.subspace.basis)
-        blocks.append((start, len(rows)))
-    m = Mat([[rows[j][i] for j in range(len(rows))] for i in range(s2_dim)])
-    coeffs = solve(m, yy)
-    if coeffs is None:
-        raise StructuralError("components do not span the symmetric square")
-    return [any(coeffs[j] for j in range(a, b)) for a, b in blocks]
+def _projection_flags(components):
+    """The reader of the set of components onto which a symmetric square yy
+    projects nonzero: its coordinates on their integer rows, read off one
+    elimination built here, are nonzero in exactly those components' blocks."""
+    owner = [i for i, comp in enumerate(components) for _ in range(comp.dim)]
+    rows = [row for comp in components for row in comp.subspace._rows.values()]
+    coords = Coordinates(rows, components[0].subspace.ambient_dim)
+
+    def support(yy) -> frozenset[int]:
+        b = coords.of(yy)
+        if b is None:
+            raise StructuralError("components do not span the symmetric square")
+        return frozenset(owner[k] for k in b)
+    return support
 
 
 def generic_vector(r: Rep, sampler, decomp: IsotypicDecomposition,
@@ -232,15 +233,15 @@ def generic_vector(r: Rep, sampler, decomp: IsotypicDecomposition,
     """
     if not decomp.multiplicity_free:
         raise UnsupportedExpression("decomposition must be multiplicity free")
-    s2_dim = sum(c.dim for c in decomp.components)
+    projections = _projection_flags(decomp.components)
     reachable: set[int] = set()
     for t in range(tries):
         y = sampler(t)
         if vec_is_zero(y):
             continue
-        flags = _projection_flags(s2_dim, decomp.components, yy_coords(y))
-        reachable |= {i for i, f in enumerate(flags) if f}
-        if all(flags):
+        support = projections(yy_coords(y))
+        reachable |= support
+        if len(support) == len(decomp.components):
             return list(map(QQ, y))
     raise GenericVectorError(frozenset(reachable), tries)
 
@@ -273,10 +274,8 @@ def component_analysis(r: Rep, points) -> ComponentReport:
     decomp = isotypic_decomposition(s2)
     if not decomp.multiplicity_free:
         raise UnsupportedExpression("symmetric square is not multiplicity free")
-    sets = []
-    for x in points:
-        flags = _projection_flags(s2.dim, decomp.components, yy_coords(x))
-        sets.append(frozenset(i for i, f in enumerate(flags) if f))
+    projections = _projection_flags(decomp.components)
+    sets = [projections(yy_coords(x)) for x in points]
     groups: dict[frozenset[int], list[int]] = {}
     for i, s in enumerate(sets):
         groups.setdefault(s, []).append(i)

@@ -8,16 +8,16 @@ Everything is exact; there are no tolerances anywhere in this package.
 A row is a dict of its nonzero entries by column, the form in which the
 module action returns its images.  Dense rows come in only at the public
 edges (``Subspace``, ``PivotedSpan.add``, the ``contains`` methods,
-``rref``, ``rank``, ``solve``, ``augmented_rref``, ``Mat.inverse``) and go
+``rref``, ``rank``, ``solve``, ``augmented_rref``, ``Coordinates``) and go
 out only as ``Subspace.basis`` (built on first read) and ``Mat`` grids.
 
 Every row operation in the package happens in three functions here:
 
 - ``_rref_rows``, the one Gauss-Jordan elimination, behind ``Subspace``,
-  ``rref``, ``rank``, ``solve`` and ``augmented_rref``, which reduces rows
-  augmented by unit columns, so each reduced row carries the combination of
-  input rows it came from (inverses, coordinates on a fixed set of rows,
-  and the relations among rows);
+  ``rref``, ``rank`` and ``augmented_rref``, which reduces rows augmented
+  by unit columns, so each reduced row carries the combination of input
+  rows it came from (coordinates on fixed rows, and the relations among
+  rows);
 - ``_reduce``, which clears the pivot columns of a row against echelon
   rows, behind ``Subspace.contains``, ``PivotedSpan`` and the rank-limited
   pass of ``augmented_rref``;
@@ -30,12 +30,19 @@ b * pivot_row with a, b coprime, then division by the row's gcd, and only
 the nonzero entries are touched.  The RREF of a row space is unique, so the
 answer is the canonical one that elimination over the rationals gives.
 
+Coordinates on fixed rows are read in one class, ``Coordinates``: one
+rank-limited ``augmented_rref`` of the rows, then each target's coordinates
+on the lex-earliest independent rows, or None.  ``solve`` (on m's columns),
+``Mat.inverse`` (unit targets), the correspondence tables of ``orbit`` and
+the isotypic supports of ``chordal`` are built on it.
+
 All values are treated as immutable after construction and all operations are
 pure, so they can be shared freely between concurrent workers.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
@@ -173,12 +180,11 @@ class Mat:
     def inverse(self) -> "Mat":
         if self.rows != self.cols:
             raise DimensionMismatch("only square matrices have inverses")
-        n = self.rows
-        reduced = augmented_rref(self.data, n)
-        if list(reduced)[:n] != list(range(n)):
+        coords = Coordinates(self.data, self.cols)
+        inv = [coords.of({j: 1}) for j in range(self.rows)]  # e_j on the rows
+        if None in inv:
             raise StructuralError("matrix is singular")
-        return Mat([[Fraction(row.get(n + j, 0), row[k]) for j in range(n)]
-                    for k, row in reduced.items()])
+        return Mat([[row.get(i, ZERO) for i in range(self.rows)] for row in inv])
 
     def trace(self) -> Fraction:
         return sum((self.data[i][i] for i in range(min(self.rows, self.cols))), ZERO)
@@ -216,6 +222,21 @@ def sym_coords_to_mat(coords, n: int) -> Mat:
     return m
 
 
+def sym_rank_one(coords, n: int) -> tuple[int, list[Fraction] | None]:
+    """The rank of the symmetric matrix M with coordinates ``coords`` and, at
+    rank one, its factor u with first nonzero coordinate 1.  For M_ii the
+    first nonzero diagonal entry, rank M <= 1 exactly when M_kl M_ii = M_ik
+    M_il for all k <= l, and u_k = M_ik / M_ii; a nonzero M with a zero
+    diagonal has rank >= 2.  The exact rank is computed only above one."""
+    pairs = sym_pairs(n)
+    i = next((k for (k, l), x in zip(pairs, coords) if k == l and x), None)
+    if i is not None:
+        col = [x for kl, x in zip(pairs, coords) if i in kl]  # M_0i, ..., M_ii, ..., M_i(n-1)
+        if all(x * col[i] == col[k] * col[l] for (k, l), x in zip(pairs, coords)):
+            return 1, [Fraction(x, col[i]) for x in col]
+    return (rank(sym_coords_to_mat(coords, n)) if any(coords) else 0), None
+
+
 # ---------------------------------------------------------------------------
 # row reduction
 #
@@ -235,6 +256,14 @@ def _row(v, n: int) -> dict:
     if len(v) != n:
         raise DimensionMismatch("vector length != ambient dimension")
     return sparse(v)
+
+
+def integer_rows(rows) -> tuple[list[dict[int, int]], int]:
+    """Rational rows, given as dicts of entries, as integer rows over one
+    positive denominator, the lcm of the denominators of their entries."""
+    den = lcm(*(e.denominator for row in rows for e in row.values()))
+    return [{k: e.numerator * (den // e.denominator) for k, e in row.items()}
+            for row in rows], den
 
 
 def _primitive(row: dict) -> dict[int, int] | None:
@@ -331,6 +360,39 @@ def augmented_rref(rows, ncols: int, limit: int | None = None) -> dict[int, dict
             if len(kept) == limit:
                 break
     return _rref_rows(kept.values())
+
+
+class Coordinates:
+    """Coordinates of targets on fixed rows (dense or by their nonzero
+    entries below ``ncols``), read off one ``augmented_rref`` with ``limit``
+    (their rank when known, else ``ncols``): each kept row [p R | E] has p R
+    = E . rows with E on the lex-earliest independent rows.  For an integer
+    target T / t in their span, the sum over pivots c of T_c L / p_c [p_c R_c
+    | E_c] is [L T | S], L the lcm of the pivots, and x = S / (L t) is full
+    row reduction's solution with free variables at zero."""
+
+    __slots__ = ("ncols", "_rows", "_lcm")
+
+    def __init__(self, rows, ncols: int, limit: int | None = None):
+        self.ncols = ncols
+        self._rows = augmented_rref(rows, ncols, ncols if limit is None else limit)
+        self._lcm = lcm(*(row[c] for c, row in self._rows.items()))
+
+    def of(self, target) -> dict[int, Fraction] | None:
+        """The nonzero coefficients x_i by row index with sum x_i row_i =
+        target (dense or by its nonzero entries), checked on every
+        coordinate, or None when the target is outside the span."""
+        (tgt,), t = integer_rows([{c: x for c, x in _row(target, self.ncols).items() if x}])
+        n, big, rows = self.ncols, self._lcm, self._rows
+        acc: defaultdict[int, int] = defaultdict(int)
+        for c, x in tgt.items():
+            if c in rows:
+                f = x * (big // rows[c][c])
+                for k, e in rows[c].items():
+                    acc[k] += f * e
+        if {k: e for k, e in acc.items() if k < n and e} != {c: big * x for c, x in tgt.items()}:
+            return None
+        return {k - n: Fraction(e, big * t) for k, e in acc.items() if k >= n and e}
 
 
 def _kernel_rows(rows: dict[int, dict[int, int]], ncols: int) -> list[dict]:
@@ -435,15 +497,6 @@ def rank(m: Mat) -> int:
     return len(_rref_rows(map(sparse, m.data)))
 
 
-def subspace_combine(a: Subspace, b: Subspace, mode: str) -> Subspace:
-    """Sum or intersection of two subspaces of the same ambient space."""
-    if mode == "sum":
-        return a.sum(b)
-    if mode == "intersect":
-        return a.intersect(b)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 def annihilator(s: Subspace) -> Subspace:
     """All functionals (in dual coordinates) vanishing on s.
 
@@ -453,19 +506,12 @@ def annihilator(s: Subspace) -> Subspace:
 
 
 def solve(m: Mat, rhs) -> list[Fraction] | None:
-    """One exact solution of m x = rhs with free variables set to 0.
-
-    Returns None when the system is inconsistent.
-    """
+    """One exact solution of m x = rhs with free variables set to 0, the
+    coordinates of rhs on m's columns, or None when it is inconsistent."""
     if len(rhs) != m.rows:
         raise DimensionMismatch("rhs length != number of rows")
-    rows = _rref_rows({**sparse(row), m.cols: QQ(r)} for row, r in zip(m.data, rhs))
-    if m.cols in rows:
-        return None
-    x = [ZERO] * m.cols
-    for pc, row in rows.items():
-        x[pc] = Fraction(row.get(m.cols, 0), row[pc])
-    return x
+    x = Coordinates(zip(*m.data), m.rows).of(list(map(QQ, rhs)))
+    return None if x is None else [x.get(j, ZERO) for j in range(m.cols)]
 
 
 class PivotedSpan:

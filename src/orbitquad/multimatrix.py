@@ -23,6 +23,8 @@ from .linalg import (
     Subspace,
     format_scalar,
     parse_scalar,
+    sym_pairs,
+    sym_rank_one,
 )
 
 
@@ -302,17 +304,7 @@ def rank_one_factor(m: Mat) -> list[Fraction]:
     """
     if m.rows != m.cols or m != m.transpose():
         raise RankOneError("not symmetric")
-    lead_row = next((i for i, row in enumerate(m.data) if any(row)), None)
-    if lead_row is None:
-        raise RankOneError("zero")
-    row = m.data[lead_row]
-    lead_col = next(j for j, e in enumerate(row) if e)
-    u = [e / row[lead_col] for e in row]
-    c = m.data[lead_col][lead_col]
-    for i in range(m.rows):
-        for j in range(m.cols):
-            if m.data[i][j] != c * u[i] * u[j]:
-                raise RankOneError("not rank one")
-    if not c:
-        raise RankOneError("not rank one")
-    return u
+    rk, factor = sym_rank_one([m.data[k][l] for k, l in sym_pairs(m.rows)], m.rows)
+    if factor is None:
+        raise RankOneError("zero" if rk == 0 else "not rank one")
+    return factor

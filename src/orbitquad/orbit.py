@@ -32,6 +32,7 @@ from math import lcm, prod
 
 from .errors import CapExceeded, StructuralError
 from .linalg import (
+    Coordinates,
     Mat,
     PivotedSpan,
     QQ,
@@ -39,10 +40,10 @@ from .linalg import (
     annihilator,
     augmented_rref,
     format_scalar,
-    rank,
+    integer_rows,
     sparse,
-    sym_coords_to_mat,
     sym_pairs,
+    sym_rank_one,
     vec_is_zero,
     yy_coords,
 )
@@ -231,14 +232,6 @@ def _nonzero_columns(r: Rep, symbols, box: Box, y: dict) -> dict[int, dict]:
     return {pos: v for pos, v in memo.items() if v}
 
 
-def _integer_rows(rows) -> tuple[list[dict[int, int]], int]:
-    """Rational rows, given as dicts of entries, as integer rows over one
-    positive denominator, the lcm of the denominators of their entries."""
-    den = lcm(*(e.denominator for row in rows for e in row.values()))
-    return [{k: e.numerator * (den // e.denominator) for k, e in row.items()}
-            for row in rows], den
-
-
 def _validate_vanishing(r: Rep, symbols, box: Box, y) -> None:
     """Exact check that raising any single exponent past its bound kills y."""
     y = sparse(map(QQ, y))
@@ -370,7 +363,7 @@ class _SeqData:
     orbit module, A's nonzero columns as sparse integer rows over
     ``col_den`` by box position, and the pair sums over ``den`` = col_den^2
     as rows keyed by doubled position, held only where reached.  Solving
-    reads one elimination of the pair sums, each augmented by a unit column."""
+    reads the coordinates on the pair sums (``linalg.Coordinates``)."""
 
     def __init__(self, r: Rep, y, gs: GenSeq):
         self.rep = r
@@ -380,7 +373,7 @@ class _SeqData:
         self.yy = sparse(yy_coords(y))
         self.doubled = gs.box.doubled()
         walked = sorted(_nonzero_columns(r, gs.symbols, gs.box, sparse(map(QQ, y))).items())
-        rows, self.col_den = _integer_rows([col for _, col in walked])
+        rows, self.col_den = integer_rows([col for _, col in walked])
         self.columns = {pos: row for (pos, _), row in zip(walked, rows)}
         self.den = self.col_den ** 2
         self.dyy = {0: self.yy}  # D^n(yy)/n! by position, as ``leibniz`` reads them
@@ -405,41 +398,26 @@ class _SeqData:
                                            for k in range(self.rep.dim)))
 
     @cached_property
-    def _solver(self):
-        """The reached positions in order, the RREF rows [p R | E] of the
-        lex-earliest independent pair sums augmented by unit columns, and the
-        lcm of their pivots; every pair sum is D^n(yy)/n!, in U(yy), so the
-        elimination stops at its dimension."""
+    def _solver(self) -> tuple[list[int], Coordinates]:
+        """The reached positions in order and the coordinates on their pair
+        sums; every pair sum is D^n(yy)/n!, in U(yy), so the elimination
+        stops at its dimension."""
         positions = sorted(self._pair_sums)
-        rows = augmented_rref((self._pair_sums[p] for p in positions),
-                              self.s2.dim, self.module.dim)
-        return positions, rows, lcm(*(row[c] for c, row in rows.items()))
+        return positions, Coordinates((self._pair_sums[p] for p in positions),
+                                      self.s2.dim, self.module.dim)
 
     def solve_coefficients(self, target: dict) -> dict[int, Fraction] | None:
         """One b with sum b_n C_n = target, free variables at zero, by
-        position of its nonzero entries, or None.  Restricting to the
-        lex-earliest independent columns gives exactly the particular
-        solution full row reduction would produce: for the integer target T /
-        t, the sum over pivots c of T_c L / p_c [p_c R_c | E_c] is [L T | S],
-        checked on every coordinate, and b = S den / (L t)."""
-        positions, rows, big = self._solver
-        n = self.s2.dim
-        (tgt,), t = _integer_rows([{k: x for k, x in target.items() if x}])
-        acc: defaultdict[int, int] = defaultdict(int)
-        for c, x in tgt.items():
-            if c in rows:
-                f = x * (big // rows[c][c])
-                for k, e in rows[c].items():
-                    acc[k] += f * e
-        if {k: e for k, e in acc.items() if k < n and e} != {k: big * x for k, x in tgt.items()}:
-            return None
-        return {positions[k - n]: Fraction(e * self.den, big * t)
-                for k, e in acc.items() if k >= n and e}
+        position of its nonzero entries, or None: the pair sums hold den
+        C_n, so b is the coordinates of den times the target on them."""
+        positions, coords = self._solver
+        x = coords.of({k: e * self.den for k, e in target.items()})
+        return None if x is None else {positions[k]: e for k, e in x.items()}
 
     def phi_of_coefficients(self, b: dict) -> tuple[list[int], int]:
         """A B A^t for the catalecticant defined by b (by position), via sum
         b_n C_n: integer symmetric coordinates and their denominator."""
-        (coeffs,), t = _integer_rows([b])
+        (coeffs,), t = integer_rows([b])
         acc = [0] * self.s2.dim
         for p, c in coeffs.items():
             for k, e in self._pair_sums.get(p, {}).items():
@@ -560,7 +538,7 @@ class _Products:
         so psi is an integer row, and the scaled products ask for w /
         psi(v)^2, w_ab = p_a p_b psi_a psi_b: b_c = (E . w) L / p over L
         psi(v)^2, checked as product . b = w / psi(v)^2 on every product."""
-        (psi,), _ = _integer_rows([dict(enumerate(psi))])
+        (psi,), _ = integer_rows([dict(enumerate(psi))])
         pv = QQ(sum(psi[a] * v[c] for a, c in enumerate(self.u.pivots)))
         want = [self.scale[a] * self.scale[b] * psi[a] * psi[b] for a, b in self.pairs]
         small = {c: sum(x * want[s] for s, x in e) * (self.lcm // p) for c, p, e in self.f_rows}
@@ -616,21 +594,6 @@ class ReverseOutcome:
     failure: str | None = None
 
 
-def _rank_one(m: list[int], n: int) -> tuple[int, list[Fraction] | None]:
-    """The rank of the symmetric matrix M with coordinates m and, at rank
-    one, its factor u with first nonzero coordinate 1.  For M_ii the first
-    nonzero diagonal entry, rank M <= 1 exactly when M_kl M_ii = M_ik M_il
-    for all k <= l, and u_k = M_ik / M_ii; a nonzero M with a zero diagonal
-    has rank >= 2.  The exact rank is computed only above one."""
-    pairs = sym_pairs(n)
-    i = next((k for (k, l), x in zip(pairs, m) if k == l and x), None)
-    if i is not None:
-        col = [x for kl, x in zip(pairs, m) if i in kl]  # M_0i, ..., M_ii, ..., M_i(n-1)
-        if all(x * col[i] == col[k] * col[l] for (k, l), x in zip(pairs, m)):
-            return 1, [Fraction(x, col[i]) for x in col]
-    return (rank(sym_coords_to_mat(m, n)) if any(m) else 0), None
-
-
 def _forward(data: _SeqData, prods: _Products, psi, v) -> ForwardOutcome:
     """The forward direction for W = ker psi (psi on the RREF basis of im A^t)
     and a complement v, once hyperplane_check has found codimension 1."""
@@ -641,7 +604,7 @@ def _forward(data: _SeqData, prods: _Products, psi, v) -> ForwardOutcome:
             failure="the forward functional failed its exact check on mu(im A^t . im A^t)",
             witness={"v": [format_scalar(e) for e in v]},
         )
-    rk, factor = _rank_one(data.phi_of_coefficients(b)[0], data.rep.dim)
+    rk, factor = sym_rank_one(data.phi_of_coefficients(b)[0], data.rep.dim)
     if rk > 1:
         return ForwardOutcome(
             ok=False, kind="discrepancy", rank=rk, b=b,

@@ -7,6 +7,8 @@ its pivot as soon as it is chosen, and every other row is cleared with
 unique, so the library must return exactly what these return.
 ``kernel_combinations`` is the dense kernel of a linear map given by the
 images of vectors, which the library once used for highest weight vectors.
+``solve`` is the dense solve the library ran before every coordinate read
+went through one sparse solver: full row reduction of [m | rhs].
 """
 
 from fractions import Fraction
@@ -20,7 +22,7 @@ def rref_rows(rows, ncols):
     Zero rows sink to the bottom.  Pivot entries are 1 and pivot columns are
     cleared above and below, so the nonzero rows are the canonical RREF basis.
     """
-    rows = [list(map(Fraction, r)) for r in rows]
+    rows = [[e if type(e) is Fraction else Fraction(e) for e in r] for r in rows]
     nrows = len(rows)
     pivots = []
     pr = 0
@@ -41,13 +43,13 @@ def rref_rows(rows, ncols):
                 if prow[c]:
                     prow[c] *= inv
         prow = rows[pr]
+        support = [c for c in range(pc, ncols) if prow[c]]
         for r in range(nrows):
             if r != pr and rows[r][pc]:
                 f = rows[r][pc]
                 rrow = rows[r]
-                for c in range(pc, ncols):
-                    if prow[c]:
-                        rrow[c] -= f * prow[c]
+                for c in support:
+                    rrow[c] -= f * prow[c]
         pivots.append(pc)
         pr += 1
         if pr == nrows:
@@ -90,3 +92,16 @@ def kernel_combinations(vectors, images):
         out.append([sum((c * v[i] for c, v in zip(coeff, vectors) if c), Fraction(0))
                     for i in range(len(vectors[0]))])
     return out
+
+
+def solve(m, rhs):
+    """One solution of m x = rhs with free variables at zero, or None: the
+    RREF of [m | rhs] is inconsistent exactly when it pivots in the last
+    column, and otherwise x is the last column on the pivot columns."""
+    rows, pivots = rref_rows([list(r) + [Fraction(b)] for r, b in zip(m.data, rhs)], m.cols + 1)
+    if m.cols in pivots:
+        return None
+    x = [Fraction(0)] * m.cols
+    for row, pc in zip(rows, pivots):
+        x[pc] = row[m.cols]
+    return x

@@ -10,9 +10,11 @@ Two conventions read the coordinates of S^2(QQ^n), one per index pair
 
 A functional on matrix-entry coordinates is the full trace pairing with a
 symmetric matrix (``trace_pairing_mat``), the dense form in which the
-library once built every quadric of an ideal.
+library once built every quadric of an ideal.  ``rank_one_factor`` is the
+dense rank-one read the library ran before it read symmetric coordinates.
 """
 
+from orbitquad.errors import RankOneError
 from orbitquad.linalg import QQ, sym_coords_to_mat, sym_pairs
 
 
@@ -41,3 +43,24 @@ def trace_pairing_mat(row, n):
     half = QQ(1, 2)
     return sym_coords_to_mat([c if k == l else half * c
                               for (k, l), c in zip(sym_pairs(n), row, strict=True)], n)
+
+
+def rank_one_factor(m):
+    """u with first nonzero coordinate 1 and m a nonzero scalar times u u^t,
+    read off the first nonzero row and checked on every entry."""
+    if m.rows != m.cols or m != m.transpose():
+        raise RankOneError("not symmetric")
+    lead_row = next((i for i, row in enumerate(m.data) if any(row)), None)
+    if lead_row is None:
+        raise RankOneError("zero")
+    row = m.data[lead_row]
+    lead_col = next(j for j, e in enumerate(row) if e)
+    u = [e / row[lead_col] for e in row]
+    c = m.data[lead_col][lead_col]
+    for i in range(m.rows):
+        for j in range(m.cols):
+            if m.data[i][j] != c * u[i] * u[j]:
+                raise RankOneError("not rank one")
+    if not c:
+        raise RankOneError("not rank one")
+    return u

@@ -298,3 +298,20 @@ def test_highest_weight_ideal_of_wedge3_at_sl8():
     span = weyl_oracle.weyl_dim(8, _two_omega(8, 3))
     assert orbit_module(r, unit(56, 0)).dim == span == 1176
     assert quadric_ideal(r, unit(56, 0)).dim == 56 * 57 // 2 - span == 420
+
+
+# S^2(wedge^2 V) at sl(8) (dim 406) is V(2 omega_2) + wedge^4 V; the square
+# of the highest weight vector E12 lies in the Cartan component (Lichtenstein,
+# Proc. AMS 84, 1982), while E12 + E34 + E56 + E78 has x ^ x != 0, so its
+# square also projects onto wedge^4 V
+def test_component_analysis_of_wedge2_at_sl8():
+    r = derived_rep(standard_rep(make_sl(8)), "wedge", 2)
+    basis = list(itertools.combinations(range(1, 9), 2))
+    e12 = [F(int(t == (1, 2))) for t in basis]
+    pfaffian = [F(int(t in {(1, 2), (3, 4), (5, 6), (7, 8)})) for t in basis]
+    report = component_analysis(r, [e12, pfaffian])
+    assert report.details["component_dims"] == [weyl_oracle.weyl_dim(8, _two_omega(8, 2)),
+                                                comb(8, 4)] == [336, 70]
+    assert report.point_sets == [frozenset({0}), frozenset({0, 1})]
+    assert report.containments == [(0, 1)]
+    assert report.maximal_count == 1 and report.bound_ok

@@ -28,6 +28,11 @@ a 3-form.  ``ideal`` of e1^e2^e3 in wedge^3 of sl(6) (35 quadrics, entries
 +-1/2) and of (1,0,0,-1,0) in sym^4 of sl(2) (one quadric, 1/12 on the
 diagonal, 1/2 and -1/8 off it) were written before the quadrics were kept
 as sparse dual rows and the ``ideal`` command wrote its matrices from them.
+``components`` of e123, e123 + e456 and the G2 3-form e123 + e145 + e167 +
+e246 + e257 + e347 + e356 in wedge^3 of sl(7) (dim S^2 V = 630) was written
+before the isotypic supports were read through one coordinate solver on the
+components' integer rows instead of a dense system per point: it pins the
+supports {0}, {0, 1}, {0, 1}, their merged groups and their containments.
 Each command is run in a fresh interpreter, so every module is built cold.
 """
 

@@ -129,3 +129,25 @@ def test_homomorphism_check_reads_the_simple_pairs_only():
     assert names.isdisjoint({"structure_constants", "catalog", "generators", "bracket",
                              "combinations", "product", "permutations"})
     assert not hasattr(LieAlgebra, "structure_constants")
+
+
+def test_the_components_path_builds_no_dense_system():
+    """The isotypic supports are read through ``linalg.Coordinates`` on the
+    components' integer rows: ``_projection_flags``, ``generic_vector`` and
+    ``component_analysis`` build no ``Mat`` and call no ``solve``."""
+    dense = ("Mat", "Mat.zero", "Mat.identity", "solve")
+    offenders = []
+    for name in ("_projection_flags", "generic_vector", "component_analysis"):
+        for node in ast.walk(_definition("chordal.py", name)):
+            if isinstance(node, ast.Call):
+                call = ast.unparse(node.func)
+                offenders += [f"{name} calls {call}" for d in dense
+                              if call == d or call.endswith("." + d)]
+    assert offenders == []
+
+
+def test_the_correspondence_tables_solve_through_coordinates():
+    """``_SeqData`` reads its coefficients through ``linalg.Coordinates`` and
+    runs no elimination of its own."""
+    names = set(_identifiers(_definition("orbit.py", "_SeqData")))
+    assert "Coordinates" in names and "augmented_rref" not in names

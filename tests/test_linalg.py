@@ -19,7 +19,6 @@ from orbitquad.linalg import (
     rank,
     rref,
     solve,
-    subspace_combine,
 )
 
 small_fracs = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -102,6 +101,11 @@ def _solve_on(kept, ncols, m, target):
     return [x / big for x in acc[ncols:]]
 
 
+def _dense_or_none(x, m):
+    """Coordinates by row index as a dense list of length m, or None."""
+    return None if x is None else [x.get(i, F(0)) for i in range(m)]
+
+
 def assert_augmented_contract(rows, ncols, rng):
     m = len(rows)
     reduced = linalg.augmented_rref(rows, ncols)
@@ -121,7 +125,8 @@ def assert_augmented_contract(rows, ncols, rng):
     transpose = [list(col) for col in zip(*rows)]
     assert relations == [list(r) for r in annihilator(Subspace(m, transpose)).basis]
     # with the rank as limit: every E lies on the lex-earliest independent
-    # rows, and the solutions are solve()'s, free variables at zero
+    # rows, and the solutions are full row reduction's, free variables at
+    # zero, as Coordinates reads them
     independent = [i for i in range(m) if rank(Mat(rows[:i + 1])) > rank(Mat(rows[:i]))]
     kept = linalg.augmented_rref(rows, ncols, limit=len(independent))
     assert list(kept) == list(sub.pivots)
@@ -131,9 +136,11 @@ def assert_augmented_contract(rows, ncols, rng):
                [F(rng.randint(-3, 3)) for _ in range(ncols)]]
     targets += [[F(int(k == j)) for k in range(ncols)] for j in range(ncols)]
     solved = 0
+    coords = linalg.Coordinates(rows, ncols, limit=len(independent))
     for target in targets:
-        want = solve(Mat(transpose), target)
+        want = kernel_reference.solve(Mat(transpose), target)
         assert _solve_on(kept, ncols, m, target) == want
+        assert _dense_or_none(coords.of(target), m) == want
         solved += want is not None
     assert solved
 
@@ -194,6 +201,27 @@ def test_span_membership_matches_fraction_reference(case, probes, coeffs):
         assert sparse_span.contains(d) == span.contains(d) == sub.contains(d) == inside
 
 
+@given(sparse_rows(), st.lists(st.integers(-2, 2), min_size=6, max_size=6),
+       st.lists(small_fracs, min_size=6, max_size=6), st.booleans(), st.booleans())
+@settings(deadline=None, max_examples=150)
+def test_coordinates_match_dense_reference(case, coeffs, probe, as_dicts, rank_known):
+    # rows with zero and dependent members (a combination of the others is
+    # appended), dense or as dicts, against the dense solve of the reference
+    # on the transpose: combinations of the rows, the zero target and random
+    # probes, mostly outside the span
+    rows, ncols = case
+    rows = rows + [[sum((c * r[k] for c, r in zip(coeffs, rows)), F(0)) for k in range(ncols)]]
+    transpose = Mat([[r[k] for r in rows] for k in range(ncols)])
+    limit = len(kernel_reference.rref_rows(rows, ncols)[1]) if rank_known else None
+    coords = linalg.Coordinates([linalg.sparse(r) if as_dicts else r for r in rows],
+                                ncols, limit)
+    for target in (rows[-1], [F(0)] * ncols, probe[:ncols]):
+        want = kernel_reference.solve(transpose, target)
+        got = coords.of(linalg.sparse(target) if as_dicts else target)
+        assert _dense_or_none(got, len(rows)) == want
+        assert got is None or all(got.values())
+
+
 def test_rref_identity():
     _, rk, ker = rref(Mat.identity(2))
     assert rk == 2
@@ -235,25 +263,27 @@ def test_rank_equals_rank_of_transpose(m):
 def test_combine_coordinate_axes():
     a = Subspace(2, [[1, 0]])
     b = Subspace(2, [[0, 1]])
-    assert subspace_combine(a, b, "sum") == Subspace.full(2)
-    assert subspace_combine(a, b, "intersect") == Subspace.zero(2)
+    assert a.sum(b) == Subspace.full(2)
+    assert a.intersect(b) == Subspace.zero(2)
 
 
 def test_combine_idempotent():
     a = Subspace(3, [[1, 2, 0], [0, 0, 1]])
-    assert subspace_combine(a, a, "sum") == a
-    assert subspace_combine(a, a, "intersect") == a
+    assert a.sum(a) == a
+    assert a.intersect(a) == a
 
 
 def test_combine_worked_intersection():
     a = Subspace(3, [[1, 1, 0], [0, 0, 1]])
     b = Subspace(3, [[1, 0, 0], [0, 1, 0]])
-    assert subspace_combine(a, b, "intersect") == Subspace(3, [[1, 1, 0]])
+    assert a.intersect(b) == Subspace(3, [[1, 1, 0]])
 
 
 def test_combine_ambient_mismatch():
     with pytest.raises(DimensionMismatch):
-        subspace_combine(Subspace.zero(2), Subspace.zero(3), "sum")
+        Subspace.zero(2).sum(Subspace.zero(3))
+    with pytest.raises(DimensionMismatch):
+        Subspace.zero(2).intersect(Subspace.zero(3))
 
 
 @given(st.lists(st.lists(small_fracs, min_size=4, max_size=4), min_size=0, max_size=3),

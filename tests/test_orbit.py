@@ -4,16 +4,18 @@ from itertools import combinations
 
 import pytest
 
+import kernel_reference
+import sym_coords_reference
 from orbitquad import orbit
-from orbitquad.errors import CapExceeded
+from orbitquad.errors import CapExceeded, RankOneError
 from orbitquad.lie import make_sl
 from orbitquad.linalg import (
     Mat,
     Subspace,
     rank,
-    solve,
     sym_coords_to_mat,
     sym_pairs,
+    sym_rank_one,
     sym_square,
     yy_coords,
 )
@@ -677,7 +679,7 @@ def test_solver_shortcut_matches_full_reduction():
         targets += [unit(data.s2.dim, k) for k in range(data.s2.dim)]
         outside = 0
         for target in targets:
-            want = solve(full_system, target)
+            want = kernel_reference.solve(full_system, target)
             got = data.solve_coefficients(dict(enumerate(target)))
             assert _dense(got, data.doubled.size) == want
             outside += want is None
@@ -692,7 +694,7 @@ def _product_span_forward(box, full, part, v):
     pivots = list(full.pivots)
     rows = [[row[p] for p in pivots] for row in part.basis]
     rows.append([mvv.data[p] for p in pivots])
-    t = solve(Mat(rows), [F(0)] * len(part.basis) + [F(1)])
+    t = kernel_reference.solve(Mat(rows), [F(0)] * len(part.basis) + [F(1)])
     b = [F(0)] * box.doubled().size
     for p, val in zip(pivots, t):
         b[p] = val
@@ -848,12 +850,20 @@ def test_certify_cap_propagates():
 ], ids=["zero", "rank1-leading-zeros", "rank2-zero-diagonal", "rank2-zero-diagonal-3x3",
         "rank2", "rank3", "rank3-zero-diagonal"])
 def test_rank_one_read_matches_dense_rank_and_factor(m):
-    # the integer read off symmetric coordinates against the dense exact rank
-    # and rank_one_factor; above rank one it reports the exact rank
+    # the read off symmetric coordinates against the dense reference rank
+    # and rank-one factor; above rank one it reports the exact rank, and
+    # rank_one_factor raises what the dense read raises
     mat = Mat(m)
-    got, factor = orbit._rank_one([m[k][l] for k, l in sym_pairs(mat.rows)], mat.rows)
-    assert got == rank(mat)
-    assert factor == (rank_one_factor(mat) if got == 1 else None)
+    got, factor = sym_rank_one([m[k][l] for k, l in sym_pairs(mat.rows)], mat.rows)
+    assert got == len(kernel_reference.rref_rows(m, mat.cols)[1])
+    try:
+        want = sym_coords_reference.rank_one_factor(mat)
+    except RankOneError as exc:
+        assert factor is None
+        with pytest.raises(RankOneError, match=str(exc)):
+            rank_one_factor(mat)
+    else:
+        assert got == 1 and factor == want == rank_one_factor(mat)
 
 
 def wedge_point(n, k, terms):
