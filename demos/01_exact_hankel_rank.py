@@ -25,7 +25,7 @@ print("(1 + x)^2            =", square.data)
 t = F(3, 2)
 b = MultiVector.from_entries(Box((2,)).doubled(), [t ** k for k in range(5)])
 B = catalecticant(b)
-m = B.as_multimatrix().as_mat()
+m = B.as_mat()
 print("\nHankel matrix of the geometric sequence t =", t)
 for row in m.data:
     print("  ", [str(e) for e in row])
@@ -34,7 +34,7 @@ print("projective factor:", [str(e) for e in rank_one_factor(m)])
 
 # A non-geometric sequence loses the rank-one property.
 b2 = MultiVector.from_entries(Box((2,)).doubled(), [1, 2, 3, 4, 6])
-print("\nperturbed sequence rank:", rank(catalecticant(b2).as_multimatrix().as_mat()))
+print("\nperturbed sequence rank:", rank(catalecticant(b2).as_mat()))
 
 # Serialization keeps rationals exact: only the defining vector is stored.
-print("\ncatalecticant JSON:", B.to_json())
+print("\ncatalecticant JSON:", b.to_json())

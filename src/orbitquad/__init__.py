@@ -31,7 +31,6 @@ from .linalg import (
 from .lie import LieAlgebra, Root, bracket, make_sl
 from .reps import (
     Rep,
-    act_word,
     cyclic_module,
     derived_rep,
     exp_nilpotent,
@@ -43,11 +42,10 @@ from .reps import (
 )
 from .multimatrix import (
     Box,
-    Catalecticant,
     MultiMatrix,
     MultiVector,
     catalecticant,
-    mm_algebra,
+    catalecticant_to_vector,
     mu,
     phi_A,
     rank_one_factor,
@@ -59,6 +57,7 @@ from .orbit import (
     build_A,
     certify_irreducibility,
     decompose_Q,
+    forward_correspondence,
     generator_sequence,
     hyperplane_check,
     leibniz_check,
@@ -66,7 +65,7 @@ from .orbit import (
     nilpotency_bound,
     orbit_module,
     quadric_ideal,
-    rank1_correspondence,
+    reverse_correspondence,
 )
 from .chordal import (
     ChordalSpec,
@@ -83,18 +82,18 @@ __all__ = [
     "RankOneError", "SpecParseError", "StructuralError",
     "UnsupportedExpression", "Mat", "PivotedSpan", "Scalar", "Subspace",
     "annihilator", "format_scalar", "parse_scalar", "rank", "rref", "solve",
-    "sym_square", "LieAlgebra", "Root", "bracket", "make_sl", "Rep", "act_word",
+    "sym_square", "LieAlgebra", "Root", "bracket", "make_sl", "Rep",
     "cyclic_module", "derived_rep",
     "exp_nilpotent", "highest_weight_vectors", "isotypic_decomposition",
     "standard_rep", "weight_decomposition", "weights_multiset", "Box",
-    "Catalecticant", "MultiMatrix", "MultiVector", "catalecticant",
-    "mm_algebra", "mu", "phi_A", "rank_one_factor", "CertReport", "GenSeq",
+    "catalecticant_to_vector", "MultiMatrix", "MultiVector", "catalecticant",
+    "mu", "phi_A", "rank_one_factor", "CertReport", "GenSeq",
     "QuadraticIdeal", "build_A", "certify_irreducibility", "decompose_Q",
-    "generator_sequence", "hyperplane_check", "leibniz_check", "my_membership",
-    "nilpotency_bound", "orbit_module", "quadric_ideal",
-    "rank1_correspondence", "ChordalSpec", "chordal_ideal", "chordal_sample",
-    "component_analysis", "generic_vector", "lemma_suma_check",
-    "sperner_bound",
+    "forward_correspondence", "generator_sequence", "hyperplane_check",
+    "leibniz_check", "my_membership", "nilpotency_bound", "orbit_module",
+    "quadric_ideal", "reverse_correspondence", "ChordalSpec", "chordal_ideal",
+    "chordal_sample", "component_analysis", "generic_vector",
+    "lemma_suma_check", "sperner_bound",
 ]
 
 __version__ = "0.1.0"

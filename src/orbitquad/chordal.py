@@ -114,8 +114,7 @@ def chordal_sample(spec: ChordalSpec, seed: int) -> list[Fraction]:
         shared = [rand_vec() for _ in range(d)]
         left = shared + [rand_vec() for _ in range(k - d)]
         right = shared + [rand_vec() for _ in range(k - d)]
-        if rank(Mat(left)) != k or rank(Mat(right)) != k:
-            continue
+        # left and right both lie in left + right[d:], so its full rank covers theirs
         if rank(Mat(left + right[d:])) != 2 * k - d:
             continue
         lam = QQ(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3]))

@@ -32,7 +32,7 @@ from .errors import (CapExceeded, DimensionMismatch, RankOneError, SpecParseErro
                      StructuralError, UnsupportedExpression)
 from .lie import make_sl
 from .linalg import format_scalar, parse_scalar, vec_is_zero
-from .orbit import certify_irreducibility, orbit_module, quadric_ideal
+from .orbit import certify_irreducibility, quadric_ideal
 from .reps import Rep, derived_rep, isotypic_decomposition, standard_rep
 
 SCHEMA_VERSION = 1
@@ -315,8 +315,7 @@ def _cmd_decompose(spec: RunSpec) -> tuple[dict, int]:
 
 def _cmd_ideal(spec: RunSpec) -> tuple[dict, int]:
     rep, (y,) = _rep_and_vectors(spec)
-    module = orbit_module(rep, y)
-    ideal = quadric_ideal(rep, y, module=module)
+    ideal = quadric_ideal(rep, y)
     grids = [[["0"] * rep.dim for _ in range(rep.dim)] for _ in range(ideal.dim)]
     for q, grid in enumerate(grids):
         for k, l, e in ideal.pairing(q):
@@ -325,7 +324,7 @@ def _cmd_ideal(spec: RunSpec) -> tuple[dict, int]:
         "dims": {
             "V": rep.dim,
             "S2V": rep.dim * (rep.dim + 1) // 2,
-            "module": module.dim,
+            "module": ideal.module.dim,
             "ideal": ideal.dim,
         },
         "ideal_basis": grids,

@@ -170,6 +170,19 @@ class MultiMatrix(Mat):
             and super().__eq__(other)
         )
 
+    def __add__(self, other: "MultiMatrix") -> "MultiMatrix":
+        if (self.row_box, self.col_box) != (other.row_box, other.col_box):
+            raise DimensionMismatch("multi-matrix addition: box mismatch")
+        return MultiMatrix(super().__add__(other).data, self.row_box, self.col_box)
+
+    def __mul__(self, other: "MultiMatrix") -> "MultiMatrix":
+        if self.col_box != other.row_box:
+            raise DimensionMismatch("multi-matrix product: inner spaces differ")
+        return MultiMatrix(super().__mul__(other).data, self.row_box, other.col_box)
+
+    def transpose(self) -> "MultiMatrix":
+        return MultiMatrix(super().transpose().data, self.col_box, self.row_box)
+
     def as_mat(self) -> Mat:
         return Mat(self.data)
 
@@ -178,79 +191,33 @@ class MultiMatrix(Mat):
         return Subspace(self.cols, self.data)
 
 
-def mm_algebra(a: MultiMatrix, b: MultiMatrix | None, op: str) -> MultiMatrix:
-    """Addition, product, or transpose of multi-matrices, boxes checked."""
-    if op == "add":
-        if (a.row_box, a.col_box) != (b.row_box, b.col_box):
-            raise DimensionMismatch("multi-matrix addition: box mismatch")
-        return MultiMatrix((a + b).data, a.row_box, a.col_box)
-    if op == "mul":
-        if a.col_box != b.row_box:
-            raise DimensionMismatch("multi-matrix product: inner spaces differ")
-        return MultiMatrix((a * b).data, a.row_box, b.col_box)
-    if op == "transpose":
-        return MultiMatrix(a.transpose().data, a.col_box, a.row_box)
-    raise ValueError(f"unknown op {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # catalecticants
 
-@dataclass(frozen=True)
-class Catalecticant:
-    """Symmetric multi-matrix on box x box with entry(i, j) = b[i + j]."""
-
-    box: Box
-    b: MultiVector
-
-    def __post_init__(self):
-        if self.b.box != self.box.doubled():
-            raise DimensionMismatch("defining vector must live on the doubled box")
-
-    def entry(self, i, j) -> Fraction:
-        offsets = self.box.doubled_offsets()
-        return self.b.data[offsets[self.box.position(i)] + offsets[self.box.position(j)]]
-
-    def as_multimatrix(self) -> MultiMatrix:
-        offsets = self.box.doubled_offsets()
-        data = [[self.b.data[p + q] for q in offsets] for p in offsets]
-        return MultiMatrix(data, self.box, self.box)
-
-    def to_json(self) -> dict:
-        """Only the defining vector is serialized; the matrix is redundant."""
-        return self.b.to_json()
+def catalecticant(b: MultiVector) -> MultiMatrix:
+    """The box-square multi-matrix B with B_ij = b_(i+j); b must live on a
+    box of the form 2N, and B on N x N."""
+    box = b.box.halved()
+    offsets = box.doubled_offsets()
+    return MultiMatrix([[b.data[p + q] for q in offsets] for p in offsets], box, box)
 
 
-def catalecticant_from_vector(b: MultiVector) -> Catalecticant:
-    """Build B with B_ij = b_{i+j}; b must live on a box of the form 2N."""
-    return Catalecticant(b.box.halved(), b)
-
-
-def catalecticant_to_vector(cat: Catalecticant | MultiMatrix) -> MultiVector:
+def catalecticant_to_vector(m: MultiMatrix) -> MultiVector:
     """Recover the unique defining vector of a catalectic multi-matrix.
 
     Every index of the doubled box splits as i + j with i, j in the box
     (componentwise min with N gives one such split), and entry (i, j) lands
     at off(i) + off(j); consistency across all splits is validated.
     """
-    if isinstance(cat, Catalecticant):
-        return cat.b
-    if cat.row_box is None or cat.row_box != cat.col_box:
+    if m.row_box is None or m.row_box != m.col_box:
         raise DimensionMismatch("not a box-square multi-matrix")
-    offsets = cat.row_box.doubled_offsets()
+    offsets = m.row_box.doubled_offsets()
     data = {}
-    for p, row in zip(offsets, cat.data):
+    for p, row in zip(offsets, m.data):
         for q, e in zip(offsets, row):
             if data.setdefault(p + q, e) != e:
                 raise ValueError("multi-matrix is not catalectic")
-    return MultiVector.from_entries(cat.row_box.doubled(), [data[t] for t in sorted(data)])
-
-
-def catalecticant(arg):
-    """Convert between a defining vector and a catalecticant, either way."""
-    if isinstance(arg, MultiVector):
-        return catalecticant_from_vector(arg)
-    return catalecticant_to_vector(arg)
+    return MultiVector.from_entries(m.row_box.doubled(), [data[t] for t in sorted(data)])
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +253,11 @@ def mu_image_span(box: Box, s1: Subspace, s2: Subspace) -> Subspace:
 # ---------------------------------------------------------------------------
 # conjugation and rank-one factors
 
-def phi_A(a: MultiMatrix, b: Catalecticant) -> Mat:
-    """The symmetric matrix A B A^t."""
-    if a.col_box != b.box:
+def phi_A(a: MultiMatrix, b: MultiMatrix) -> Mat:
+    """The symmetric matrix A B A^t, for B a catalecticant."""
+    if a.col_box != b.row_box:
         raise DimensionMismatch("column box of A must match the catalecticant box")
-    return a * b.as_multimatrix() * a.transpose()
+    return (a * b * a.transpose()).as_mat()
 
 
 def rank_one_factor(m: Mat) -> list[Fraction]:

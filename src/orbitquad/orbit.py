@@ -123,11 +123,9 @@ def ideal_of_module(r: Rep, module: Subspace) -> QuadraticIdeal:
     return QuadraticIdeal(r, module, annihilator(module))
 
 
-def quadric_ideal(r: Rep, y, module: Subspace | None = None) -> QuadraticIdeal:
+def quadric_ideal(r: Rep, y) -> QuadraticIdeal:
     """Degree-two ideal of the orbit closure of y."""
-    if module is None:
-        module = orbit_module(r, y)
-    return ideal_of_module(r, module)
+    return ideal_of_module(r, orbit_module(r, y))
 
 
 def my_membership(r: Rep, y, x) -> bool:
@@ -549,18 +547,15 @@ class _Products:
         return {c: x / q for c, x in small.items() if x}
 
 
-def _hyperplane_functional(a: MultiMatrix, w: Subspace) -> tuple[_Products, list[Fraction]]:
-    """The products of im A^t and a psi on its RREF basis with W = ker psi,
-    once W is checked to be a hyperplane of im A^t."""
-    if a.col_box is None:
-        raise ValueError("A must carry a column box")
-    u = a.row_space()
+def _hyperplane_functional(box: Box, u: Subspace, w: Subspace) -> tuple[_Products, list[Fraction]]:
+    """The products of U = im A^t (on A's column box) and a psi on its RREF
+    basis with W = ker psi, once W is checked to be a hyperplane of U."""
     if w.ambient_dim != u.ambient_dim or not u.contains_subspace(w):
         raise ValueError("W must be a subspace of im A^t")
     if w.dim != u.dim - 1:
         raise ValueError("W must have codimension one in im A^t")
     coords = Subspace(u.dim, [[row[c] for c in u.pivots] for row in w.basis])
-    return _Products(a.col_box, u), list(annihilator(coords).basis[0])
+    return _Products(box, u), list(annihilator(coords).basis[0])
 
 
 def hyperplane_check(a: MultiMatrix, w: Subspace) -> HyperplaneReport:
@@ -571,7 +566,9 @@ def hyperplane_check(a: MultiMatrix, w: Subspace) -> HyperplaneReport:
     every kappa in ker(mu|S^2 U), and 0 (``full``) otherwise, never more.
     Which holds varies with W, so it is measured per instance, never assumed.
     """
-    prods, psi = _hyperplane_functional(a, w)
+    if a.col_box is None:
+        raise ValueError("A must carry a column box")
+    prods, psi = _hyperplane_functional(a.col_box, a.row_space(), w)
     return prods.report(psi)
 
 
@@ -580,7 +577,7 @@ class ForwardOutcome:
     ok: bool
     kind: str  # "rank1" | "rank0" | "discrepancy"
     rank: int | None = None
-    b: MultiVector | None = None  # by doubled position until rank1_correspondence
+    b: MultiVector | None = None  # a dict by doubled position until returned
     factor: list[Fraction] | None = None
     membership: bool | None = None
     failure: str | None = None
@@ -590,7 +587,7 @@ class ForwardOutcome:
 @dataclass
 class ReverseOutcome:
     ok: bool
-    b: MultiVector | None = None  # by doubled position until rank1_correspondence
+    b: MultiVector | None = None  # a dict by doubled position until returned
     failure: str | None = None
 
 
@@ -636,32 +633,37 @@ def _reverse(data: _SeqData, x) -> ReverseOutcome:
     return ReverseOutcome(ok=True, b=b)
 
 
-def rank1_correspondence(r: Rep, y, gs: GenSeq, a: MultiMatrix, direction: str,
-                         W: Subspace | None = None, v=None, x=None):
-    """Forward (from a hyperplane W and complement v) or reverse (from x).
+def forward_correspondence(r: Rep, y, gs: GenSeq, W: Subspace, v) -> ForwardOutcome:
+    """The rank-one conjugate A B A^t from a hyperplane W of im A^t and a
+    complement v, with A = build_A(r, y, gs).
 
     Structural failures come back as outcome records with exact witnesses;
     only precondition violations raise.
     """
     data = _seq_data(r, y, gs)
-    if direction == "forward":
-        if W is None or v is None:
-            raise ValueError("forward direction needs W and v")
-        prods, psi = _hyperplane_functional(a, W)
-        hyp = prods.report(psi)
-        if hyp.kind != "hyperplane":
-            raise ValueError(f"forward direction needs a hyperplane W, got codimension {hyp.codim}")
-        if not prods.u.contains(v) or W.contains(v):
-            raise ValueError("v must span a complement of W in im A^t")
-        out = _forward(data, prods, psi, v)
-    elif direction == "reverse":
-        if x is None:
-            raise ValueError("reverse direction needs x")
-        if not my_membership(r, y, x):
-            raise ValueError("reverse direction needs a point with x x^t in the orbit module")
-        out = _reverse(data, x)
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
+    prods, psi = _hyperplane_functional(gs.box, data.image(), W)
+    hyp = prods.report(psi)
+    if hyp.kind != "hyperplane":
+        raise ValueError(f"forward direction needs a hyperplane W, got codimension {hyp.codim}")
+    if not prods.u.contains(v) or W.contains(v):
+        raise ValueError("v must span a complement of W in im A^t")
+    out = _forward(data, prods, psi, v)
+    if out.b is not None:
+        out.b = MultiVector.from_sparse(data.doubled, out.b)
+    return out
+
+
+def reverse_correspondence(r: Rep, y, gs: GenSeq, x) -> ReverseOutcome:
+    """A catalecticant B with A B A^t = x x^t, for x x^t in the orbit module
+    and A = build_A(r, y, gs).
+
+    Structural failures come back as outcome records; only precondition
+    violations raise.
+    """
+    if not my_membership(r, y, x):
+        raise ValueError("reverse direction needs a point with x x^t in the orbit module")
+    data = _seq_data(r, y, gs)
+    out = _reverse(data, x)
     if out.b is not None:
         out.b = MultiVector.from_sparse(data.doubled, out.b)
     return out

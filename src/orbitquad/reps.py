@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .errors import DimensionMismatch, StructuralError
 from .lie import LieAlgebra
@@ -343,10 +343,6 @@ def derived_rep(r: Rep, kind: str, k: int | None = None, other: "Rep | None" = N
     return _REP_CACHE[key]
 
 
-def act_word(r: Rep, word, v) -> list[Fraction]:
-    return r.act_word(word, v)
-
-
 # ---------------------------------------------------------------------------
 # weights
 
@@ -560,19 +556,10 @@ def cyclic_module(r: Rep, w) -> Subspace:
     return cyclic_closure(r, w).subspace
 
 
-@lru_cache(maxsize=None)
-def _cartan_inverse(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Inverse of the A_{n-1} Cartan matrix."""
-    size = n - 1
-    cartan = Mat([[QQ(2) if i == j else (QQ(-1) if abs(i - j) == 1 else QQ(0))
-                   for j in range(size)] for i in range(size)])
-    return tuple(tuple(row) for row in cartan.inverse().data)
-
-
 def dominance_height(n: int, w: Weight) -> Fraction:
-    """Coefficient sum of w written in the simple-root basis."""
-    inv = _cartan_inverse(n)
-    return sum((sum(row[j] * w[j] for j in range(len(w))) for row in inv), QQ(0))
+    """Coefficient sum of w written in the simple-root basis: column j of the
+    inverse A_{n-1} Cartan matrix sums to j (n - j) / 2 (j from 1)."""
+    return Fraction(sum(c * j * (n - j) for j, c in enumerate(w, 1)), 2)
 
 
 @dataclass

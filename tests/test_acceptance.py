@@ -16,17 +16,18 @@ from orbitquad.chordal import (
 from orbitquad.cli import main as cli_main
 from orbitquad.lie import make_sl
 from orbitquad.linalg import annihilator
-from orbitquad.multimatrix import MultiVector, catalecticant_from_vector, mu_image_span, phi_A
+from orbitquad.multimatrix import MultiVector, catalecticant, mu_image_span, phi_A
 from orbitquad.orbit import (
     build_A,
     certify_irreducibility,
     decompose_Q,
+    forward_correspondence,
     generator_sequence,
     hyperplane_check,
     leibniz_check,
     my_membership,
     quadric_ideal,
-    rank1_correspondence,
+    reverse_correspondence,
 )
 from orbitquad.linalg import Subspace
 from orbitquad.reps import (
@@ -188,12 +189,11 @@ def test_acceptance_7_reverse_suite():
         r = sl2_sym(d)
         y = unit(d + 1, 0)
         gs = generator_sequence(r, y)
-        a = build_A(r, y, gs)
         rng = random.Random(700 + d)
         for _ in range(25):
             x = _orbit_point(rng, r, y)
             assert my_membership(r, y, x)
-            out = rank1_correspondence(r, y, gs, a, "reverse", x=x)
+            out = reverse_correspondence(r, y, gs, x)
             assert out.ok and out.b is not None
     report(7, "25 orbit samples per instance pass membership with exact preimages")
 
@@ -221,7 +221,7 @@ def test_acceptance_8_forward_suite():
             w, v = sampled
             if hyperplane_check(a, w).kind != "hyperplane":
                 continue
-            out = rank1_correspondence(r, y, gs, a, "forward", W=w, v=v)
+            out = forward_correspondence(r, y, gs, w, v)
             assert out.ok
             assert out.rank is not None and out.rank <= 1
             if out.kind == "rank1":
@@ -292,7 +292,7 @@ def test_acceptance_11_extension_independence():
     rng = random.Random(1111)
     size = gs.box.doubled().size
     base = MultiVector.from_entries(gs.box.doubled(), [F(k % 5 - 2) for k in range(size)])
-    reference = phi_A(a, catalecticant_from_vector(base))
+    reference = phi_A(a, catalecticant(base))
     for _ in range(50):
         delta = [F(0)] * size
         for row in off.basis:
@@ -301,5 +301,5 @@ def test_acceptance_11_extension_independence():
                 delta = [x + c * e for x, e in zip(delta, row)]
         shifted = MultiVector.from_entries(
             gs.box.doubled(), [x + dx for x, dx in zip(base.data, delta)])
-        assert phi_A(a, catalecticant_from_vector(shifted)) == reference
+        assert phi_A(a, catalecticant(shifted)) == reference
     report(11, "50 off-span perturbations of b leave A B A^t unchanged exactly")

@@ -29,6 +29,18 @@ MOVED_ORACLES = {
 }
 
 
+# public names folded into others: a catalecticant is the ``MultiMatrix``
+# that ``catalecticant`` returns, the multi-matrix algebra is its operators,
+# each direction of the correspondence is its own function, and a word acts
+# through ``Rep.act_word``
+REMOVED = ("Catalecticant", "catalecticant_from_vector", "mm_algebra",
+           "rank1_correspondence", "act_word")
+
+# the one function allowed to branch on a string parameter: ``kind`` names a
+# constructor of the module expression grammar
+STRING_DISPATCHERS = {"reps.py:derived_rep"}
+
+
 def test_no_module_imports_a_private_name_of_another():
     offenders = []
     for path in sorted(SRC.glob("*.py")):
@@ -55,6 +67,48 @@ def test_moved_oracles_are_not_exported():
         assert name not in orbitquad.__all__
         assert not hasattr(orbitquad, name)
         assert not hasattr(importlib.import_module(f"orbitquad.{module}"), name)
+
+
+def test_removed_names_resolve_nowhere():
+    modules = [orbitquad] + [importlib.import_module(f"orbitquad.{path.stem}")
+                             for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"]
+    assert [f"{m.__name__}.{name}" for m in modules for name in REMOVED
+            if hasattr(m, name)] == []
+
+
+def _is_string_literal(node):
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return bool(node.elts) and all(map(_is_string_literal, node.elts))
+    return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+
+def string_dispatchers(source, name):
+    """``name:function`` for each function in the source that compares one
+    of its parameters with a string literal (``==``, ``!=``, ``in``)."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        params = {a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs}
+        for node in ast.walk(fn):
+            operands = [node.left, *node.comparators] if isinstance(node, ast.Compare) else []
+            if (any(isinstance(o, ast.Name) and o.id in params for o in operands)
+                    and any(map(_is_string_literal, operands))):
+                found.append(f"{name}:{fn.name}")
+                break
+    return found
+
+
+def test_no_mode_string_dispatchers():
+    found = {f for path in sorted(SRC.glob("*.py"))
+             for f in string_dispatchers(path.read_text(), path.name)}
+    assert found == STRING_DISPATCHERS
+    # the scan sees a dispatcher of either form
+    assert string_dispatchers(
+        'def f(a, op):\n    if op == "add":\n        return a\n', "m.py") == ["m.py:f"]
+    assert string_dispatchers(
+        'def f(a, *, how=None):\n    return how in ("x", "y")\n', "m.py") == ["m.py:f"]
+    assert string_dispatchers('def f(a, s):\n    return a.kind == "x"\n', "m.py") == []
 
 
 def _identifiers(node):

@@ -11,9 +11,7 @@ from orbitquad.multimatrix import (
     MultiMatrix,
     MultiVector,
     catalecticant,
-    catalecticant_from_vector,
     catalecticant_to_vector,
-    mm_algebra,
     mu,
     phi_A,
     rank_one_factor,
@@ -64,15 +62,15 @@ def test_mm_identity_and_transpose():
     box = Box((1,))
     a = MultiMatrix([[1, 2], [3, 4]], box, box)
     ident = MultiMatrix.identity_on_box(box)
-    assert mm_algebra(a, ident, "mul") == a
-    assert mm_algebra(mm_algebra(a, None, "transpose"), None, "transpose") == a
+    assert a * ident == a
+    assert a.transpose().transpose() == a
 
 
 def test_mm_product_example():
     box = Box((1,))
     a = MultiMatrix([[1, 2], [3, 4]], box, box)
     b = MultiMatrix([[0, 1], [1, 0]], box, box)
-    assert mm_algebra(a, b, "mul").data == [[F(2), F(1)], [F(4), F(3)]]
+    assert (a * b).data == [[F(2), F(1)], [F(4), F(3)]]
 
 
 def test_mm_shape_errors():
@@ -80,20 +78,23 @@ def test_mm_shape_errors():
     a = MultiMatrix([[1, 2], [3, 4]], b1, b1)
     c = MultiMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]], b2, b2)
     with pytest.raises(DimensionMismatch):
-        mm_algebra(a, c, "add")
+        a + c
     with pytest.raises(DimensionMismatch):
-        mm_algebra(a, c, "mul")
+        a * c
     # equal sizes, different shapes: only the box check can tell them apart
     square, line = Box((1, 1)), Box((3,))
     assert square.size == line.size == 4
     p = MultiMatrix(Mat.identity(4).data, square, line)
     q = MultiMatrix(Mat.identity(4).data, line, line)
-    with pytest.raises(DimensionMismatch):
-        mm_algebra(p, q, "add")
-    with pytest.raises(DimensionMismatch):
-        mm_algebra(q, p, "mul")
-    pt = mm_algebra(p, None, "transpose")
+    with pytest.raises(DimensionMismatch, match="box mismatch"):
+        p + q
+    with pytest.raises(DimensionMismatch, match="inner spaces differ"):
+        q * p
+    pt = p.transpose()
     assert (pt.row_box, pt.col_box) == (line, square)
+    s = q * pt
+    assert (s.row_box, s.col_box) == (line, square)
+    assert (p + p).data == (p.as_mat() + p.as_mat()).data and (p + p).col_box == line
 
 
 @given(st.data())
@@ -103,31 +104,28 @@ def test_mm_algebra_laws(data):
     draw_m = lambda: MultiMatrix(
         [[data.draw(small_fracs) for _ in range(2)] for _ in range(2)], box, box)
     a, b, c = draw_m(), draw_m(), draw_m()
-    assert mm_algebra(mm_algebra(a, b, "mul"), c, "mul") == mm_algebra(a, mm_algebra(b, c, "mul"), "mul")
-    lhs = mm_algebra(mm_algebra(a, b, "mul"), None, "transpose")
-    rhs = mm_algebra(mm_algebra(b, None, "transpose"), mm_algebra(a, None, "transpose"), "mul")
-    assert lhs == rhs
+    assert (a * b) * c == a * (b * c)
+    assert (a * b).transpose() == b.transpose() * a.transpose()
 
 
 def test_catalecticant_example():
     b = mv(Box((2,)), [0, 1, 2])
     cat = catalecticant(b)
-    assert cat.as_multimatrix().data == [[F(0), F(1)], [F(1), F(2)]]
+    assert cat.data == [[F(0), F(1)], [F(1), F(2)]]
 
 
 def test_catalecticant_is_symmetric():
     box = Box((1, 1))
     b = mv(box.doubled(), range(9))
-    m = catalecticant(b).as_multimatrix()
+    m = catalecticant(b)
+    assert (m.row_box, m.col_box) == (box, box)
     assert m.data == [list(col) for col in zip(*m.data)]
 
 
 def test_catalecticant_round_trip():
     box = Box((1, 1))
     b = mv(box.doubled(), [F(k, 3) for k in range(9)])
-    cat = catalecticant_from_vector(b)
-    assert catalecticant_to_vector(cat.as_multimatrix()) == b
-    assert catalecticant(cat.as_multimatrix()) == b
+    assert catalecticant_to_vector(catalecticant(b)) == b
 
 
 def test_catalecticant_rejects_non_catalectic():
@@ -135,13 +133,20 @@ def test_catalecticant_rejects_non_catalectic():
     m = MultiMatrix([[1, 0], [1, 1]], box, box)
     with pytest.raises(ValueError):
         catalecticant_to_vector(m)
+    with pytest.raises(DimensionMismatch):
+        catalecticant_to_vector(MultiMatrix(m.data, box, None))
+    # a defining vector on a box that is not of the form 2N
+    with pytest.raises(ValueError):
+        catalecticant(mv(box, [1, 2]))
+    # phi_A needs A's column box to be the catalecticant's box
+    with pytest.raises(DimensionMismatch):
+        phi_A(MultiMatrix.identity_on_box(Box((2,))), catalecticant(mv(Box((2,)), [1, 2, 3])))
 
 
 def test_geometric_vector_gives_rank_one():
     t = F(3, 2)
     b = mv(Box((4,)), [t ** k for k in range(5)])
-    m = catalecticant(b).as_multimatrix().as_mat()
-    assert rank(m) == 1
+    assert rank(catalecticant(b).as_mat()) == 1
 
 
 def test_mu_basis_vectors():
@@ -231,7 +236,7 @@ def test_phi_A_identity_box():
     b = mv(box.doubled(), [1, 2, 3, 4, 5])
     cat = catalecticant(b)
     a = MultiMatrix.identity_on_box(box)
-    assert phi_A(a, cat) == cat.as_multimatrix().as_mat()
+    assert phi_A(a, cat) == cat.as_mat()
 
 
 def test_phi_A_zero_and_rank():
@@ -251,7 +256,7 @@ def test_phi_A_rank_bound(bs, data):
     cat = catalecticant(mv(box.doubled(), bs))
     rows = [[data.draw(small_fracs) for _ in range(3)] for _ in range(3)]
     a = MultiMatrix(rows, None, box)
-    b_rank = rank(cat.as_multimatrix().as_mat())
+    b_rank = rank(cat.as_mat())
     assert rank(phi_A(a, cat)) <= b_rank
     if rank(a.as_mat()) == 3:
         assert rank(phi_A(a, cat)) == b_rank
@@ -289,9 +294,9 @@ def test_degenerate_boxes():
     assert flat.size == 3
     assert flat.indices() == [(0, 0), (1, 0), (2, 0)]
     b = mv(flat.doubled(), [1, 2, 3, 4, 5])
-    cat = catalecticant_from_vector(b)
-    assert cat.box == flat
-    assert catalecticant_to_vector(cat.as_multimatrix()) == b
+    cat = catalecticant(b)
+    assert cat.row_box == cat.col_box == flat
+    assert catalecticant_to_vector(cat) == b
 
 
 def test_multivector_json_round_trip():

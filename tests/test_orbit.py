@@ -23,7 +23,7 @@ from orbitquad.multimatrix import (
     Box,
     MultiMatrix,
     MultiVector,
-    catalecticant_from_vector,
+    catalecticant,
     mu,
     mu_image_span,
     phi_A,
@@ -34,6 +34,7 @@ from orbitquad.orbit import (
     build_A,
     certify_irreducibility,
     decompose_Q,
+    forward_correspondence,
     generator_sequence,
     hyperplane_check,
     leibniz_check,
@@ -41,7 +42,7 @@ from orbitquad.orbit import (
     nilpotency_bound,
     orbit_module,
     quadric_ideal,
-    rank1_correspondence,
+    reverse_correspondence,
 )
 from orbitquad.reps import Rep, derived_rep, standard_rep
 
@@ -398,8 +399,6 @@ def test_build_A_sym3():
 def test_build_A_wedge2_multi_axis_box():
     from math import factorial
 
-    from orbitquad.reps import act_word
-
     r = wedge2_sl4()
     gs = generator_sequence(r, E12_34)
     assert gs.box.r > 1
@@ -410,7 +409,7 @@ def test_build_A_wedge2_multi_axis_box():
         scale = 1
         for k in i:
             scale *= factorial(k)
-        column = [e / scale for e in act_word(r, word, E12_34)]
+        column = [e / scale for e in r.act_word(word, E12_34)]
         assert [a.entry(k, i) for k in range(r.dim)] == column
 
 
@@ -523,6 +522,10 @@ def test_hyperplane_check_preconditions():
     a = full_box_A(2)
     with pytest.raises(ValueError):
         hyperplane_check(a, Subspace(3, [[1, 0, 0]]))  # codim 2
+    # W is not inside im A^t, on the same ambient space
+    narrow = MultiMatrix([[1, 0, 0], [0, 1, 0]], None, Box((2,)))
+    with pytest.raises(ValueError, match=r"subspace of im A\^t"):
+        hyperplane_check(narrow, Subspace(3, [[0, 0, 1]]))
 
 
 def test_forward_correspondence_preconditions():
@@ -530,32 +533,33 @@ def test_forward_correspondence_preconditions():
     y = unit(3, 0)
     gs = generator_sequence(r, y)
 
-    def forward(a, w, v):
-        return rank1_correspondence(r, y, gs, a, "forward", W=w, v=v)
+    def forward(w, v):
+        return forward_correspondence(r, y, gs, w, v)
 
-    # W is not inside im A^t
-    narrow = MultiMatrix([[1, 0, 0], [0, 1, 0]], None, gs.box)
-    with pytest.raises(ValueError, match=r"im A\^t"):
-        forward(narrow, Subspace(3, [[0, 0, 1]]), [F(1), F(0), F(0)])
+    # A's rows span all three coefficients of the quadratics here
+    assert build_A(r, y, gs).row_space() == Subspace.full(3)
+    # W is not inside im A^t: it lives on another ambient space
+    with pytest.raises(ValueError, match=r"subspace of im A\^t"):
+        forward(Subspace(4, [[0, 0, 1, 0]]), [F(1), F(0), F(0)])
+    with pytest.raises(ValueError, match="codimension one"):
+        forward(Subspace(3, [[0, 0, 1]]), [F(1), F(0), F(0)])
     # the product span of W = span{1, x^2} has codimension 0, as in
     # test_hyperplane_check_quadratics
-    a = full_box_A(2)
     with pytest.raises(ValueError, match="codimension 0"):
-        forward(a, Subspace(3, [[1, 0, 0], [0, 0, 1]]), [F(0), F(1), F(0)])
+        forward(Subspace(3, [[1, 0, 0], [0, 0, 1]]), [F(0), F(1), F(0)])
     # v lies inside W
     with pytest.raises(ValueError, match="complement"):
-        forward(a, Subspace(3, [[0, 1, 0], [0, 0, 1]]), [F(0), F(1), F(1)])
+        forward(Subspace(3, [[0, 1, 0], [0, 0, 1]]), [F(0), F(1), F(1)])
 
 
 def test_forward_correspondence_sym2():
     r = sl2_sym(2)
     y = unit(3, 0)
     gs = generator_sequence(r, y)
-    a = build_A(r, y, gs)
     # W = polynomials in im A^t vanishing at t = 0, complement v = constant 1
     w = Subspace(3, [[0, 1, 0], [0, 0, 1]])
     v = [F(1), F(0), F(0)]
-    out = rank1_correspondence(r, y, gs, a, "forward", W=w, v=v)
+    out = forward_correspondence(r, y, gs, w, v)
     assert out.ok and out.kind == "rank1"
     assert out.rank == 1
     assert out.membership
@@ -569,8 +573,7 @@ def test_reverse_correspondence_x_equals_y():
     r = sl2_sym(2)
     y = unit(3, 0)
     gs = generator_sequence(r, y)
-    a = build_A(r, y, gs)
-    out = rank1_correspondence(r, y, gs, a, "reverse", x=y)
+    out = reverse_correspondence(r, y, gs, y)
     assert out.ok
     assert out.b == MultiVector.basis(gs.box.doubled(), (0,))
 
@@ -585,19 +588,18 @@ def test_reverse_correspondence_orbit_sample():
     x = exp_nilpotent(r, "Y(1,2)", F(1, 2)).apply(y)
     x = exp_nilpotent(r, "X(1,2)", F(-2)).apply(x)
     assert my_membership(r, y, x)
-    out = rank1_correspondence(r, y, gs, a, "reverse", x=x)
+    out = reverse_correspondence(r, y, gs, x)
     assert out.ok
     # witness reproduces x x^t exactly
-    phi = phi_A(a, catalecticant_from_vector(out.b))
+    phi = phi_A(a, catalecticant(out.b))
     assert phi == sym_square(x)
 
 
 def test_reverse_rejects_nonmember():
     r = wedge2_sl4()
     gs = generator_sequence(r, E12)
-    a = build_A(r, E12, gs)
-    with pytest.raises(ValueError):
-        rank1_correspondence(r, E12, gs, a, "reverse", x=E12_34)
+    with pytest.raises(ValueError, match="orbit module"):
+        reverse_correspondence(r, E12, gs, E12_34)
 
 
 def test_extension_independence():
@@ -616,7 +618,7 @@ def test_extension_independence():
     rng = random.Random(5)
     size = gs.box.doubled().size
     base = MultiVector.from_entries(gs.box.doubled(), [F(k % 7 - 3) for k in range(size)])
-    reference = phi_A(a, catalecticant_from_vector(base))
+    reference = phi_A(a, catalecticant(base))
     for _ in range(20):
         delta = [F(0)] * size
         for row in off.basis:
@@ -625,7 +627,7 @@ def test_extension_independence():
                 delta = [d + c * e for d, e in zip(delta, row)]
         shifted = MultiVector.from_entries(
             gs.box.doubled(), [b + d for b, d in zip(base.data, delta)])
-        assert phi_A(a, catalecticant_from_vector(shifted)) == reference
+        assert phi_A(a, catalecticant(shifted)) == reference
 
 
 def _dense(b, size):
@@ -757,7 +759,7 @@ def test_hyperplane_criterion_matches_product_span():
             want = HyperplaneReport({1: "hyperplane", 0: "full"}[codim], codim)
             assert hyperplane_check(a, w) == want
             kinds.add(want.kind)
-            prods, psi_bar = _hyperplane_functional(a, w)
+            prods, psi_bar = _hyperplane_functional(box, im_at, w)
             if want.kind != "hyperplane":
                 # no functional vanishes on mu(W.U) = mu(U.U) with b(mu(v.v)) = 1
                 assert prods.functional(psi_bar, v) is None
@@ -765,7 +767,7 @@ def test_hyperplane_criterion_matches_product_span():
             b = _product_span_forward(box, full, part, v)
             assert _dense(prods.functional(psi_bar, v), box.doubled().size) == b
             if module is not None:
-                out = rank1_correspondence(*module, a, "forward", W=w, v=v)
+                out = forward_correspondence(*module, w, v)
                 assert out.ok and list(out.b.data) == b
     assert kinds == {"hyperplane", "full"}
 

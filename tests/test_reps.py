@@ -18,6 +18,7 @@ from orbitquad.reps import (
     cyclic_closure,
     cyclic_module,
     derived_rep,
+    dominance_height,
     exp_act,
     exp_nilpotent,
     highest_weight_vectors,
@@ -620,3 +621,16 @@ def test_sparse_action_matches_dense(name, data):
         coeff = coeff * t / k
         series = [a + coeff * b for a, b in zip(series, power)]
     assert exp_act(r, sym, t, v) == series
+
+
+def test_dominance_height_against_the_oracle_cartan_inverse():
+    # the coefficient sum of w in the simple roots is sum_ij inv_ij w_j, the
+    # oracle's form (rho, w) with rho = (1, ..., 1) in fundamental weights
+    import random
+
+    rng = random.Random(19)
+    for n in range(2, 11):
+        rho = (1,) * (n - 1)
+        for _ in range(40):
+            w = tuple(rng.randint(-5, 5) for _ in range(n - 1))
+            assert dominance_height(n, w) == weyl_oracle.inner(n, rho, w)
