@@ -19,7 +19,8 @@ from math import comb
 from .errors import (CapExceeded, GenericVectorError, StructuralError,
                      UnsupportedExpression)
 from .lie import make_sl
-from .linalg import Coordinates, Mat, PivotedSpan, QQ, rank, vec_is_zero, yy_coords
+from .linalg import (Coordinates, PivotedSpan, QQ, integer_rows, rank, vec_is_zero,
+                     yy_coords)
 from .orbit import QuadraticIdeal, ideal_of_module, orbit_module
 from .reps import (
     IsotypicDecomposition,
@@ -88,34 +89,39 @@ class ChordalSpec:
 def wedge_coordinates(vectors, n: int) -> list[Fraction]:
     """Coordinates of v_1 ^ ... ^ v_k in the lexicographic wedge basis.
 
-    Each coordinate is the k x k minor on its columns, expanded along v_1
-    over the coordinates of v_2 ^ ... ^ v_k (Laplace), built up from v_k.
+    The vectors are scaled to integers over one common denominator D, so
+    each coordinate is an integer k x k minor over D^k.  Each minor is
+    expanded along v_1 over the minors of v_2, ..., v_k (Laplace), built up
+    from v_k.
     """
-    coords = {(): QQ(1)}
-    for m, v in enumerate(reversed(vectors), start=1):
-        coords = {
-            s: sum(((-1) ** t * v[j] * coords[s[:t] + s[t + 1:]]
-                    for t, j in enumerate(s) if v[j]), QQ(0))
+    rows, den = integer_rows([dict(enumerate(v)) for v in vectors])
+    minors = {(): 1}
+    for m, v in enumerate(reversed(rows), start=1):
+        minors = {
+            s: sum((-1) ** t * v[j] * minors[s[:t] + s[t + 1:]]
+                   for t, j in enumerate(s) if v[j])
             for s in itertools.combinations(range(n), m)
         }
-    return list(coords.values())
+    scale = den ** len(rows)
+    return [Fraction(c, scale) for c in minors.values()]
 
 
 def chordal_sample(spec: ChordalSpec, seed: int) -> list[Fraction]:
     """A point on a chord joining two planes meeting in dimension exactly
-    max(k - 2p + 1, 0); deterministic per seed."""
+    max(k - 2p + 1, 0); deterministic per seed.  The planes are drawn as
+    integer vectors, so their rank and wedges are computed in ints."""
     rng = random.Random(seed)
     n, k, d = spec.n, spec.k, spec.meet_dim
 
     def rand_vec():
-        return [QQ(rng.randint(-3, 3)) for _ in range(n)]
+        return [rng.randint(-3, 3) for _ in range(n)]
 
     for _ in range(200):
         shared = [rand_vec() for _ in range(d)]
         left = shared + [rand_vec() for _ in range(k - d)]
         right = shared + [rand_vec() for _ in range(k - d)]
         # left and right both lie in left + right[d:], so its full rank covers theirs
-        if rank(Mat(left + right[d:])) != 2 * k - d:
+        if rank(left + right[d:]) != 2 * k - d:
             continue
         lam = QQ(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3]))
         mu_ = QQ(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3]))

@@ -25,10 +25,15 @@ Every row operation in the package happens in three functions here:
   ``rref`` and ``annihilator``.
 
 The first two work fraction-free (Bareiss, Math. Comp. 22, 1968) on the
-primitive integer multiple of each row: a row operation is a * row -
-b * pivot_row with a, b coprime, then division by the row's gcd, and only
-the nonzero entries are touched.  The RREF of a row space is unique, so the
-answer is the canonical one that elimination over the rationals gives.
+primitive integer multiple of each row, made by ``primitive`` (an all-int
+row needs only its gcd, no lcm of denominators): a row operation is
+a * row - b * pivot_row with a, b coprime, then division by the row's gcd.
+``_reduce`` does this in one copy of the row, updated in place: it
+multiplies only when a != 1, touches only the nonzero entries and deletes
+those that cancel, so every residue is primitive and no row it was given
+changes.  The RREF of a row space is unique, so the answer is the canonical
+one that elimination over the rationals gives.  A span of full dimension
+answers ``PivotedSpan.add`` and the ``contains`` methods at once.
 
 Coordinates on fixed rows are read in one class, ``Coordinates``: one
 rank-limited ``augmented_rref`` of the rows, then each target's coordinates
@@ -92,7 +97,8 @@ class Mat:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data):
-        self.data = [[QQ(e) for e in row] for row in data]
+        self.data = [[e if isinstance(e, Fraction) else Fraction(e) for e in row]
+                     for row in data]
         self.rows = len(self.data)
         self.cols = len(self.data[0]) if self.data else 0
         if any(len(row) != self.cols for row in self.data):
@@ -266,13 +272,19 @@ def integer_rows(rows) -> tuple[list[dict[int, int]], int]:
             for row in rows], den
 
 
-def _primitive(row: dict) -> dict[int, int] | None:
-    """The primitive integer multiple of a rational row, or None when it is zero."""
-    nonzero = [(c, e) for c, e in row.items() if e]
-    if not nonzero:
-        return None
-    den = lcm(*(e.denominator for _, e in nonzero))
-    out = {c: e.numerator * (den // e.denominator) for c, e in nonzero}
+def primitive(row: dict) -> dict[int, int] | None:
+    """The primitive integer multiple of a rational row, or None when it is
+    zero; always a new dict.  An all-int row needs only its gcd."""
+    if all(type(e) is int for e in row.values()):
+        out = {c: e for c, e in row.items() if e}
+        if not out:
+            return None
+    else:
+        nonzero = [(c, e) for c, e in row.items() if e]
+        if not nonzero:
+            return None
+        den = lcm(*(e.denominator for _, e in nonzero))
+        out = {c: e.numerator * (den // e.denominator) for c, e in nonzero}
     g = gcd(*out.values())
     return out if g == 1 else {c: x // g for c, x in out.items()}
 
@@ -283,29 +295,43 @@ def _reduce(v: dict[int, int] | None, rows: dict[int, dict[int, int]]) -> dict[i
     gcd; returns the primitive residue, or None when it is zero.  ``rows``
     maps each pivot column to its row, which is zero before that column and
     need not be zero in the other pivot columns, since clearing column p
-    only touches columns >= p."""
+    only touches columns >= p.  The work happens in one copy of v, so
+    neither v nor any row is changed."""
     if v is None:
         return None
     todo = [c for c in v if c in rows]
+    if not todo:
+        return v
     heapify(todo)
+    v = dict(v)
     while todo:
         pc = heappop(todo)
         f = v.get(pc)
-        if not f:
+        if f is None:
             continue
         row = rows[pc]
         p = row[pc]
         g = gcd(p, f)
         a, b = (p // g, f // g) if p > 0 else (-p // g, -f // g)
-        v = {c: a * x for c, x in v.items()}
+        if a != 1:
+            for c in v:
+                v[c] *= a
         for c, y in row.items():
-            if c not in v and c in rows:
-                heappush(todo, c)
-            v[c] = v.get(c, 0) - b * y
-        g = gcd(*v.values())
-        if not g:
+            x = v.get(c)
+            if x is None:
+                v[c] = -b * y
+                if c in rows:
+                    heappush(todo, c)
+            elif x := x - b * y:
+                v[c] = x
+            else:
+                del v[c]
+        if not v:
             return None
-        v = {c: x // g for c, x in v.items() if x}
+        g = gcd(*v.values())
+        if g != 1:
+            for c in v:
+                v[c] //= g
     return v
 
 
@@ -321,7 +347,7 @@ def _rref_rows(rows) -> dict[int, dict[int, int]]:
     """
     echelon: dict[int, dict[int, int]] = {}
     for v in rows:
-        v = _reduce(_primitive(v), echelon)
+        v = _reduce(primitive(v), echelon)
         if v is not None:
             echelon[min(v)] = v
     out: dict[int, dict[int, int]] = {}
@@ -354,7 +380,7 @@ def augmented_rref(rows, ncols: int, limit: int | None = None) -> dict[int, dict
         return _rref_rows(augmented)
     kept: dict[int, dict[int, int]] = {}
     for v in augmented:
-        v = _reduce(_primitive(v), kept)
+        v = _reduce(primitive(v), kept)
         if min(v) < ncols:
             kept[min(v)] = v
             if len(kept) == limit:
@@ -393,6 +419,13 @@ class Coordinates:
         if {k: e for k, e in acc.items() if k < n and e} != {c: big * x for c, x in tgt.items()}:
             return None
         return {k - n: Fraction(e, big * t) for k, e in acc.items() if k >= n and e}
+
+
+def _in_span(v, rows: dict[int, dict[int, int]], n: int) -> bool:
+    """Whether v (dense of length n, or by its nonzero entries) lies in the
+    span of echelon rows in QQ^n; at once True when they span it all."""
+    v = _row(v, n)
+    return len(rows) == n or _reduce(primitive(v), rows) is None
 
 
 def _kernel_rows(rows: dict[int, dict[int, int]], ncols: int) -> list[dict]:
@@ -462,7 +495,7 @@ class Subspace:
         return f"Subspace(dim {self.dim} of QQ^{self.ambient_dim})"
 
     def contains(self, v) -> bool:
-        return _reduce(_primitive(_row(v, self.ambient_dim)), self._rows) is None
+        return _in_span(v, self._rows, self.ambient_dim)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
@@ -493,8 +526,9 @@ def rref(m: Mat):
     return Mat(reduced), len(rows), kernel
 
 
-def rank(m: Mat) -> int:
-    return len(_rref_rows(map(sparse, m.data)))
+def rank(m) -> int:
+    """The rank of a ``Mat`` or of a list of dense rows of ints or rationals."""
+    return len(_rref_rows(map(sparse, m.data if isinstance(m, Mat) else m)))
 
 
 def annihilator(s: Subspace) -> Subspace:
@@ -544,11 +578,15 @@ class PivotedSpan:
         return [self._rows[pc] for pc in self.pivots]
 
     def contains(self, v) -> bool:
-        return _reduce(_primitive(_row(v, self.ambient_dim)), self._rows) is None
+        return _in_span(v, self._rows, self.ambient_dim)
 
     def add(self, v) -> bool:
-        """Insert v; returns True when it enlarged the span."""
-        res = _reduce(_primitive(_row(v, self.ambient_dim)), self._rows)
+        """Insert v; returns True when it enlarged the span, at once False
+        when the span is already full."""
+        v = _row(v, self.ambient_dim)
+        if len(self._rows) == self.ambient_dim:
+            return False
+        res = _reduce(primitive(v), self._rows)
         if res is None:
             return False
         self._rows[min(res)] = res

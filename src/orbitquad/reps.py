@@ -32,6 +32,7 @@ from .linalg import (
     QQ,
     Subspace,
     annihilator,
+    primitive,
     rref,
     sparse,
     sym_pairs,
@@ -483,7 +484,8 @@ class ClosureResult:
 
 
 def _graded_closure(r: Rep, w):
-    """Breadth-first closure of w in a module with diagonal coroots.
+    """Breadth-first closure of w in a module with diagonal coroots, started
+    from the primitive integer multiple of w.
 
     Returns one ``PivotedSpan`` per weight, over the coordinates of that
     weight in increasing order, with the recorded words.
@@ -502,9 +504,9 @@ def _graded_closure(r: Rep, w):
             grew |= spans[mu].add(part)
         return grew
 
-    start = sparse(w)
+    start = primitive(sparse(w))
     words: list[tuple[str, ...]] = []
-    if not insert(start):
+    if start is None or not insert(start):
         return spans, coords, words
     xy = r.algebra.xy_symbols()
     frontier = [(start, ())]
@@ -532,6 +534,12 @@ def cyclic_closure(r: Rep, w) -> ClosureResult:
     echelon of its own weight space.  Each recorded word, read left to right
     and applied right-to-left, sends w to a vector with a component that
     enlarged its weight space's span when it was found.
+
+    The search starts from c w, the primitive integer multiple of w (c > 0).
+    Every vector met is then c times the one met from w, and a nonzero
+    multiple enlarges a span exactly when the vector does, so the spans and
+    the words are those of w; but under an integral action every entry
+    stays an int, so no ``Fraction`` arithmetic runs.
 
     The weight pieces of all vectors met span the closure: a submodule is
     the direct sum of its weight spaces, and each X/Y generator shifts every

@@ -117,7 +117,8 @@ def leibniz_det(rows):
 def wedge_cases(draw):
     n = draw(st.integers(1, 6))
     k = draw(st.integers(1, min(n, 4)))
-    entry = st.one_of(st.just(F(0)), st.fractions(-5, 5, max_denominator=3))
+    entry = st.one_of(st.just(F(0)), st.fractions(-5, 5, max_denominator=3),
+                      st.integers(-5, 5))
     vectors = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
                             min_size=k, max_size=k))
     return vectors, n
@@ -129,7 +130,10 @@ def test_wedge_coordinates_are_the_minors(case):
     vectors, n = case
     expected = [leibniz_det([[v[j] for j in cols] for v in vectors])
                 for cols in itertools.combinations(range(n), len(vectors))]
-    assert wedge_coordinates(vectors, n) == expected
+    got = wedge_coordinates(vectors, n)
+    assert got == expected
+    # ints, Fractions or both in, Fractions out
+    assert all(type(e) is F for e in got)
 
 
 def test_chordal_sample_p1_is_decomposable():
@@ -154,6 +158,28 @@ def test_chordal_sample_p2_generic():
 def test_chordal_sample_deterministic():
     spec = ChordalSpec(4, 2, 1)
     assert chordal_sample(spec, 9) == chordal_sample(spec, 9)
+
+
+# chordal_sample(ChordalSpec(n, k, p), seed), pinned: a sample is fixed by
+# its seed, and every seeded chordal_ideal report is built from samples
+PINNED_SAMPLES = {
+    ((4, 2, 1), 0): '33/2 24 -6 -33/2 0 -6',
+    ((4, 2, 1), 7): '9 -3 -17 -6 -16 -6',
+    ((4, 2, 2), 0): '-6 24 0 0 7 5',
+    ((4, 2, 2), 7): '-45/2 -51/2 -67/2 -18 11 33',
+    ((5, 2, 1), 0): '1 7 3 -16 -1 0 1 3 -9 3',
+    ((5, 2, 1), 7): '37/2 1/2 -27/2 18 1 10 -39/2 1 -3/2 9/2',
+    ((6, 3, 2), 0): '19/2 -33/2 -18 17 -21/2 23/2 4 -81/2 23 -9 -63/2 -63/2 77/2 9/2 27/2 15 54 -27/2 121/2 81/2',
+    ((6, 3, 2), 7): '138 80 -78 -68 84 -30 -198 -30 -86 24 18 2 -52 -14 -82 36 64 -32 120 72',
+    ((6, 3, 1), 12345): '8 6 -2 0 -21 -9 -12 -12 -9 3 73 37 28 46 21 -7 -15 36 24 27',
+}
+
+
+@pytest.mark.parametrize("spec,seed", sorted(PINNED_SAMPLES))
+def test_chordal_sample_pinned(spec, seed):
+    x = chordal_sample(ChordalSpec(*spec), seed)
+    assert x == [F(e) for e in PINNED_SAMPLES[spec, seed].split()]
+    assert all(type(e) is F for e in x)
 
 
 def test_chordal_ideal_p1():

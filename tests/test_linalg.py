@@ -342,6 +342,59 @@ def test_solve_exact_when_solvable(m, x):
     assert m.apply(got) == rhs
 
 
+def is_primitive(row):
+    return all(type(x) is int and x for x in row.values()) and gcd(*row.values()) == 1
+
+
+@given(sparse_rows(), st.lists(st.lists(small_fracs, min_size=6, max_size=6), max_size=4))
+@settings(deadline=None, max_examples=150)
+def test_stored_rows_and_residues_are_primitive(case, probes):
+    rows, ncols = case
+    span = PivotedSpan(ncols)
+    for r in rows:
+        span.add(r)
+        assert all(map(is_primitive, span.rows))
+    held = {pc: dict(row) for pc, row in span._rows.items()}
+    for v in rows + [p[:ncols] for p in probes]:
+        v = linalg.primitive(linalg.sparse(v))
+        # an all-int row (the gcd-only path) and the same row as Fractions agree
+        if v is not None:
+            assert linalg.primitive({c: F(x) for c, x in v.items()}) == v
+            assert linalg.primitive({c: F(x, 3) for c, x in v.items()}) == v
+        given_v = None if v is None else dict(v)
+        res = linalg._reduce(v, span._rows)
+        assert res is None or (is_primitive(res) and not set(res) & set(span._rows))
+        # neither the row nor the echelon was changed
+        assert v == given_v and span._rows == held
+
+
+def test_reduce_residue_is_primitive():
+    v, rows = {0: 1, 1: 3}, {0: {0: 1, 1: 1}}
+    # (1, 3) - (1, 1) = (0, 2), whose primitive multiple is (0, 1)
+    assert linalg._reduce(v, rows) == {1: 1}
+    assert v == {0: 1, 1: 3} and rows == {0: {0: 1, 1: 1}}
+    assert linalg._reduce({0: 2, 1: 2}, rows) is None
+    assert linalg.primitive({0: 0, 1: 4, 2: -6}) == {1: 2, 2: -3}
+    assert linalg.primitive({0: 0, 1: F(1, 2), 2: F(-3, 4)}) == {1: 2, 2: -3}
+    assert linalg.primitive({0: 0}) is None
+
+
+def test_full_span_answers_at_once():
+    span = PivotedSpan(3)
+    assert span.add_all([[1, 0, 0], [0, 2, 0], {2: F(1, 2)}])
+    sub = span.to_subspace()
+    assert sub == Subspace.full(3)
+    for v in ([5, F(1, 3), 0], [0, 0, 0], {2: 7}, {}):
+        assert not span.add(v)
+        assert span.contains(v) and sub.contains(v)
+    assert span.dim == 3
+    # a dense vector of the wrong length is still refused
+    for bad in ([1, 2], [1, 2, 3, 4]):
+        for call in (span.add, span.contains, sub.contains):
+            with pytest.raises(DimensionMismatch):
+                call(bad)
+
+
 def test_pivoted_span_matches_subspace():
     span = PivotedSpan(3)
     assert span.add([0, 1, 1])

@@ -10,8 +10,10 @@ from orbitquad.linalg import (
     PivotedSpan,
     Subspace,
     sym_coords_to_mat,
+    yy_coords,
 )
-from orbitquad import orbit
+from orbitquad import orbit, reps
+from orbitquad.chordal import ChordalSpec, chordal_sample
 from orbitquad.orbit import orbit_module
 from orbitquad.reps import (
     Rep,
@@ -297,13 +299,18 @@ def coroot_span(r, vectors) -> Subspace:
     return span.to_subspace()
 
 
+closure_entries = st.one_of(st.integers(-2, 2).map(F),
+                            st.fractions(-2, 2, max_denominator=3))
+
+
 @pytest.mark.parametrize("name", sorted(CLOSURE_MODULES))
 @given(data=st.data())
 @settings(deadline=None, max_examples=30)
 def test_graded_closure_matches_dense_reference(name, data):
     r = CLOSURE_MODULES[name]()
-    w = data.draw(st.lists(st.integers(-2, 2), min_size=r.dim, max_size=r.dim))
-    w = [F(e) for e in w]
+    # integral and rational entries; the closure starts from w's primitive
+    # integer multiple either way
+    w = data.draw(st.lists(closure_entries, min_size=r.dim, max_size=r.dim))
     res = cyclic_closure(r, w)
     assert res.subspace == dense_closure(r, w)[0]
     images = [r.act_word(word, w) for word in res.words]
@@ -312,6 +319,39 @@ def test_graded_closure_matches_dense_reference(name, data):
     # the words are the provenance: their images and w, split into weight
     # components, span the whole closure
     assert coroot_span(r, [w] + images) == res.subspace
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_MODULES))
+@given(data=st.data())
+@settings(deadline=None, max_examples=15)
+def test_closure_of_a_multiple_has_the_same_words(name, data):
+    # the search runs on the primitive integer multiple of w, which a
+    # nonzero multiple of w shares up to sign
+    r = CLOSURE_MODULES[name]()
+    w = data.draw(st.lists(closure_entries, min_size=r.dim, max_size=r.dim))
+    res = cyclic_closure(r, w)
+    for c in (F(-3), F(1, 2), F(5, 7)):
+        scaled = cyclic_closure(r, [c * e for e in w])
+        assert (scaled.subspace, scaled.words) == (res.subspace, res.words)
+
+
+def test_closure_of_a_rational_chord_point_runs_on_ints(monkeypatch):
+    # every action built here is integral, so from the integer start no
+    # vector the closure meets has a Fraction entry
+    r = derived_rep(standard_rep(make_sl(4)), "wedge", 2).sym_square()
+    x = chordal_sample(ChordalSpec(4, 2, 2), 7)
+    assert any(e.denominator != 1 for e in x)
+    apply, entries = reps._apply, []
+
+    def spy(cols, v):
+        v = list(v)
+        out = apply(cols, v)
+        entries.extend([e for _, e in v] + list(out.values()))
+        return out
+    monkeypatch.setattr(reps, "_apply", spy)
+    res = cyclic_closure(r, yy_coords(x))
+    assert res.subspace.dim == 21 and len(entries) > 100
+    assert [e for e in entries if type(e) is not int] == []
 
 
 @pytest.mark.parametrize(
