@@ -3,9 +3,10 @@
 The symmetric square of a wedge power splits into pairwise non-isomorphic
 pieces Theta_0, Theta_2, ... (indexed here from the dominant end down).  The
 p-restricted chordal variety is sampled by joining wedge vectors of two
-k-planes meeting in dimension exactly max(k - 2p + 1, 0); its degree-two
-ideal is computed from stabilized spans of orbit modules and compared
-exactly with the tails of the isotypic decomposition.
+k-planes meeting in dimension exactly max(k - 2p + 1, 0).  As the pieces are
+pairwise non-isomorphic, a sample's orbit module is the sum of the pieces its
+square projects onto: the degree-two ideal is read off these isotypic
+supports and compared exactly with the tails of the decomposition.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from math import comb
 from .errors import (CapExceeded, GenericVectorError, StructuralError,
                      UnsupportedExpression)
 from .lie import make_sl
-from .linalg import (Coordinates, PivotedSpan, QQ, integer_rows, rank, vec_is_zero,
+from .linalg import (Coordinates, QQ, Subspace, integer_rows, rank, vec_is_zero,
                      yy_coords)
-from .orbit import QuadraticIdeal, ideal_of_module, orbit_module
+from .orbit import QuadraticIdeal, ideal_of_module
 from .reps import (
     IsotypicDecomposition,
     Rep,
@@ -76,6 +77,9 @@ class ChordalSpec:
             raise ValueError("need 1 <= k <= n")
         if self.p < 1:
             raise ValueError("need p >= 1")
+        # two k-planes meeting in meet_dim dimensions span 2k - meet_dim
+        if 2 * self.k - self.meet_dim > self.n:
+            raise ValueError("need 2k - meet_dim <= n")
 
     @property
     def meet_dim(self) -> int:
@@ -169,53 +173,47 @@ class ChordalReport:
 def chordal_ideal(spec: ChordalSpec, samples: int = 0, seed: int = 0) -> ChordalReport:
     """Degree-two ideal of the p-restricted chordal variety, by sampling.
 
-    Folds orbit modules of sampled chord points until one more sample stops
-    growing the span (its xx already lies in the span, so its module is not
-    built), then annihilates and compares the span with the partial sums of
-    the isotypic components (exact subspace equality, not dimension
-    counting).  ``samples`` bounds the budget; 0 means four times dim S^2(V).
+    The span of the samples' orbit modules is the sum of the components
+    their supports meet; sampling stops at the first sample after the first
+    that meets no new one (its xx lies in the span).  ``matched_tail`` is m
+    when the span is the sum of the first m components, else None.
+    ``samples`` bounds the budget; 0 means four times dim S^2(V).
     """
     rep = spec.wedge_rep()
     s2 = rep.sym_square()
     decomp = isotypic_decomposition(s2)
-    if not decomp.multiplicity_free:
-        raise UnsupportedExpression("symmetric square is not multiplicity free")
+    support = _projection_flags(decomp)
     budget = samples if samples > 0 else 4 * s2.dim
     rng = random.Random(seed)
-    span = PivotedSpan(s2.dim)
+    met: set[int] = set()
     for used in range(1, budget + 1):
-        x = chordal_sample(spec, rng.randrange(1 << 30))
-        # the span is a sum of submodules: it holds U(xx) exactly when it holds xx
-        if used > 1 and span.contains(yy_coords(x)):
+        s = support(yy_coords(chordal_sample(spec, rng.randrange(1 << 30))))
+        if used > 1 and s <= met:
             break
-        span.add_all(orbit_module(rep, x)._rows.values())
+        met |= s
     else:
         raise CapExceeded(
             "stabilization",
             f"span still growing after {used} samples",
-            {"samples": used, "span_dim": span.dim},
+            {"samples": used, "span_dim": sum(decomp.components[i].dim for i in met)},
         )
-    s_x = span.to_subspace()
-    ideal = ideal_of_module(rep, s_x)
-    matched = None
-    partial = PivotedSpan(s2.dim)
-    if s_x == partial.to_subspace():
-        matched = 0
-    for i, comp in enumerate(decomp.components):
-        partial.add_all(comp.subspace._rows.values())
-        if s_x == partial.to_subspace():
-            matched = i + 1
-            break
-    return ChordalReport(spec, decomp, ideal, s_x.dim, matched, used, seed)
+    s_x = Subspace(s2.dim, [row for i in sorted(met)
+                            for row in decomp.components[i].subspace._rows.values()])
+    matched = len(met) if met == set(range(len(met))) else None
+    return ChordalReport(spec, decomp, ideal_of_module(rep, s_x), s_x.dim, matched, used, seed)
 
 
 # ---------------------------------------------------------------------------
 # generic vectors and component analysis
 
-def _projection_flags(components):
-    """The reader of the set of components onto which a symmetric square yy
-    projects nonzero: its coordinates on their integer rows, read off one
-    elimination built here, are nonzero in exactly those components' blocks."""
+def _projection_flags(decomp: IsotypicDecomposition):
+    """The reader of the support of yy: the components onto which it projects
+    nonzero, the blocks of its nonzero coordinates on their integer rows (one
+    elimination, built here).  Multiplicity free, U(g).yy is then the sum of
+    the components in the support; otherwise UnsupportedExpression."""
+    if not decomp.multiplicity_free:
+        raise UnsupportedExpression("symmetric square is not multiplicity free")
+    components = decomp.components
     owner = [i for i, comp in enumerate(components) for _ in range(comp.dim)]
     rows = [row for comp in components for row in comp.subspace._rows.values()]
     coords = Coordinates(rows, components[0].subspace.ambient_dim)
@@ -236,9 +234,7 @@ def generic_vector(r: Rep, sampler, decomp: IsotypicDecomposition,
     sampler's locus misses some component the retry cap fires and the error
     carries the set of component indices that were reached.
     """
-    if not decomp.multiplicity_free:
-        raise UnsupportedExpression("decomposition must be multiplicity free")
-    projections = _projection_flags(decomp.components)
+    projections = _projection_flags(decomp)
     reachable: set[int] = set()
     for t in range(tries):
         y = sampler(t)
@@ -277,9 +273,7 @@ def component_analysis(r: Rep, points) -> ComponentReport:
         raise ValueError("points must be nonzero")
     s2 = r.sym_square()
     decomp = isotypic_decomposition(s2)
-    if not decomp.multiplicity_free:
-        raise UnsupportedExpression("symmetric square is not multiplicity free")
-    projections = _projection_flags(decomp.components)
+    projections = _projection_flags(decomp)
     sets = [projections(yy_coords(x)) for x in points]
     groups: dict[frozenset[int], list[int]] = {}
     for i, s in enumerate(sets):

@@ -6,7 +6,8 @@ no timestamps, so identical invocations are byte-identical.
 
 Exit codes: 0 success/consistent, 2 parse error (including a negative
 --trials or --samples, an all-zero --y, a chordal --n below 2, --k
-outside 1..n or --p below 1, a --rep nested deeper than MAX_REP_DEPTH,
+outside 1..n, --p below 1 or 2k - meet_dim above n (no two k-planes meet in
+meet_dim dimensions in QQ^n), a --rep nested deeper than MAX_REP_DEPTH,
 and an --output path that cannot be written), 3 dimension mismatch, 4 unsupported
 expression (including a wedge or sym degree outside its range, and a
 chordal or components module whose symmetric square is not multiplicity
@@ -255,10 +256,10 @@ def parse_spec(argv) -> RunSpec:
     if ns.command == "chordal":
         if ns.n < 2:
             raise SpecParseError("need n >= 2")
-        if not 1 <= ns.k <= ns.n:
-            raise SpecParseError("need 1 <= k <= n")
-        if ns.p < 1:
-            raise SpecParseError("need p >= 1")
+        try:
+            ChordalSpec(ns.n, ns.k, ns.p)
+        except ValueError as exc:
+            raise SpecParseError(str(exc)) from None
         spec.n, spec.k, spec.p = ns.n, ns.k, ns.p
         spec.samples = ns.samples
         spec.seed = ns.seed

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 from .errors import DimensionMismatch
 from .linalg import Mat, QQ
@@ -152,7 +152,9 @@ class LieAlgebra:
         return coeffs
 
 
+@cache
 def make_sl(n: int) -> LieAlgebra:
+    """sl(n), built once per n: n determines the algebra, which is read-only."""
     return LieAlgebra(n)
 
 

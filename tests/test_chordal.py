@@ -5,7 +5,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbitquad import chordal
+from orbitquad import chordal, orbit, reps
 from orbitquad.chordal import (
     ChordalSpec,
     chordal_ideal,
@@ -17,8 +17,10 @@ from orbitquad.chordal import (
     wedge_coordinates,
 )
 from antichain_reference import antichain_brute_force
-from orbitquad.errors import GenericVectorError
+from closure_reference import folded_chordal_span
+from orbitquad.errors import CapExceeded, GenericVectorError
 from orbitquad.lie import make_sl
+from orbitquad.linalg import annihilator
 from orbitquad.orbit import my_membership, orbit_module, quadric_ideal
 from orbitquad.reps import derived_rep, isotypic_decomposition, standard_rep
 
@@ -91,6 +93,11 @@ def test_chordal_spec_validation():
         ChordalSpec(2, 3, 1)
     with pytest.raises(ValueError):
         ChordalSpec(4, 2, 0)
+    # two k-planes meeting in meet_dim dimensions span 2k - meet_dim
+    assert ChordalSpec(6, 3, 2).meet_dim == 0 and ChordalSpec(5, 4, 1).meet_dim == 3
+    for n, k, p in [(8, 5, 3), (4, 4, 1), (5, 3, 2), (6, 4, 2)]:
+        with pytest.raises(ValueError, match="need 2k - meet_dim <= n"):
+            ChordalSpec(n, k, p)
 
 
 def test_wedge_coordinates():
@@ -197,17 +204,45 @@ def test_chordal_ideal_p2():
     assert report.span_dim == 21
 
 
-def test_chordal_confirming_sample_builds_no_module(monkeypatch):
-    built = []
+def test_chordal_ideal_runs_no_closure(monkeypatch):
+    # the span is read off isotypic supports; the decompositions are built
+    # (and memoized) first, so a closure after that is one chordal_ideal ran
+    specs = [ChordalSpec(4, 2, 1), ChordalSpec(4, 2, 2)]
+    for spec in specs:
+        isotypic_decomposition(spec.wedge_rep().sym_square())
 
-    def counting_orbit_module(rep, x):
-        built.append(x)
-        return orbit_module(rep, x)
+    def refuse(*args):
+        raise AssertionError("chordal_ideal ran a closure")
 
-    monkeypatch.setattr(chordal, "orbit_module", counting_orbit_module)
-    report = chordal_ideal(ChordalSpec(4, 2, 1), samples=20, seed=0)
-    assert report.span_dim == 20
-    assert len(built) == report.samples_used - 1
+    monkeypatch.setattr(reps, "cyclic_closure", refuse)
+    monkeypatch.setattr(orbit, "_closure", refuse)
+    assert [chordal_ideal(spec, seed=0).span_dim for spec in specs] == [20, 21]
+    assert not hasattr(chordal, "orbit_module")
+
+
+# seeded specs, compared with the span folded from orbit modules; S^2 V has
+# two components, which (6, 3, 2) meets both of and (6, 3, 1) only the first of
+@pytest.mark.parametrize("spec,seed", [
+    ((4, 2, 1), 0), ((4, 2, 1), 7), ((4, 2, 2), 3), ((5, 2, 2), 0),
+    ((6, 3, 1), 5), ((6, 3, 2), 1), ((7, 2, 2), 2),
+])
+def test_chordal_ideal_matches_folded_closures(spec, seed):
+    spec = ChordalSpec(*spec)
+    span, used, matched = folded_chordal_span(spec, seed=seed)
+    report = chordal_ideal(spec, seed=seed)
+    assert (report.span_dim, report.samples_used, report.matched_tail) == (span.dim, used, matched)
+    assert report.ideal.module == span
+    assert report.ideal.dual_coords == annihilator(span)
+
+
+# values taken before the span was read off isotypic supports: one sample
+# never confirms the span, and span_dim is the dimension it reached
+@pytest.mark.parametrize("spec,span_dim", [((4, 2, 1), 20), ((4, 2, 2), 21)])
+def test_chordal_stabilization_cap(spec, span_dim):
+    with pytest.raises(CapExceeded) as e:
+        chordal_ideal(ChordalSpec(*spec), samples=1)
+    assert e.value.kind == "stabilization"
+    assert e.value.details == {"samples": 1, "span_dim": span_dim}
 
 
 def test_chordal_ideal_order_independent():

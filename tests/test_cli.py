@@ -104,7 +104,10 @@ def test_exit_parse_on_negative_counts():
 
 @pytest.mark.parametrize(
     "n,k,p,message",
-    [(2, 3, 1, "need 1 <= k <= n"), (4, 2, 0, "need p >= 1"), (1, 1, 1, "need n >= 2")],
+    [(2, 3, 1, "need 1 <= k <= n"), (4, 2, 0, "need p >= 1"), (1, 1, 1, "need n >= 2"),
+     # no two k-planes of QQ^n meet in exactly meet_dim dimensions
+     (8, 5, 3, "need 2k - meet_dim <= n"), (4, 4, 1, "need 2k - meet_dim <= n"),
+     (5, 3, 2, "need 2k - meet_dim <= n")],
 )
 def test_exit_parse_on_chordal_spec_out_of_range(n, k, p, message):
     code, out, err = invoke(["chordal", "--n", str(n), "--k", str(k), "--p", str(p)])
@@ -360,6 +363,17 @@ def test_chordal_reports():
     doc2 = json.loads(out2)
     assert doc2["result"]["ideal_dim"] == 0
     assert doc2["result"]["matched_tail"] == 2
+
+
+def test_chordal_stabilization_cap_exit_6():
+    # taken before the span was read off isotypic supports
+    code, out, err = invoke(["chordal", "--n", "4", "--k", "2", "--p", "2", "--samples", "1"])
+    assert code == EXIT_INCONCLUSIVE and err == ""
+    assert json.loads(out)["error"] == {
+        "details": {"samples": 1, "span_dim": 21},
+        "kind": "stabilization",
+        "message": "span still growing after 1 samples",
+    }
 
 
 def test_byte_level_determinism():

@@ -33,6 +33,10 @@ e246 + e257 + e347 + e356 in wedge^3 of sl(7) (dim S^2 V = 630) was written
 before the isotypic supports were read through one coordinate solver on the
 components' integer rows instead of a dense system per point: it pins the
 supports {0}, {0, 1}, {0, 1}, their merged groups and their containments.
+``chordal --n 7 --k 3 --p 2`` (two components, both met, dim S^2 V = 630)
+and ``chordal --n 8 --k 4 --p 2`` (three components, the span the first two,
+``matched_tail`` 2, dim S^2 V = 2485) were written before the chordal span
+was read off isotypic supports instead of folded from orbit modules.
 Each command is run in a fresh interpreter, so every module is built cold.
 """
 

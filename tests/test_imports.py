@@ -200,6 +200,15 @@ def test_the_components_path_builds_no_dense_system():
     assert offenders == []
 
 
+def test_multiplicity_freeness_is_checked_by_the_support_reader_only():
+    """In ``chordal.py`` only ``_projection_flags`` reads ``multiplicity_free``;
+    ``chordal_ideal``, ``generic_vector`` and ``component_analysis`` rely on it."""
+    tree = ast.parse((SRC / "chordal.py").read_text())
+    readers = {f.name for f in tree.body if isinstance(f, ast.FunctionDef)
+               and "multiplicity_free" in _identifiers(f)}
+    assert readers == {"_projection_flags"}
+
+
 def test_the_correspondence_tables_solve_through_coordinates():
     """``_SeqData`` reads its coefficients through ``linalg.Coordinates`` and
     runs no elimination of its own."""

@@ -29,6 +29,11 @@ def test_sl3_catalog():
     assert span.dim == 8
 
 
+def test_make_sl_builds_one_algebra_per_n():
+    assert make_sl(5) is make_sl(5)
+    assert make_sl(5) is not make_sl(6)
+
+
 def test_sl1_rejected():
     with pytest.raises(ValueError):
         make_sl(1)
