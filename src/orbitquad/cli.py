@@ -14,8 +14,9 @@ chordal or components module whose symmetric square is not multiplicity
 free), 5 discrepancy verdict or a StructuralError or RankOneError (one
 ``error:`` line on stderr, empty stdout), 6 caps or inconclusive.
 The environment variable ORBITQUAD_MAX_BOX bounds the accepted generator sequence's box.
-Before anything is built, n is checked against MAX_N and the dimension of
-every module a command would build against MAX_DIM (kinds ``n`` and ``dim``).
+Before anything is built, n is checked against MAX_N, certify's --trials
+against MAX_TRIALS, and the dimension of every module a command would build
+against MAX_DIM (kinds ``n``, ``trials`` and ``dim``).
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ MAX_N = 16  # largest n of --alg sl:<n> and of chordal --n
 # largest dimension of a module a command builds: every module of --rep, and
 # S^2 V for ideal, certify, components and chordal (chordal --n 9 --k 3 has 3570)
 MAX_DIM = 4000
+MAX_TRIALS = 1000  # largest certify --trials; the run grows linearly in it
 
 
 @dataclass
@@ -334,6 +336,7 @@ def _cmd_ideal(spec: RunSpec) -> tuple[dict, int]:
 
 
 def _cmd_certify(spec: RunSpec) -> tuple[dict, int]:
+    _capped("trials", spec.trials, MAX_TRIALS)
     rep, (y,) = _rep_and_vectors(spec)
     max_box = _box_cap_from_env()
     report = certify_irreducibility(rep, y, trials=spec.trials, seed=spec.seed,

@@ -14,7 +14,10 @@ copies of the action are made only on request, through ``Rep.action``.
 
 Weights are plain tuples of integers: the eigenvalues of the simple coroot
 actions H_1, ..., H_{n-1}.  Cyclic closures are searched one weight space
-at a time, since a submodule is the direct sum of its weight spaces.
+at a time, since a submodule is the direct sum of its weight spaces.  An
+isotypic component is the closure of its highest weight space under the
+simple Y(i,i+1) alone: U(g).v = U(n-).v for a highest weight vector v, and
+the simple f_i generate n- (PBW; Humphreys, Lie Algebras, 20.2).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import DimensionMismatch, StructuralError
-from .lie import LieAlgebra
+from .lie import LieAlgebra, Root, y_symbol
 from .linalg import (
     Mat,
     PivotedSpan,
@@ -66,6 +69,8 @@ class Rep:
             raise DimensionMismatch("action matrices of mixed sizes")
         self.dim = dims.pop()
         self.basis_labels = basis_labels or [f"b{i}" for i in range(self.dim)]
+        if len(self.basis_labels) != self.dim:
+            raise DimensionMismatch(f"{len(self.basis_labels)} basis labels for dim {self.dim}")
         if set(action) != set(algebra.catalog):
             raise ValueError("action must cover exactly the generator catalog")
         # the weight of each coordinate, when every coroot acts diagonally
@@ -483,14 +488,20 @@ class ClosureResult:
     words: list[tuple[str, ...]]
 
 
-def _graded_closure(r: Rep, w):
-    """Breadth-first closure of w in a module with diagonal coroots, started
-    from the primitive integer multiple of w.
+def _graded_closure(r: Rep, starts, letters) -> tuple[Subspace, list[tuple[str, ...]]]:
+    """The closure of the start vectors under the letters, with the words
+    that grew it: breadth-first from the primitive integer multiple of each
+    start, in the weight basis of ``Rep._weight_frame``, mapped back to r.
 
-    Returns one ``PivotedSpan`` per weight, over the coordinates of that
-    weight in increasing order, with the recorded words.
+    Every vector is held as its nonzero coordinates, acted on through the
+    sparse columns and split into its weight components, each reduced
+    against a small echelon of its own weight space.  The pieces span the
+    closure when it is a sum of weight spaces (the letters generate g, or
+    the starts are weight vectors): each letter shifts every weight by one
+    root, so it sends each component of a vector to that of its image.
     """
-    weights = r.weights
+    graded, p, p_inv = r._weight_frame
+    weights = graded.weights
     coords = _weight_blocks(weights)
     local = {j: k for block in coords.values() for k, j in enumerate(block)}
     spans = {mu: PivotedSpan(len(block)) for mu, block in coords.items()}
@@ -504,23 +515,27 @@ def _graded_closure(r: Rep, w):
             grew |= spans[mu].add(part)
         return grew
 
-    start = primitive(sparse(w))
     words: list[tuple[str, ...]] = []
-    if start is None or not insert(start):
-        return spans, coords, words
-    xy = r.algebra.xy_symbols()
-    frontier = [(start, ())]
+    frontier = []
+    for w in starts:
+        start = primitive(sparse(w if p_inv is None else p_inv.apply(w)))
+        if start is not None and insert(start):
+            frontier.append((start, ()))
     while frontier:
         fresh = []
         for v, word in frontier:
-            for sym in xy:
-                u = _apply(r.columns[sym], v.items())
+            for sym in letters:
+                u = _apply(graded.columns[sym], v.items())
                 if insert(u):
                     new_word = (sym,) + word
                     words.append(new_word)
                     fresh.append((u, new_word))
         frontier = fresh
-    return spans, coords, words
+    rows = [{coords[mu][k]: x for k, x in row.items()}
+            for mu, span in spans.items() for row in span.rows]
+    if p is not None:
+        rows = [_apply(p, row.items()) for row in rows]
+    return Subspace(r.dim, rows), words
 
 
 def cyclic_closure(r: Rep, w) -> ClosureResult:
@@ -528,36 +543,20 @@ def cyclic_closure(r: Rep, w) -> ClosureResult:
 
     Breadth-first span growth over the X/Y generators, in ``xy_symbols()``
     order (the coroots are their brackets, so invariance under them
-    follows).  The search is graded by weight: every vector is held as its
-    nonzero coordinates, acted on through the sparse columns, and split into
-    its weight components, and each component is reduced against a small
-    echelon of its own weight space.  Each recorded word, read left to right
-    and applied right-to-left, sends w to a vector with a component that
-    enlarged its weight space's span when it was found.
+    follows), graded by weight in ``_graded_closure``.  Each recorded word,
+    read left to right and applied right-to-left, sends w to a vector with a
+    component that enlarged its weight space's span when it was found.
 
     The search starts from c w, the primitive integer multiple of w (c > 0).
     Every vector met is then c times the one met from w, and a nonzero
     multiple enlarges a span exactly when the vector does, so the spans and
     the words are those of w; but under an integral action every entry
-    stays an int, so no ``Fraction`` arithmetic runs.
-
-    The weight pieces of all vectors met span the closure: a submodule is
-    the direct sum of its weight spaces, and each X/Y generator shifts every
-    weight by the same root, so it sends each component of a vector to the
-    matching component of the image.  The pieces are assembled into one
-    RREF ``Subspace``, which is canonical.  A module whose coroots are not
-    diagonal is searched in the weight basis of ``Rep._weight_frame`` and the
-    result mapped back.
+    stays an int, so no ``Fraction`` arithmetic runs.  The span is returned
+    as one RREF ``Subspace``, which is canonical.
     """
     if len(w) != r.dim:
         raise DimensionMismatch("vector length != ambient dimension")
-    graded, p, p_inv = r._weight_frame
-    spans, coords, words = _graded_closure(graded, w if p_inv is None else p_inv.apply(w))
-    rows = [{coords[mu][k]: x for k, x in row.items()}
-            for mu, span in spans.items() for row in span.rows]
-    if p is not None:
-        rows = [_apply(p, row.items()) for row in rows]
-    return ClosureResult(Subspace(r.dim, rows), words)
+    return ClosureResult(*_graded_closure(r, [w], r.algebra.xy_symbols()))
 
 
 def cyclic_module(r: Rep, w) -> Subspace:
@@ -593,30 +592,28 @@ class IsotypicDecomposition:
 def isotypic_decomposition(r: Rep) -> IsotypicDecomposition:
     """One component per highest weight, sorted from the dominant end down.
 
-    Each component is the sum of the cyclic modules of that weight's highest
-    weight vectors.  Components must be independent and exhaust the module
-    (semisimplicity); any violation aborts, as it can only be a bug.  The
-    result is memoized per module object; treat it as read-only.
+    Each component is the closure of that weight's highest weight space
+    under the simple lowering operators Y(i,i+1): for a highest weight
+    vector v, U(g).v = U(n-).v, and n- is generated by the simple f_i (PBW;
+    Humphreys, Introduction to Lie Algebras, 20.2).  Components must be
+    independent and exhaust the module (semisimplicity); any violation
+    aborts, as it can only be a bug.  The result is memoized per module
+    object; treat it as read-only.
     """
     if r in _ISOTYPIC_CACHE:
         return _ISOTYPIC_CACHE[r]
-    comps = []
-    for w, hw_space in highest_weight_vectors(r):
-        span = PivotedSpan(r.dim)
-        for row in hw_space.basis:
-            span.add_all(cyclic_module(r, list(row))._rows.values())
-        comps.append(IsotypicComponent(w, hw_space.dim, span.to_subspace()))
+    lowering = [y_symbol(Root(i, i + 1)) for i in range(1, r.algebra.n)]
+    comps = [IsotypicComponent(w, hw_space.dim,
+                               _graded_closure(r, hw_space.basis, lowering)[0])
+             for w, hw_space in highest_weight_vectors(r)]
     total = PivotedSpan(r.dim)
-    dim_sum = 0
-    for c in comps:
-        dim_sum += c.dim
-        total.add_all(c.subspace._rows.values())
+    total.add_all(row for c in comps for row in c.subspace._rows.values())
+    dim_sum = sum(c.dim for c in comps)
     if r.dim and (total.dim != r.dim or dim_sum != r.dim):
         raise StructuralError(
             f"isotypic components of {r.label} sum to {dim_sum} (span {total.dim}) "
             f"!= {r.dim}; module is not exhausted")
-    comps.sort(key=lambda c: (-dominance_height(r.algebra.n, c.weight), c.weight),
-               reverse=False)
+    comps.sort(key=lambda c: (-dominance_height(r.algebra.n, c.weight), c.weight))
     decomp = IsotypicDecomposition(comps, all(c.multiplicity == 1 for c in comps))
     _ISOTYPIC_CACHE[r] = decomp
     return decomp

@@ -220,6 +220,18 @@ def test_chordal_ideal_runs_no_closure(monkeypatch):
     assert not hasattr(chordal, "orbit_module")
 
 
+@pytest.mark.parametrize("support,span_dim,matched", [
+    ({0, 1}, 21, 2), ({0}, 20, 1), ({1}, 1, None),
+])
+def test_chordal_ideal_matched_tail_reads_prefix_supports(monkeypatch, support, span_dim, matched):
+    # S^2(wedge^2 QQ^4) has components of dims 20 and 1; every sample of the
+    # stubbed reader meets the given support, so the second one stops
+    monkeypatch.setattr(chordal, "_projection_flags",
+                        lambda decomp: lambda yy: frozenset(support))
+    report = chordal_ideal(ChordalSpec(4, 2, 1), seed=0)
+    assert (report.span_dim, report.matched_tail, report.samples_used) == (span_dim, matched, 2)
+
+
 # seeded specs, compared with the span folded from orbit modules; S^2 V has
 # two components, which (6, 3, 2) meets both of and (6, 3, 1) only the first of
 @pytest.mark.parametrize("spec,seed", [

@@ -296,7 +296,9 @@ def test_oversized_inputs_exit_6_before_anything_is_built(monkeypatch):
 
     monkeypatch.setattr(cli, "make_sl", refuse)
     monkeypatch.setattr(cli, "chordal_ideal", refuse)
+    certify = ["certify", "--alg", "sl:2", "--rep", "sym(3,std)", "--y", "1,0,0,1"]
     cases = [
+        (certify + ["--trials", str(cli.MAX_TRIALS + 1)], "trials", cli.MAX_TRIALS + 1),
         (["decompose", "--alg", "sl:100000", "--rep", "std"], "n", 100000),
         (["certify", "--alg", "sl:17", "--rep", "std", "--y", "1"], "n", 17),
         (["decompose", "--alg", "sl:16", "--rep", "wedge(8,std)"], "dim", 12870),
@@ -310,7 +312,10 @@ def test_oversized_inputs_exit_6_before_anything_is_built(monkeypatch):
         code, out, err = invoke(argv)
         assert code == EXIT_INCONCLUSIVE and err == ""
         assert json.loads(out)["error"]["details"] == {kind: value, "cap": getattr(
-            cli, {"n": "MAX_N", "dim": "MAX_DIM"}[kind])}
+            cli, {"n": "MAX_N", "dim": "MAX_DIM", "trials": "MAX_TRIALS"}[kind])}
+    # at the cap itself certify goes on to build its module
+    with pytest.raises(AssertionError, match="built past a cap"):
+        run(parse_spec(certify + ["--trials", str(cli.MAX_TRIALS)]))
 
 
 @pytest.mark.parametrize("n,rep", [

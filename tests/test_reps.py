@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbitquad.errors import StructuralError
+from orbitquad.errors import DimensionMismatch, StructuralError
 from orbitquad.lie import make_sl
 from orbitquad.linalg import (
     Mat,
@@ -422,6 +422,48 @@ def test_isotypic_sym2_wedge2_against_weyl_peel(n):
     assert got == want
 
 
+ISOTYPIC_MODULES = {
+    **HIGHEST_WEIGHT_MODULES,
+    "sym2(wedge(2,std))@sl6": lambda: derived_rep(derived_rep(_std(6), "wedge", 2), "sym2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ISOTYPIC_MODULES))
+def test_isotypic_components_are_full_closures_of_highest_weight_vectors(name):
+    # oracle: the X/Y closures of each highest weight vector, summed
+    r = ISOTYPIC_MODULES[name]()
+    hw = dict(highest_weight_vectors(r))
+    decomp = isotypic_decomposition(r)
+    assert sorted(c.weight for c in decomp.components) == sorted(hw)
+    for c in decomp.components:
+        oracle = Subspace.zero(r.dim)
+        for row in hw[c.weight].basis:
+            oracle = oracle.sum(cyclic_module(r, list(row)))
+        assert (c.subspace, c.multiplicity) == (oracle, hw[c.weight].dim)
+
+
+@pytest.mark.parametrize("name", ["sym2(wedge(2,std))@sl5", "tensor(std,tensor(std,std))@sl3",
+                                  "twisted-sym3@sl2"])
+def test_cold_isotypic_decomposition_applies_only_simple_lowering(monkeypatch, name):
+    r = ISOTYPIC_MODULES[name]()
+    graded = r._weight_frame[0]
+    letters = {id(cols): s for s, cols in graded.columns.items()}
+    apply, applied = reps._apply, set()
+
+    def spy(cols, v):
+        applied.add(letters.get(id(cols)))
+        return apply(cols, v)
+
+    def refuse(*args):
+        raise AssertionError("isotypic_decomposition ran a full closure")
+
+    monkeypatch.setattr(reps, "_ISOTYPIC_CACHE", {})
+    monkeypatch.setattr(reps, "_apply", spy)
+    monkeypatch.setattr(reps, "cyclic_closure", refuse)
+    isotypic_decomposition(r)
+    assert applied - {None} == {f"Y({i},{i + 1})" for i in range(1, r.algebra.n)}
+
+
 def test_isotypic_decomposition_is_memoized_per_module(sl2):
     r = derived_rep(standard_rep(sl2), "sym", 4)
     assert isotypic_decomposition(r) is isotypic_decomposition(r)
@@ -468,6 +510,13 @@ def test_homomorphism_guard(sl2):
     action["X(1,2)"] = Mat.zero(2, 2)
     with pytest.raises(StructuralError, match=r"\(X\(1,2\), Y\(1,2\)\)"):
         Rep(sl2, "broken", action)
+
+
+@pytest.mark.parametrize("labels", [["a"], ["a", "b", "c"]])
+def test_rep_rejects_basis_labels_of_the_wrong_length(sl2, labels):
+    with pytest.raises(DimensionMismatch, match=f"{len(labels)} basis labels for dim 2"):
+        Rep(sl2, "x", dict(sl2.generators), labels)
+    assert Rep(sl2, "x", dict(sl2.generators), ["a", "b"]).basis_labels == ["a", "b"]
 
 
 def test_homomorphism_guard_catches_a_fault_on_a_non_simple_pair():
