@@ -15,8 +15,9 @@ free), 5 discrepancy verdict or a StructuralError or RankOneError (one
 ``error:`` line on stderr, empty stdout), 6 caps or inconclusive.
 The environment variable ORBITQUAD_MAX_BOX bounds the accepted generator sequence's box.
 Before anything is built, n is checked against MAX_N, certify's --trials
-against MAX_TRIALS, and the dimension of every module a command would build
-against MAX_DIM (kinds ``n``, ``trials`` and ``dim``).
+against MAX_TRIALS, every sym degree of --rep and the dimension of every
+module a command would build against MAX_DIM (kinds ``n``, ``trials``,
+``degree`` and ``dim``).
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ class _RepParser:
 
     def _int(self) -> int:
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if start == self.pos:
             raise SpecParseError(f"expected an integer at position {start}")
@@ -178,7 +179,9 @@ def _predicted_dim(tree: tuple, n: int) -> int:
     elif name == "wedge":
         dim = comb(d[0], k)
     elif name == "sym":
-        dim = comb(d[0] + k - 1, k) if k else 1
+        # C(d + k - 1, k) >= k + 1 for d >= 2, so capping k first loses
+        # nothing but high powers of a line, and comb never sees a huge k
+        dim = comb(d[0] + _capped("degree", k, MAX_DIM) - 1, k) if k else 1
     elif name == "sym2":
         dim = comb(d[0] + 1, 2)
     else:  # dual

@@ -152,35 +152,42 @@ class GenSeq:
     box: Box
 
 
+def _nested_span(r: Rep, symbols, u) -> tuple[list[int], PivotedSpan]:
+    """The nested suffix spans of u under the letters, with their bounds.
+
+    T_r = span(u), and T_s = sum over k of D_s^k T_{s+1}, each letter applied
+    to a basis of T_{s+1} until its frontier dies.  Each T_s contains
+    T_{s+1}, so one span grows, and the cost follows the span.  Returns the
+    bound N_s of each letter, the largest k with D_s^k T_{s+1} != 0, and the
+    span T_1 of every monomial D^n u.
+    """
+    for s in symbols:
+        if s.startswith("H"):
+            raise ValueError(f"{s} is a coroot; the sequence needs nilpotent letters")
+    span = PivotedSpan(r.dim)
+    span.add(u)
+    bounds = [0] * len(symbols)
+    for s in range(len(symbols) - 1, -1, -1):
+        frontier, k = span.rows, 0
+        while frontier := [v for v in (r.act_sparse(symbols[s], v) for v in frontier) if v]:
+            k += 1
+            if k > r.dim:
+                raise StructuralError(f"action of {symbols[s]} is not nilpotent")
+            span.add_all(frontier)
+        bounds[s] = k
+    return bounds, span
+
+
 def nilpotency_bound(r: Rep, symbols, u) -> Box:
     """Per-axis degree bounds after which the iterated action annihilates u.
 
     Recursive-maximum construction, from the last letter backwards: N_s is
     the largest exponent of D_s that leaves some already-bounded tail vector
     D_{s+1}^{i_{s+1}} ... D_r^{i_r} u alive.  D_s^k kills every tail vector
-    exactly when it kills their span, so only a basis of the tail span is
-    carried: T_r = span(u), and T_s = sum over k <= N_s of D_s^k T_{s+1},
-    which contains T_{s+1}, so one span grows.
+    exactly when it kills their span, so the bounds are read off the nested
+    suffix spans of u (``_nested_span``).
     """
-    for s in symbols:
-        if s.startswith("H"):
-            raise ValueError(f"{s} is a coroot; the sequence needs nilpotent letters")
-    tails = PivotedSpan(r.dim)
-    tails.add(u)
-    bounds = [0] * len(symbols)
-    for s in range(len(symbols) - 1, -1, -1):
-        frontier = tails.rows
-        k = 0
-        while frontier:
-            frontier = [v for v in (r.act_sparse(symbols[s], v) for v in frontier) if v]
-            if not frontier:
-                break
-            k += 1
-            if k > r.dim:
-                raise StructuralError(f"action of {symbols[s]} is not nilpotent")
-            tails.add_all(frontier)
-        bounds[s] = k
-    return Box(bounds)
+    return Box(_nested_span(r, symbols, u)[0])
 
 
 def _word_image(r: Rep, word, v: dict) -> dict:
@@ -243,28 +250,6 @@ def _validate_vanishing(r: Rep, symbols, box: Box, y) -> None:
             )
 
 
-def _monomial_span_dim(s2: Rep, symbols, box: Box, yy, target: int) -> int:
-    """Dimension of the span of the D^n(yy) over the doubled box, or
-    ``target`` once the span reaches it.
-
-    The exponents range over a product set, so the span is S_1 of the nested
-    suffix spans S_{r+1} = span(yy) and S_s = sum over a <= 2 N_s of
-    D_s^a S_{s+1}.  Each S_s contains S_{s+1}, so one span grows, and D_s
-    acts only on a basis of S_{s+1}: the cost follows the span, not the
-    doubled box.
-    """
-    span = PivotedSpan(s2.dim)
-    span.add(yy)
-    for s in range(len(symbols) - 1, -1, -1):
-        frontier = span.rows
-        for _ in range(2 * box.N[s]):
-            if span.dim == target:
-                return target
-            frontier = [v for v in (s2.act_sparse(symbols[s], v) for v in frontier) if v]
-            span.add_all(frontier)
-    return span.dim
-
-
 _GENSEQ_CACHE: dict[tuple, GenSeq] = {}
 
 
@@ -297,19 +282,20 @@ def _search_sequence(r: Rep, y) -> GenSeq:
     all.  Then one pass from the last letter to the first drops each letter
     whose removal keeps the span contract, since every downstream cost is
     exponential in the sequence length.  Never returns a sequence whose span
-    contract was not checked.  Each check measures nested suffix spans
-    (``_monomial_span_dim``) and bounds the box on a basis of the tail span
-    (``nilpotency_bound``), so it costs what the spans cost, never a walk
-    over the box; no candidate box is capped.
+    contract was not checked.  Each check is one walk of nested suffix spans
+    on (S^2 V, yy) (``_nested_span``), so it costs what the spans cost, never
+    a walk over the box; the box is bounded once, for the accepted letters.
+
+    No box is needed to check a candidate.  By Leibniz, D^n(yy) is the sum
+    over alpha + beta = n of binom(n, alpha) (D^alpha y)(D^beta y).  Once
+    some n_s > 2 N_s, every term has alpha_s > N_s or beta_s > N_s, so every
+    term is 0.  So the walk on S^2 V, with each letter applied until its
+    frontier dies, spans exactly the monomials over the doubled box.
 
     One pass is enough.  Let S' be S with some letters dropped, in the same
-    order.  Every tail vector of S' in ``nilpotency_bound`` is a tail vector
-    of S, so N'_s <= N_s.  Every monomial D'^n(yy)/n! with n <= 2N' is the
-    S-monomial with zero exponents on the dropped letters.  So span(S') lies
-    in span(S): a letter whose removal failed once still fails after later
-    letters go.  For the same reason a candidate's box never exceeds its
-    parent's, so pruning meets no non-nilpotent letter, and the accepted
-    candidate's box is the final one.
+    order.  The monomials of S' are those of S with zero exponents on the
+    dropped letters, so span(S') lies in span(S): a letter whose removal
+    failed once still fails after later letters go.
     """
     s2 = r.sym_square()
     yy = yy_coords(y)
@@ -318,11 +304,7 @@ def _search_sequence(r: Rep, y) -> GenSeq:
     # every closure word is a nonempty word in the X/Y letters
     words = chain(closure.words, ((sym,) for sym in r.algebra.xy_symbols()))
     symbols = list(r.algebra.y_symbols())
-    while True:
-        box = nilpotency_bound(r, symbols, y)
-        span_dim = _monomial_span_dim(s2, symbols, box, yy, target)
-        if span_dim == target:
-            break
+    while (span_dim := _nested_span(s2, symbols, yy)[1].dim) != target:
         fresh = next(words, None)
         if fresh is None:
             raise CapExceeded(
@@ -342,9 +324,9 @@ def _search_sequence(r: Rep, y) -> GenSeq:
         if len(symbols) == 1:
             break
         candidate = symbols[:i] + symbols[i + 1:]
-        cand_box = nilpotency_bound(r, candidate, y)
-        if _monomial_span_dim(s2, candidate, cand_box, yy, target) == target:
-            symbols, box = candidate, cand_box
+        if _nested_span(s2, candidate, yy)[1].dim == target:
+            symbols = candidate
+    box = nilpotency_bound(r, symbols, y)
     _validate_vanishing(r, symbols, box, y)
     return GenSeq(tuple(symbols), box)
 

@@ -302,11 +302,15 @@ def _sym2_action(r: Rep):
     This is sym^2 in other coordinates: the symmetric matrix M is the quadric
     x^t M x = sum over k <= m of c_km M_km x_k x_m, with c_km = 1 on the
     diagonal and 2 off it, so entry (i, j) of the sym^2 action is scaled by
-    c_j / c_i.  The basis labels are the same.
+    c_j / c_i.  The basis labels are the same.  An int entry stays an int:
+    e c_j is even whenever c_i = 2, since for c_j = 1 the entry from a
+    square x_l^2 to x_k x_m, k != m, is twice an entry of r's action (the
+    product rule on x_l x_l).
     """
     action, labels = _sym_action(r, 2)
     c = [1 if k == m else 2 for k, m in sym_pairs(r.dim)]
-    return {sym: [[(i, _compact(QQ(e * c[j], c[i]))) for i, e in col]
+    return {sym: [[(i, e * c[j] // c[i] if type(e) is int else _compact(QQ(e * c[j], c[i])))
+                   for i, e in col]
                   for j, col in enumerate(cols)]
             for sym, cols in action.items()}, labels
 
@@ -459,11 +463,15 @@ def highest_weight_vectors(r: Rep) -> list[tuple[Weight, Subspace]]:
     ``Rep._weight_frame``, where X sends e_j to column j of its action: the
     block's highest weight vectors are the annihilator of the rows of the
     matrix of those columns over all X, mapped back through p if needed.
+    Only a dominant block (no negative coroot eigenvalue) is worked: a
+    highest weight vector of a finite-dimensional module has dominant weight.
     """
     graded, p, _ = r._weight_frame
     xs = [graded.columns[x] for x in r.algebra.x_symbols()]
     out = []
     for w, block in sorted(_weight_blocks(graded.weights).items(), reverse=True):
+        if min(w) < 0:
+            continue
         # (generator, image coordinate) -> its entries by block coordinate
         rows: dict[tuple[int, int], dict[int, Fraction | int]] = {}
         for k, j in enumerate(block):

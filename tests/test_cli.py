@@ -87,6 +87,14 @@ def test_exit_parse_on_bad_rational():
     assert code == EXIT_PARSE
 
 
+@pytest.mark.parametrize("degree", ["\u00b2", "\u0662"])  # superscript two, Arabic-Indic two
+def test_exit_parse_on_non_ascii_degree(degree):
+    # both are str.isdigit(), and int() reads the second as 2
+    code, out, err = invoke(["decompose", "--alg", "sl:2", "--rep", f"sym({degree},std)"])
+    assert code == EXIT_PARSE and out == ""
+    assert err == "error: expected an integer at position 4\n"
+
+
 def test_exit_parse_on_unknown_flag():
     code, _, _ = invoke(["certify", "--alg", "sl:2", "--rep", "std",
                          "--y", "1,0", "--frobnicate", "1"])
@@ -307,12 +315,24 @@ def test_oversized_inputs_exit_6_before_anything_is_built(monkeypatch):
         (["decompose", "--alg", "sl:2", "--rep", "sym2(" * 5 + "std" + ")" * 5], "dim", 26796),
         (["chordal", "--n", "10", "--k", "3", "--p", "1"], "dim", 7260),
         (["chordal", "--n", "100000", "--k", "1", "--p", "1"], "n", 100000),
+        # a sym degree is capped before C(d + k - 1, k) is computed: the dim
+        # would have more digits than a message may format, take seconds to
+        # compute, or be 1 on a line, where no dimension cap fires
+        (["decompose", "--alg", "sl:16", "--rep", "sym(1000000,wedge(4,std))"],
+         "degree", 1000000),
+        (["decompose", "--alg", "sl:2", "--rep", f"sym({'9' * 4000},std)"],
+         "degree", int("9" * 4000)),
+        (["decompose", "--alg", "sl:2", "--rep", "sym(100000000,wedge(2,std))"],
+         "degree", 10 ** 8),
+        (["decompose", "--alg", "sl:2", "--rep", f"sym({10 ** 11},wedge(2,std))"],
+         "degree", 10 ** 11),
     ]
     for argv, kind, value in cases:
         code, out, err = invoke(argv)
         assert code == EXIT_INCONCLUSIVE and err == ""
         assert json.loads(out)["error"]["details"] == {kind: value, "cap": getattr(
-            cli, {"n": "MAX_N", "dim": "MAX_DIM", "trials": "MAX_TRIALS"}[kind])}
+            cli, {"n": "MAX_N", "dim": "MAX_DIM", "degree": "MAX_DIM",
+                  "trials": "MAX_TRIALS"}[kind])}
     # at the cap itself certify goes on to build its module
     with pytest.raises(AssertionError, match="built past a cap"):
         run(parse_spec(certify + ["--trials", str(cli.MAX_TRIALS)]))

@@ -361,9 +361,21 @@ def test_nested_span_matches_doubled_box_span():
         assert nilpotency_bound(r, symbols, y) == \
             sequence_reference.nilpotency_bound(r, symbols, y), (r.label, y, symbols)
         want = sequence_reference.span_dim(s2, symbols, box, yy)
-        # a target above every reachable dimension never stops the search early
-        assert orbit._monomial_span_dim(s2, symbols, box, yy, s2.dim + 1) == want, \
-            (r.label, y, symbols)
+        # the walk on S^2 V takes no box: each letter runs until its frontier dies
+        assert orbit._nested_span(s2, symbols, yy)[1].dim == want, (r.label, y, symbols)
+
+
+@pytest.mark.parametrize("r,y", [(wedge2_sl4(), E12_34), (sl2_sym(2), [F(1), F(1), F(1)])],
+                         ids=["E12+E34@wedge2", "sym2"])
+def test_cold_search_bounds_one_box(monkeypatch, r, y):
+    calls = []
+    bound = orbit.nilpotency_bound
+    monkeypatch.setattr(orbit, "nilpotency_bound", lambda *a: calls.append(a) or bound(*a))
+    monkeypatch.setattr(orbit, "_GENSEQ_CACHE", {})
+    monkeypatch.setattr(orbit, "_MODULE_CACHE", {})
+    gs = generator_sequence(r, y)
+    assert [tuple(symbols) for _, symbols, _ in calls] == [gs.symbols]
+    assert not hasattr(orbit, "_monomial_span_dim")
 
 
 @pytest.mark.parametrize("builder,y,symbols,bounds", PINNED_SEQUENCES,

@@ -204,11 +204,16 @@ HIGHEST_WEIGHT_MODULES = {
     "sym2(wedge(2,std))@sl4": lambda: derived_rep(derived_rep(_std(4), "wedge", 2), "sym2"),
     "sym2(wedge(2,std))@sl5": lambda: derived_rep(derived_rep(_std(5), "wedge", 2), "sym2"),
     "twisted-sym3@sl2": lambda: twisted_sym3(make_sl(2)),
+    # reducible (sym^2 + trivial): highest weight vectors of weights 2 and 0
+    "twisted-tensor(std,std)@sl2": lambda: twisted(
+        derived_rep(standard_rep(make_sl(2)), "tensor", other=standard_rep(make_sl(2))),
+        "twisted-tensor"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(HIGHEST_WEIGHT_MODULES))
 def test_highest_weight_vectors_match_dense_reference(name):
+    # the reference works every weight space, the library only dominant ones
     r = HIGHEST_WEIGHT_MODULES[name]()
     got = highest_weight_vectors(r)
     assert got == highest_weight_reference.highest_weight_vectors(r)
@@ -217,6 +222,21 @@ def test_highest_weight_vectors_match_dense_reference(name):
             assert all(not any(r.act(x, list(row))) for x in r.algebra.x_symbols())
     if name.startswith("tensor(std,tensor"):
         assert [(w, s.dim) for w, s in got] == [((3, 0), 1), ((1, 1), 2), ((0, 0), 1)]
+    if name.startswith("twisted-tensor"):
+        assert [(w, s.dim) for w, s in got] == [((2,), 1), ((0,), 1)]
+
+
+def test_highest_weight_vectors_work_only_dominant_blocks(monkeypatch):
+    r = derived_rep(derived_rep(standard_rep(make_sl(4)), "wedge", 2), "sym2")
+    worked = []
+    kernel = reps.annihilator
+    monkeypatch.setattr(reps, "annihilator",
+                        lambda sub: worked.append(sub.ambient_dim) or kernel(sub))
+    got = highest_weight_vectors(r)
+    blocks = reps._weight_blocks(r._weight_frame[0].weights)
+    dominant = [len(b) for w, b in sorted(blocks.items(), reverse=True) if min(w) >= 0]
+    assert worked == dominant and len(dominant) < len(blocks)
+    assert [w for w, _ in got] == [(0, 2, 0), (0, 0, 0)]
 
 
 def test_weight_of(sl2):
@@ -628,6 +648,17 @@ def test_constructions_match_dense_reference(n):
         _checked_build(g, tree, name)
 
 
+@pytest.mark.parametrize("name", ["twisted-sym3@sl2", "twisted-tensor(std,std)@sl2",
+                                  "frac-std@sl3"])
+def test_sym2_of_a_twisted_module_matches_dense_reference(name):
+    # the twists by p change the coroot action; frac-std's entries are Fractions
+    r = {**CLOSURE_MODULES, **SPARSE_MODULES}[name]()
+    built = derived_rep(r, "sym2")
+    action, labels = dense_construction(r, "sym2")
+    assert all(built.action[sym] == m for sym, m in action.items())
+    assert built.basis_labels == labels
+
+
 def test_sym_coords_round_trip():
     m = Mat([[1, 2, 3], [2, 4, 5], [3, 5, 6]])
     assert sym_coords_to_mat(mat_to_sym_coords(m), 3) == m
@@ -677,6 +708,7 @@ def test_sparse_modules_include_fractional_actions():
         r = SPARSE_MODULES[name]()
         entries = {e for cols in r.columns.values() for col in cols for _, e in col}
         assert any(type(e) is F for e in entries) == ("frac" in name)
+        assert all(type(e) is int for e in entries) == ("frac" not in name)
 
 
 @pytest.mark.parametrize("name", sorted(SPARSE_MODULES))
