@@ -4,7 +4,8 @@ Subcommands: decompose, ideal, certify, chordal, components.  Output is a
 single JSON document with rationals serialized as strings, sorted keys, and
 no timestamps, so identical invocations are byte-identical.
 
-Exit codes: 0 success/consistent, 2 parse error (including a negative
+Exit codes: 0 success/consistent, 2 parse error (including an --alg n or a
+--y entry that is not [+-]p or [+-]p/q in ASCII digits, a negative
 --trials or --samples, an all-zero --y, a chordal --n below 2, --k
 outside 1..n, --p below 1 or 2k - meet_dim above n (no two k-planes meet in
 meet_dim dimensions in QQ^n), a --rep nested deeper than MAX_REP_DEPTH,
@@ -13,7 +14,6 @@ expression (including a wedge or sym degree outside its range, and a
 chordal or components module whose symmetric square is not multiplicity
 free), 5 discrepancy verdict or a StructuralError or RankOneError (one
 ``error:`` line on stderr, empty stdout), 6 caps or inconclusive.
-The environment variable ORBITQUAD_MAX_BOX bounds the accepted generator sequence's box.
 Before anything is built, n is checked against MAX_N, certify's --trials
 against MAX_TRIALS, every sym degree of --rep and the dimension of every
 module a command would build against MAX_DIM (kinds ``n``, ``trials``,
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -78,6 +77,8 @@ def parse_algebra(text: str) -> int:
     if not text.startswith("sl:"):
         raise UnsupportedExpression(f"unknown algebra spec {text!r}; expected sl:<n>")
     try:
+        if not (text[3:].isascii() and text[3:].isdigit()):
+            raise ValueError(text)
         n = int(text[3:])
     except ValueError:
         raise SpecParseError(f"bad algebra spec {text!r}") from None
@@ -90,10 +91,6 @@ def _capped(kind: str, value: int, cap: int) -> int:
     if value > cap:
         raise CapExceeded(kind, f"{kind} {value} exceeds cap {cap}", {kind: value, "cap": cap})
     return value
-
-
-def parse_vector(text: str) -> list[Fraction]:
-    return [parse_scalar(part) for part in text.split(",")]
 
 
 class _RepParser:
@@ -276,7 +273,7 @@ def parse_spec(argv) -> RunSpec:
     spec.trials = ns.trials
     spec.output = ns.output
     if getattr(ns, "y", None) is not None:
-        spec.y = [parse_vector(t) for t in ns.y]
+        spec.y = [[parse_scalar(part) for part in t.split(",")] for t in ns.y]
         if any(vec_is_zero(v) for v in spec.y):
             raise SpecParseError("--y must be a nonzero vector")
         if ns.command in ("ideal", "certify") and len(spec.y) != 1:
@@ -341,9 +338,7 @@ def _cmd_ideal(spec: RunSpec) -> tuple[dict, int]:
 def _cmd_certify(spec: RunSpec) -> tuple[dict, int]:
     _capped("trials", spec.trials, MAX_TRIALS)
     rep, (y,) = _rep_and_vectors(spec)
-    max_box = _box_cap_from_env()
-    report = certify_irreducibility(rep, y, trials=spec.trials, seed=spec.seed,
-                                    max_box=max_box)
+    report = certify_irreducibility(rep, y, trials=spec.trials, seed=spec.seed)
     code = {"consistent": EXIT_OK, "discrepancy": EXIT_DISCREPANCY,
             "inconclusive": EXIT_INCONCLUSIVE}[report.verdict]
     return report.to_json_dict(), code
@@ -371,16 +366,6 @@ def _cmd_components(spec: RunSpec) -> tuple[dict, int]:
         "component_dims": report.details["component_dims"],
     }
     return result, EXIT_OK
-
-
-def _box_cap_from_env() -> int | None:
-    raw = os.environ.get("ORBITQUAD_MAX_BOX")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise SpecParseError(f"ORBITQUAD_MAX_BOX must be an integer, got {raw!r}") from None
 
 
 # error type -> exit code, first match wins; caps never get here, since run()

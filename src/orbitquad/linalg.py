@@ -47,6 +47,7 @@ pure, so they can be shared freely between concurrent workers.
 
 from __future__ import annotations
 
+import re
 from collections import defaultdict
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -63,9 +64,12 @@ ONE = QQ(1)
 
 
 def parse_scalar(text: str) -> Fraction:
-    """Parse a rational literal ``"p/q"`` or ``"p"``."""
+    """Parse a rational literal ``"p/q"`` or ``"p"``, signed or not, in ASCII
+    digits; ``Fraction`` alone also reads exponents, slowly (``1e10000000``)."""
     try:
-        return Fraction(text.strip())
+        if not re.fullmatch(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*", text):
+            raise ValueError(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise SpecParseError(f"bad rational literal {text!r}") from exc
 

@@ -50,9 +50,10 @@ from .linalg import (
 from .multimatrix import Box, MultiMatrix, MultiVector
 from .reps import ClosureResult, Rep, cyclic_closure, exp_act
 
-MAX_BOX = 20000
+MAX_BOX = 2 ** 20  # on the box, not on what is allocated: each functional draws per box index
 MAX_SEQ_LEN = 40
 _LEIBNIZ_SAMPLE = 200
+_TOP3, _SEVENS = bytes(b >> 5 for b in range(256)), bytes(range(7 << 5, 256))  # for _draws
 
 
 _MODULE_CACHE: dict[tuple, ClosureResult] = {}
@@ -253,10 +254,10 @@ def _validate_vanishing(r: Rep, symbols, box: Box, y) -> None:
 _GENSEQ_CACHE: dict[tuple, GenSeq] = {}
 
 
-def generator_sequence(r: Rep, y, max_box: int | None = None) -> GenSeq:
+def generator_sequence(r: Rep, y) -> GenSeq:
     """Find (D, N) whose monomials applied to yy span the whole orbit module;
-    ``CapExceeded`` of kind ``box`` when the accepted box exceeds ``max_box``
-    (default ``MAX_BOX``).  The search is cached on what decides it, r and y.
+    ``CapExceeded`` of kind ``box`` when the accepted box exceeds ``MAX_BOX``.
+    The search is cached on what decides it, r and y.
     """
     if vec_is_zero(y):
         raise ValueError("generator sequence needs a nonzero vector")
@@ -264,10 +265,9 @@ def generator_sequence(r: Rep, y, max_box: int | None = None) -> GenSeq:
     if key not in _GENSEQ_CACHE:
         _GENSEQ_CACHE[key] = _search_sequence(r, y)
     gs = _GENSEQ_CACHE[key]
-    cap = MAX_BOX if max_box is None else max_box
-    if gs.box.size > cap:
-        raise CapExceeded("box", f"multi-degree box exceeds cap {cap}",
-                          {"bounds": list(gs.box.N), "cap": cap})
+    if gs.box.size > MAX_BOX:
+        raise CapExceeded("box", f"multi-degree box exceeds cap {MAX_BOX}",
+                          {"bounds": list(gs.box.N), "cap": MAX_BOX})
     return gs
 
 
@@ -499,7 +499,7 @@ class _Products:
         self.lcm = lcm(*(p for _, p, _ in self.f_rows))
 
     def on_basis(self, psi):
-        """psi (by box position) on the RREF basis of U, or None when it vanishes there."""
+        """psi (a dict read on ``columns``) on U's RREF basis, or None when it vanishes there."""
         vals = [Fraction(sum(psi[c] * x for c, x in row.items()), p)
                 for row, p in zip(self.rows, self.scale)]
         return vals if any(vals) else None
@@ -710,10 +710,22 @@ class CertReport:
         }
 
 
+def _draws(rng: random.Random, n: int) -> bytes:
+    """[rng.randint(-3, 3) + 3 for _ in range(n)], leaving rng as that would: each
+    is the top 3 bits of a 32-bit word, redrawn at 7, and getrandbits(32 k) is k
+    words, little-endian, giving at most k draws: no word past the n-th is read."""
+    out = b""
+    while len(out) < n:
+        k = n - len(out)
+        out += rng.getrandbits(32 * k).to_bytes(4 * k, "little")[3::4].translate(_TOP3, _SEVENS)
+    return out
+
+
 def _sample_functional(rng: random.Random, prods: _Products):
     """A random functional nonzero on im A^t, on its RREF basis, or None."""
     for _ in range(50):
-        psi = prods.on_basis([rng.randint(-3, 3) for _ in range(prods.u.ambient_dim)])
+        d = _draws(rng, prods.u.ambient_dim)
+        psi = prods.on_basis({c: d[c] - 3 for c in prods.columns})
         if psi is not None:
             return psi
     return None
@@ -742,8 +754,7 @@ def _orbit_sample(rng: random.Random, r: Rep, y) -> tuple[list[Fraction], list]:
     return x, recipe
 
 
-def certify_irreducibility(r: Rep, y, trials: int = 25, seed: int = 0,
-                           max_box: int | None = None) -> CertReport:
+def certify_irreducibility(r: Rep, y, trials: int = 25, seed: int = 0) -> CertReport:
     """End-to-end seeded certification of one (module, vector) instance.
 
     Runs generator_sequence, im A^t from A's integer columns, the Leibniz
@@ -756,7 +767,7 @@ def certify_irreducibility(r: Rep, y, trials: int = 25, seed: int = 0,
     if vec_is_zero(y):
         raise ValueError("certification needs a nonzero vector")
     rng = random.Random(seed)
-    gs = generator_sequence(r, y, max_box=max_box)
+    gs = generator_sequence(r, y)
     data = _seq_data(r, y, gs)
     im_at = data.image()
     module = data.module

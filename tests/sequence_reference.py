@@ -17,9 +17,8 @@ from orbitquad.orbit import MAX_BOX, MAX_SEQ_LEN, GenSeq
 from orbitquad.reps import cyclic_closure
 
 
-def nilpotency_bound(r, symbols, u, max_box=None):
+def nilpotency_bound(r, symbols, u):
     """Per-axis bounds from the last letter backwards, over every tail vector."""
-    cap = MAX_BOX if max_box is None else max_box
     for s in symbols:
         if s.startswith("H"):
             raise ValueError(f"{s} is a coroot; the sequence needs nilpotent letters")
@@ -43,11 +42,11 @@ def nilpotency_bound(r, symbols, u, max_box=None):
         size = 1
         for b in bounds[s:]:
             size *= b + 1
-        if size > cap:
+        if size > MAX_BOX:
             raise CapExceeded(
                 "box",
-                f"multi-degree box exceeds cap {cap}",
-                {"bounds": list(bounds), "cap": cap},
+                f"multi-degree box exceeds cap {MAX_BOX}",
+                {"bounds": list(bounds), "cap": MAX_BOX},
             )
     return Box(bounds)
 
@@ -73,7 +72,7 @@ def span_dim(s2, symbols, box, yy):
     return span.dim
 
 
-def multi_pass_sequence(r, y, max_box=None):
+def multi_pass_sequence(r, y):
     """The generator sequence of y, searched with re-scans; a failed search
     raises ``CapExceeded`` with the full span dimension."""
     s2 = r.sym_square()
@@ -84,7 +83,7 @@ def multi_pass_sequence(r, y, max_box=None):
     symbols = list(r.algebra.y_symbols())
     next_word = 0
     while True:
-        box = nilpotency_bound(r, symbols, y, max_box=max_box)
+        box = nilpotency_bound(r, symbols, y)
         if span_dim(s2, symbols, box, yy) == target:
             break
         while next_word < len(words):
@@ -115,10 +114,10 @@ def multi_pass_sequence(r, y, max_box=None):
                 break
             candidate = symbols[:i] + symbols[i + 1:]
             try:
-                cand_box = nilpotency_bound(r, candidate, y, max_box=max_box)
+                cand_box = nilpotency_bound(r, candidate, y)
             except CapExceeded:
                 continue
             if span_dim(s2, candidate, cand_box, yy) == target:
                 symbols = candidate
                 changed = True
-    return GenSeq(tuple(symbols), nilpotency_bound(r, symbols, y, max_box=max_box))
+    return GenSeq(tuple(symbols), nilpotency_bound(r, symbols, y))

@@ -30,25 +30,14 @@ from orbitquad.errors import (
 from orbitquad.lie import make_sl
 
 
-def invoke(argv, env=None):
+def invoke(argv):
     """Run the CLI in-process, capturing stdout and the exit code."""
     import io
     from contextlib import redirect_stdout, redirect_stderr
 
     out, err = io.StringIO(), io.StringIO()
-    old_env = {}
-    for k, v in (env or {}).items():
-        old_env[k] = os.environ.get(k)
-        os.environ[k] = v
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(argv)
-    finally:
-        for k, v in old_env.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -83,8 +72,21 @@ def test_parse_rep_grammar():
 
 
 def test_exit_parse_on_bad_rational():
-    code, _, err = invoke(["ideal", "--alg", "sl:2", "--rep", "std", "--y", "1,zz"])
-    assert code == EXIT_PARSE
+    # Fraction() reads the exponents, the decimal, the underscore and the
+    # Arabic-Indic one, and formatting 1e5000 in the spec echo fails
+    for entry in ["zz", "1e5000", "1e10000000", "0.5", "1_0", "\u0661", "1/-2", "1/0", "+", ""]:
+        code, out, err = invoke(["ideal", "--alg", "sl:2", "--rep", "sym(3,std)",
+                                 f"--y=1,0,{entry},0"])
+        assert code == EXIT_PARSE and out == ""
+        assert err == f"error: bad rational literal {entry!r}\n"
+
+
+@pytest.mark.parametrize("alg", ["sl:1_0", "sl: 3", "sl:\u0663", "sl:+3", "sl:3 ", "sl:"])
+def test_exit_parse_on_non_ascii_algebra(alg):
+    # int() reads all but the last: the first as 10, the others as 3
+    code, out, err = invoke(["decompose", "--alg", alg, "--rep", "std"])
+    assert code == EXIT_PARSE and out == ""
+    assert err == f"error: bad algebra spec {alg!r}\n"
 
 
 @pytest.mark.parametrize("degree", ["\u00b2", "\u0662"])  # superscript two, Arabic-Indic two
@@ -365,11 +367,12 @@ def test_caps_admit_the_documented_commands():
         assert comb(comb(n, k) + 1, 2) <= cli.MAX_DIM
 
 
-def test_certify_box_cap_exit_6():
+def test_certify_box_cap_exit_6(monkeypatch):
+    from orbitquad import orbit
+
+    monkeypatch.setattr(orbit, "MAX_BOX", 2)
     code, out, _ = invoke(
-        ["certify", "--alg", "sl:2", "--rep", "sym(3,std)", "--y", "1,0,0,0"],
-        env={"ORBITQUAD_MAX_BOX": "2"},
-    )
+        ["certify", "--alg", "sl:2", "--rep", "sym(3,std)", "--y", "1,0,0,0"])
     assert code == EXIT_INCONCLUSIVE
     doc = json.loads(out)
     assert doc["error"]["kind"] == "box"

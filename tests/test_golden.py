@@ -37,6 +37,11 @@ supports {0}, {0, 1}, {0, 1}, their merged groups and their containments.
 and ``chordal --n 8 --k 4 --p 2`` (three components, the span the first two,
 ``matched_tail`` 2, dim S^2 V = 2485) were written before the chordal span
 was read off isotypic supports instead of folded from orbit modules.
+``certify`` of E12 + E34 + E56 in wedge^2 of sl(8) (r = 16) and of e123 +
+e456 in wedge^3 of sl(7) (r = 19) were written with the box cap lifted,
+before the cap became the one constant ``orbit.MAX_BOX`` = 2^20 and the
+random functionals were drawn in bulk: they pin the seeded draws over
+2^16 and 2^19 box coordinates.
 Each command is run in a fresh interpreter, so every module is built cold.
 """
 

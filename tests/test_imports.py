@@ -214,3 +214,26 @@ def test_the_correspondence_tables_solve_through_coordinates():
     runs no elimination of its own."""
     names = set(_identifiers(_definition("orbit.py", "_SeqData")))
     assert "Coordinates" in names and "augmented_rref" not in names
+
+
+def environment_reads(source, name):
+    """``name:line`` for each read of the process environment: an
+    ``environ`` or ``getenv`` attribute, or either name imported from os."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")) or (
+                isinstance(node, ast.ImportFrom) and node.module == "os"
+                and any(a.name in ("environ", "getenv") for a in node.names)):
+            found.append(f"{name}:{node.lineno}")
+    return found
+
+
+def test_no_module_reads_the_environment():
+    """Every cap is a module constant and every setting an argument, so no
+    run depends on the shell it starts from."""
+    found = [f for path in sorted(SRC.glob("*.py"))
+             for f in environment_reads(path.read_text(), path.name)]
+    assert found == []
+    # the scan sees a read of either form
+    assert environment_reads('import os\nx = os.environ.get("A")\n', "m.py") == ["m.py:2"]
+    assert environment_reads('from os import getenv\n', "m.py") == ["m.py:1"]

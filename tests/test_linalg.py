@@ -443,5 +443,7 @@ def test_inverse():
 def test_scalar_round_trip():
     assert parse_scalar("3/4") == F(3, 4)
     assert parse_scalar("-2") == F(-2)
+    assert parse_scalar(" +1/2 ") == F(1, 2)
+    assert parse_scalar("007/014") == F(1, 2)
     assert format_scalar(F(-2)) == "-2"
     assert format_scalar(F(6, -4)) == "-3/2"

@@ -204,12 +204,14 @@ def test_nilpotency_bound_rejects_coroot():
         nilpotency_bound(sl2_sym(2), ("H(1)",), unit(3, 0))
 
 
-def test_generator_sequence_box_cap():
+def test_generator_sequence_box_cap(monkeypatch):
     # the accepted box (3,) has 4 indices; the cap holds on a cache hit too
     r = sl2_sym(3)
-    assert generator_sequence(r, unit(4, 0), max_box=4).box.N == (3,)
+    monkeypatch.setattr(orbit, "MAX_BOX", 4)
+    assert generator_sequence(r, unit(4, 0)).box.N == (3,)
+    monkeypatch.setattr(orbit, "MAX_BOX", 3)
     with pytest.raises(CapExceeded) as e:
-        generator_sequence(r, unit(4, 0), max_box=3)
+        generator_sequence(r, unit(4, 0))
     assert e.value.kind == "box"
     assert e.value.details == {"bounds": [3], "cap": 3}
 
@@ -387,8 +389,10 @@ def test_pinned_sequences_match_multi_pass_reference(builder, y, symbols, bounds
 
 def test_generator_sequence_caps(monkeypatch):
     r = sl2_sym(2)
-    with pytest.raises(CapExceeded):
-        generator_sequence(r, unit(3, 0), max_box=2)
+    monkeypatch.setattr(orbit, "MAX_BOX", 2)
+    with pytest.raises(CapExceeded) as e:
+        generator_sequence(r, unit(3, 0))
+    assert e.value.kind == "box"
     # the cache key does not carry the length cap, so start from an empty one
     monkeypatch.setattr(orbit, "_GENSEQ_CACHE", {})
     monkeypatch.setattr(orbit, "MAX_SEQ_LEN", 1)
@@ -846,10 +850,22 @@ def test_certify_deterministic():
     assert a == b
 
 
-def test_certify_cap_propagates():
-    r = sl2_sym(3)
-    with pytest.raises(CapExceeded):
-        certify_irreducibility(r, unit(4, 0), trials=5, seed=0, max_box=2)
+def test_certify_cap_propagates(monkeypatch):
+    monkeypatch.setattr(orbit, "MAX_BOX", 2)
+    with pytest.raises(CapExceeded) as e:
+        certify_irreducibility(sl2_sym(3), unit(4, 0), trials=5, seed=0)
+    assert e.value.kind == "box"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_bulk_draws_match_randint(seed):
+    """``_draws`` reads CPython's getrandbits words in bulk; the randint loop
+    is the oracle, on the values and on the generator state afterwards."""
+    for n in [0, 1, 2, 7, 8, 100, 5000, 2 ** 16 + 3]:
+        bulk, loop = random.Random(seed), random.Random(seed)
+        d = orbit._draws(bulk, n)
+        assert [b - 3 for b in d] == [loop.randint(-3, 3) for _ in range(n)]
+        assert bulk.getstate() == loop.getstate()
 
 
 @pytest.mark.parametrize("m", [
