@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -203,6 +204,13 @@ def parse_rep(text: str, algebra) -> Rep:
     return _build_rep(_parse_tree(text), algebra)
 
 
+def _int_option(text: str) -> int:
+    """A signed integer in ASCII digits; int() also reads underscores and other digits."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _build_argparser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="orbitquad", add_help=True)
     sub = top.add_subparsers(dest="command", required=True)
@@ -214,8 +222,8 @@ def _build_argparser() -> argparse.ArgumentParser:
             p.add_argument("--y", required=True, action="append",
                            help="rational vector, e.g. 1,0,3/2"
                            + (" (repeatable)" if repeat_y else ""))
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=int, default=25)
+        p.add_argument("--seed", type=_int_option, default=0)
+        p.add_argument("--trials", type=_int_option, default=25)
         p.add_argument("--output", default=None)
 
     pd = sub.add_parser("decompose")
@@ -228,11 +236,11 @@ def _build_argparser() -> argparse.ArgumentParser:
     common(pc)
 
     pch = sub.add_parser("chordal")
-    pch.add_argument("--n", type=int, required=True)
-    pch.add_argument("--k", type=int, required=True)
-    pch.add_argument("--p", type=int, required=True)
-    pch.add_argument("--samples", type=int, default=0)
-    pch.add_argument("--seed", type=int, default=0)
+    pch.add_argument("--n", type=_int_option, required=True)
+    pch.add_argument("--k", type=_int_option, required=True)
+    pch.add_argument("--p", type=_int_option, required=True)
+    pch.add_argument("--samples", type=_int_option, default=0)
+    pch.add_argument("--seed", type=_int_option, default=0)
     pch.add_argument("--output", default=None)
 
     pco = sub.add_parser("components")

@@ -3,8 +3,9 @@
 For every positive root beta = (i, j) with i < j the catalog holds
 X_beta = E_ij and Y_beta = E_ji; the Cartan part is spanned by the simple
 coroots H_i = E_ii - E_{i+1,i+1}.  Every module downstream consumes the
-algebra only through this catalog and the bracket, so other simple types
-could be added by supplying the same structure data.
+algebra only through this catalog, its relations and the bracket, so another
+simple type could be added by supplying its catalog, its Cartan matrix and a
+bracket that builds each non-simple root vector from one of lower height.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from itertools import accumulate
 
 from .errors import DimensionMismatch
 from .linalg import Mat, QQ
@@ -53,11 +55,6 @@ class LieAlgebra:
     Catalog order: all X_beta in lexicographic root order, then all Y_beta,
     then the simple H_i.  The order is part of the interface: it makes every
     generator-sequence construction deterministic.
-
-    The simple X_i, Y_i generate sl(n) (Humphreys, Lie Algebras, 18), so a
-    linear rho is a homomorphism once rho[s,b] = [rho s, rho b] for simple s
-    and every b: L = {a : rho[a,b] = [rho a, rho b] for all b} is a subspace,
-    by Jacobi closed under the bracket, and holds every simple s.
     """
 
     def __init__(self, n: int):
@@ -101,24 +98,20 @@ class LieAlgebra:
         return h
 
     @cached_property
-    def simple_structure_constants(self) -> dict[tuple[str, str], dict[str, Fraction]]:
-        """[a, b] expanded in the catalog for each pair a before b in catalog
-        order with a simple member; computed once, from the nonzero entries."""
-        simple = {f(Root(i, i + 1)) for i in range(1, self.n) for f in (x_symbol, y_symbol)}
-        nonzero = {s: [(i, j, e) for i, row in enumerate(m.data) for j, e in enumerate(row) if e]
-                   for s, m in self.generators.items()}
-        out = {}
-        for ia, a in enumerate(self.catalog):
-            for b in self.catalog[ia + 1:]:
-                if a not in simple and b not in simple:
-                    continue
-                entries: dict[tuple[int, int], Fraction] = {}
-                for sign, left, right in ((1, a, b), (-1, b, a)):
-                    for i, k, e in nonzero[left]:
-                        for k2, j, f in nonzero[right]:
-                            if k == k2:
-                                entries[i, j] = entries.get((i, j), 0) + sign * e * f
-                out[a, b] = self._expand(entries)
+    def relations(self) -> list[tuple[str, str, int, str]]:
+        """The relations (a, b, c, s), each [a, b] = c s, that define sl(n): those
+        of Humphreys, 18.1 on e_i = X(i,i+1), f_i = Y(i,i+1), h_i = H(i) but the
+        cubic Serre ones, then X(i,j) = [X(i,j-1), e_{j-1}], Y(i,j) = [f_{j-1}, Y(i,j-1)]."""
+        r = range(1, self.n)
+        e, f = ({i: s(Root(i, i + 1)) for i in r} for s in (x_symbol, y_symbol))
+        h = {i: h_symbol(i) for i in r}
+        cartan = {(i, j): 2 if i == j else -int(abs(i - j) == 1) for i in r for j in r}
+        out = [(h[i], h[j], 0, h[j]) for i, j in cartan if i < j]
+        for (i, j), a in cartan.items():
+            out += [(h[i], e[j], a, e[j]), (h[i], f[j], -a, f[j]), (e[i], f[j], int(i == j), h[i])]
+        steps = [(Root(b.i, b.j - 1), b.j - 1, b) for b in self.positive_roots if b.j - b.i > 1]
+        out += [(x_symbol(lower), e[k], 1, x_symbol(b)) for lower, k, b in steps]
+        out += [(f[k], y_symbol(lower), 1, y_symbol(b)) for lower, k, b in steps]
         return out
 
     def expand_in_catalog(self, m: Mat) -> dict[str, Fraction]:
@@ -131,25 +124,12 @@ class LieAlgebra:
             raise DimensionMismatch("matrix is not n x n")
         if m.trace() != 0:
             raise ValueError("matrix is not traceless, cannot lie in sl(n)")
-        return self._expand({(i, j): e for i, row in enumerate(m.data)
-                             for j, e in enumerate(row) if e})
-
-    def _expand(self, entries: dict[tuple[int, int], Fraction]) -> dict[str, Fraction]:
-        """``expand_in_catalog`` of the traceless matrix with these entries."""
-        coeffs: dict[str, Fraction] = {}
-        for beta in self.positive_roots:
-            a = entries.get((beta.i - 1, beta.j - 1))
-            if a:
-                coeffs[x_symbol(beta)] = a
-            b = entries.get((beta.j - 1, beta.i - 1))
-            if b:
-                coeffs[y_symbol(beta)] = b
-        partial = QQ(0)
-        for i in range(1, self.n):
-            partial += entries.get((i - 1, i - 1), 0)
-            if partial:
-                coeffs[h_symbol(i)] = partial
-        return coeffs
+        d = m.data
+        # the catalog lists every X, then every Y, then H(1), ..., H(n-1)
+        coeffs = [d[b.i - 1][b.j - 1] for b in self.positive_roots]
+        coeffs += [d[b.j - 1][b.i - 1] for b in self.positive_roots]
+        coeffs += accumulate(QQ(d[i][i]) for i in range(self.n - 1))
+        return {s: c for s, c in zip(self.catalog, coeffs) if c}
 
 
 @cache

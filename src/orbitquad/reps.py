@@ -8,8 +8,8 @@ symmetric powers, tensor products, and the symmetric square realized on
 symmetric matrices) build their columns straight from the parent's columns
 by the derivation rule, so weights of the standard module propagate to
 integer weights everywhere.  A module is checked on construction to be a
-Lie algebra homomorphism: exactly over QQ, on the generator pairs with a
-simple member (which decide it), with sparse products.  Dense ``Mat``
+Lie algebra homomorphism: exactly over QQ, on the defining relations of
+sl(n) (which decide it), with sparse products.  Dense ``Mat``
 copies of the action are made only on request, through ``Rep.action``.
 
 Weights are plain tuples of integers: the eigenvalues of the simple coroot
@@ -128,22 +128,23 @@ class Rep:
     def verify_homomorphism(self) -> None:
         """Check rho([a,b]) = rho(a) rho(b) - rho(b) rho(a) exactly over QQ.
 
-        The pairs a < b of the catalog with a simple X_i or Y_i among them are
-        checked, which is as strong as checking every pair: (a, a) reads
-        0 = 0, (b, a) is the negative of (a, b), and L = {a : rho[a,b] =
-        [rho a, rho b] for all b} is a subspace, closed under the bracket by
-        Jacobi: for a, a' in L, rho[[a,a'],b] = rho([a,[a',b]] - [a',[a,b]]) =
-        [[rho a, rho a'], rho b] = [rho[a,a'], rho b].  L holds the simple
-        X_i, Y_i, which generate sl(n), so L = sl(n).  Products run on the
-        sparse columns, so no dense matrix is formed.  A failure is a
-        construction bug and raises.
+        On ``LieAlgebra.relations``, which is as strong as every pair: for each
+        i they make (rho e_i, rho f_i, rho h_i) an sl2 acting on gl(V) by ad.
+        For j != i, rho e_j is killed by ad rho f_i and has weight a_ij <= 0,
+        so (ad rho e_i)^(1 - a_ij) rho e_j = 0, and likewise for rho f_j: the
+        Serre relations hold (Humphreys, Lie Algebras, 18.1).  By Serre's
+        theorem (18.3) rho on the e_i, f_i, h_i extends to a homomorphism phi,
+        and the root-vector relations give rho = phi by induction on height.
+        Products run on the sparse columns, so no dense matrix is formed.  A
+        failure is a construction bug and raises.
         """
         cols = self.columns
         identity = [[(k, 1)] for k in range(self.dim)]
-        for (sa, sb), ab in self.algebra.simple_structure_constants.items():
-            # (coefficient, left, right) of rho(a)rho(b) - rho(b)rho(a) - sum c_s rho(s)
+        for sa, sb, c, s in self.algebra.relations:
+            # (coefficient, left, right) of rho(a)rho(b) - rho(b)rho(a) - c rho(s)
             terms = [(1, cols[sa], cols[sb]), (-1, cols[sb], cols[sa])]
-            terms += [(-_compact(c), cols[s], identity) for s, c in ab.items()]
+            if c:
+                terms.append((-c, cols[s], identity))
             residual: dict[tuple[int, int], Fraction | int] = {}
             for c, left, right in terms:
                 for j, col in enumerate(right):

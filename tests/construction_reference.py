@@ -7,8 +7,9 @@ share nothing with the library's constructions but ``sym_pairs``, the
 coordinate convention of the symmetric square.
 
 ``all_pairs_homomorphism_check`` is the homomorphism check on every pair of
-catalog symbols, which the library ran before it checked only the pairs with
-a simple member.
+catalog symbols, which the library ran before it checked the pairs with a
+simple member, and then only the defining relations of sl(n).  The mutant
+test holds the library's check to it.
 """
 
 import itertools

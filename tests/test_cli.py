@@ -97,6 +97,32 @@ def test_exit_parse_on_non_ascii_degree(degree):
     assert err == "error: expected an integer at position 4\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["chordal", "--n", "\u0664", "--k", "2", "--p", "1_0"],
+     ["chordal", "--n", "4", "--k", "2", "--p", "1_0"],
+     ["chordal", "--n", "4", "--k", "\u0662", "--p", "1"],
+     ["chordal", "--n", "4", "--k", "2", "--p", "1", "--samples", "1_0"],
+     ["chordal", "--n", "4", "--k", "2", "--p", "1", "--seed", " 1"],
+     ["certify", "--alg", "sl:2", "--rep", "sym(2,std)", "--y", "1,0,0",
+      "--trials", "\u0663", "--seed", "1_0"],
+     ["certify", "--alg", "sl:2", "--rep", "sym(2,std)", "--y", "1,0,0", "--seed", "1_0"]],
+    ids=["chordal-n", "chordal-p", "chordal-k", "chordal-samples", "chordal-seed",
+         "certify-trials", "certify-seed"],
+)
+def test_exit_parse_on_non_ascii_integer_option(argv):
+    # int() reads the underscore, the Arabic-Indic digits and the space
+    code, out, err = invoke(argv)
+    assert code == EXIT_PARSE and out == ""
+    assert "invalid int value" in err
+
+
+def test_integer_options_take_a_sign():
+    base = ["chordal", "--n", "4", "--k", "2", "--p", "1"]
+    assert parse_spec([*base, "--seed", "-5"]).seed == -5
+    assert parse_spec([*base, "--seed", "+5"]).seed == 5
+
+
 def test_exit_parse_on_unknown_flag():
     code, _, _ = invoke(["certify", "--alg", "sl:2", "--rep", "std",
                          "--y", "1,0", "--frobnicate", "1"])

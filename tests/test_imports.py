@@ -174,14 +174,16 @@ def test_the_ideal_path_builds_no_dense_quadric():
     assert offenders == []
 
 
-def test_homomorphism_check_reads_the_simple_pairs_only():
-    """``Rep.verify_homomorphism`` reads the table of pairs with a simple
-    member and no all-pairs table, nor the catalog to pair it up itself; the
-    all-pairs table is gone from ``LieAlgebra``."""
+def test_homomorphism_check_reads_the_relations_only():
+    """``Rep.verify_homomorphism`` reads the defining relations of sl(n) and
+    no table of catalog pairs, nor the catalog, its matrices or the bracket to
+    build one itself; no pair table is left on ``LieAlgebra``."""
     names = set(_identifiers(_definition("reps.py", "Rep.verify_homomorphism")))
-    assert "simple_structure_constants" in names
-    assert names.isdisjoint({"structure_constants", "catalog", "generators", "bracket",
+    assert "relations" in names
+    assert names.isdisjoint({"catalog", "generators", "bracket", "expand_in_catalog",
+                             "structure_constants", "simple_structure_constants",
                              "combinations", "product", "permutations"})
+    assert not hasattr(LieAlgebra, "simple_structure_constants")
     assert not hasattr(LieAlgebra, "structure_constants")
 
 

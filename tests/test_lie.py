@@ -100,23 +100,30 @@ def test_expand_in_catalog_round_trip():
     assert total == m
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_structure_constants_expand_the_brackets(n):
-    # the table holds exactly the pairs a before b with a simple member
+@pytest.mark.parametrize("n,count", [(2, 3), (3, 15), (4, 36), (5, 66), (6, 105),
+                                     (7, 153), (8, 210)])
+def test_relations_hold_on_the_standard_matrices(n, count):
+    # each (a, b, c, s) reads [a, b] = c s: 3(n-1)^2 relations on the simple
+    # triples and 3(n-1)(n-2)/2 more, [h_i, h_j] = 0 and the root vectors
     g = make_sl(n)
-    cat = g.catalog
-    simple = {f"{c}({i},{i + 1})" for i in range(1, n) for c in "XY"}
-    pairs = [(a, b) for i, a in enumerate(cat) for b in cat[i + 1:]
-             if a in simple or b in simple]
-    for a, b in pairs:
-        want = g.expand_in_catalog(bracket(g.generators[a], g.generators[b]))
-        assert g.simple_structure_constants[a, b] == want, (a, b)
-    assert list(g.simple_structure_constants) == pairs
+    gens = g.generators
+    for a, b, c, s in g.relations:
+        assert bracket(gens[a], gens[b]) == gens[s].scale(c), (a, b, c, s)
+    assert len(g.relations) == count == 3 * (n - 1) ** 2 + 3 * (n - 1) * (n - 2) // 2
 
 
-def test_simple_pairs_at_sl8():
-    # 63 catalog symbols, 14 of them simple: 1953 pairs, 1176 without a simple one
-    assert len(make_sl(8).simple_structure_constants) == 1953 - 1176 == 777
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_expand_in_catalog_rebuilds_every_bracket(n):
+    g = make_sl(n)
+    gens = g.generators
+    for a, b in itertools.combinations(g.catalog, 2):
+        m = bracket(gens[a], gens[b])
+        coeffs = g.expand_in_catalog(m)
+        assert all(coeffs.values()), (a, b)
+        total = Mat.zero(n, n)
+        for sym, c in coeffs.items():
+            total = total + gens[sym].scale(c)
+        assert total == m, (a, b)
 
 
 def test_expand_rejects_trace():

@@ -559,12 +559,20 @@ def _raises(check) -> bool:
     return False
 
 
-@pytest.mark.parametrize("kind,n", [("sym", 3), ("wedge", 4)], ids=["sym2@sl3", "wedge2@sl4"])
-def test_simple_pair_check_is_as_strong_as_every_pair(kind, n):
+@pytest.mark.parametrize(
+    "build",
+    [lambda: derived_rep(standard_rep(make_sl(3)), "sym", 2),
+     lambda: derived_rep(standard_rep(make_sl(4)), "wedge", 2),
+     # root vectors up to height 4, and coroots that do not act diagonally
+     lambda: standard_rep(make_sl(5)),
+     lambda: twisted(standard_rep(make_sl(4)), "twisted-std")],
+    ids=["sym2@sl3", "wedge2@sl4", "std@sl5", "twisted-std@sl4"],
+)
+def test_simple_pair_check_is_as_strong_as_every_pair(build):
     # add 1 to one entry of one generator's columns, each nonzero entry and
-    # one zero entry per column in turn: the check on the pairs with a simple
-    # member raises exactly when the check on every pair does
-    real = derived_rep(standard_rep(make_sl(n)), kind, 2)
+    # one zero entry per column in turn: the check on the defining relations
+    # raises exactly when the check on every pair does
+    real = build()
     assert not _raises(real.verify_homomorphism)
     assert not _raises(lambda: all_pairs_homomorphism_check(real))
     verdicts = []
