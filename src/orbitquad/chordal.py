@@ -47,7 +47,7 @@ def lemma_suma_check(r: Rep, hw_selection) -> bool:
     weights = []
     for v in hw_selection:
         w = weight_of(r, v)
-        for sym in r.algebra.x_symbols():
+        for sym in r.algebra.chevalley[: r.algebra.n - 1]:
             if not vec_is_zero(r.act(sym, v)):
                 raise ValueError("selection contains a non-highest-weight vector")
         if w in weights:

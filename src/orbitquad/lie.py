@@ -2,10 +2,10 @@
 
 For every positive root beta = (i, j) with i < j the catalog holds
 X_beta = E_ij and Y_beta = E_ji; the Cartan part is spanned by the simple
-coroots H_i = E_ii - E_{i+1,i+1}.  Every module downstream consumes the
-algebra only through this catalog, its relations and the bracket, so another
-simple type could be added by supplying its catalog, its Cartan matrix and a
-bracket that builds each non-simple root vector from one of lower height.
+coroots H_i = E_ii - E_{i+1,i+1}.  A module needs only the Chevalley
+generators e_i = X(i,i+1), f_i = Y(i,i+1) and h_i = H(i): the relations
+check them and build each other root vector from one of lower height, so
+another simple type needs only its catalog, Cartan matrix and those steps.
 """
 
 from __future__ import annotations
@@ -90,21 +90,21 @@ class LieAlgebra:
     def xy_symbols(self) -> list[str]:
         return self.x_symbols() + self.y_symbols()
 
-    def coroot(self, beta: Root) -> Mat:
-        """H_beta = E_ii - E_jj, so that [X_beta, Y_beta] = H_beta."""
-        h = Mat.zero(self.n, self.n)
-        h.data[beta.i - 1][beta.i - 1] = QQ(1)
-        h.data[beta.j - 1][beta.j - 1] = QQ(-1)
-        return h
+    @cached_property
+    def chevalley(self) -> list[str]:
+        """e_1, ..., e_{n-1}, then f_1, ..., f_{n-1}, then h_1, ..., h_{n-1}:
+        the generators of Serre's presentation (Humphreys, 18.1)."""
+        simple = [Root(i, i + 1) for i in range(1, self.n)]
+        return [*map(x_symbol, simple), *map(y_symbol, simple), *self.h_symbols()]
 
     @cached_property
     def relations(self) -> list[tuple[str, str, int, str]]:
         """The relations (a, b, c, s), each [a, b] = c s, that define sl(n): those
         of Humphreys, 18.1 on e_i = X(i,i+1), f_i = Y(i,i+1), h_i = H(i) but the
-        cubic Serre ones, then X(i,j) = [X(i,j-1), e_{j-1}], Y(i,j) = [f_{j-1}, Y(i,j-1)]."""
+        cubic Serre ones, then the steps X(i,j) = [X(i,j-1), e_{j-1}] and
+        Y(i,j) = [f_{j-1}, Y(i,j-1)], each after the step that builds the one it brackets."""
         r = range(1, self.n)
-        e, f = ({i: s(Root(i, i + 1)) for i in r} for s in (x_symbol, y_symbol))
-        h = {i: h_symbol(i) for i in r}
+        e, f, h = (dict(zip(r, self.chevalley[k * (self.n - 1):])) for k in range(3))
         cartan = {(i, j): 2 if i == j else -int(abs(i - j) == 1) for i in r for j in r}
         out = [(h[i], h[j], 0, h[j]) for i, j in cartan if i < j]
         for (i, j), a in cartan.items():

@@ -3,14 +3,17 @@
 A :class:`Rep` stores its action in one format: for each catalog generator,
 the nonzero (row, entry) pairs of every column, integral entries as ints,
 plus the weight of every coordinate when the coroots act diagonally.  Only
-this module reads that format.  Derived constructions (dual, wedge and
-symmetric powers, tensor products, and the symmetric square realized on
-symmetric matrices) build their columns straight from the parent's columns
-by the derivation rule, so weights of the standard module propagate to
-integer weights everywhere.  A module is checked on construction to be a
-Lie algebra homomorphism: exactly over QQ, on the defining relations of
-sl(n) (which decide it), with sparse products.  Dense ``Mat``
-copies of the action are made only on request, through ``Rep.action``.
+this module reads that format.  A module is given by its Chevalley
+generators: derived constructions (dual, wedge and symmetric powers, tensor
+products, and the symmetric square realized on symmetric matrices) build the
+columns of the e_i, f_i, h_i straight from the parent's by the derivation
+rule, so weights of the standard module propagate to integer weights
+everywhere, and each other root vector is filled in as the bracket its step
+relation in ``LieAlgebra.relations`` defines.  A module is checked on
+construction to be a Lie algebra homomorphism: exactly over QQ, on those
+relations (which decide it; a step relation is checked where its root vector
+was given, and is its definition otherwise), with sparse products.  Dense
+``Mat`` copies of the action are made only on request, through ``Rep.action``.
 
 Weights are plain tuples of integers: the eigenvalues of the simple coroot
 actions H_1, ..., H_{n-1}.  Cyclic closures are searched one weight space
@@ -28,7 +31,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import DimensionMismatch, StructuralError
-from .lie import LieAlgebra, Root, y_symbol
+from .lie import LieAlgebra
 from .linalg import (
     Mat,
     PivotedSpan,
@@ -53,15 +56,18 @@ _ISOTYPIC_CACHE: dict = {}
 class Rep:
     """A finite-dimensional sl(n)-module given by the sparse columns of its action.
 
-    ``action`` maps every catalog symbol to either a square ``Mat`` (read
-    once into columns) or the columns themselves: ``columns[j]`` lists the
-    (row, entry) pairs of the nonzero entries of column j.
+    ``action`` maps each Chevalley symbol, and perhaps other catalog symbols,
+    to a square ``Mat`` (read once into columns) or to the columns themselves:
+    ``columns[j]`` lists the (row, entry) pairs of the nonzero entries of
+    column j.  Each other root vector is filled in from its step relation.
     """
 
     def __init__(self, algebra: LieAlgebra, label: str, action: dict,
                  basis_labels: list[str] | None = None, *, _checked: bool = False):
         self.algebra = algebra
         self.label = label
+        if not set(algebra.chevalley) <= set(action) <= set(algebra.catalog):
+            raise ValueError("action must cover the Chevalley generators within the catalog")
         self.columns = {s: _columns_of(m) if isinstance(m, Mat) else m
                         for s, m in action.items()}
         dims = {len(cols) for cols in self.columns.values()}
@@ -71,8 +77,11 @@ class Rep:
         self.basis_labels = basis_labels or [f"b{i}" for i in range(self.dim)]
         if len(self.basis_labels) != self.dim:
             raise DimensionMismatch(f"{len(self.basis_labels)} basis labels for dim {self.dim}")
-        if set(action) != set(algebra.catalog):
-            raise ValueError("action must cover exactly the generator catalog")
+        self._defined = set(algebra.catalog) - set(action)
+        for a, b, _, s in algebra.relations:
+            if s in self._defined:
+                self.columns[s] = list(map(_emit, _commutator(self.columns[a], self.columns[b])))
+        self.columns = {s: self.columns[s] for s in algebra.catalog}
         # the weight of each coordinate, when every coroot acts diagonally
         hs = [self.columns[s] for s in algebra.h_symbols()]
         if all(len(col) <= 1 and all(i == j for i, _ in col)
@@ -128,30 +137,21 @@ class Rep:
     def verify_homomorphism(self) -> None:
         """Check rho([a,b]) = rho(a) rho(b) - rho(b) rho(a) exactly over QQ.
 
-        On ``LieAlgebra.relations``, which is as strong as every pair: for each
-        i they make (rho e_i, rho f_i, rho h_i) an sl2 acting on gl(V) by ad.
+        On ``LieAlgebra.relations`` (but a step relation whose root vector was
+        not given, which defines it), as strong as every pair: for each i
+        they make (rho e_i, rho f_i, rho h_i) an sl2 acting on gl(V) by ad.
         For j != i, rho e_j is killed by ad rho f_i and has weight a_ij <= 0,
         so (ad rho e_i)^(1 - a_ij) rho e_j = 0, and likewise for rho f_j: the
         Serre relations hold (Humphreys, Lie Algebras, 18.1).  By Serre's
         theorem (18.3) rho on the e_i, f_i, h_i extends to a homomorphism phi,
-        and the root-vector relations give rho = phi by induction on height.
+        and the step relations give rho = phi by induction on height.
         Products run on the sparse columns, so no dense matrix is formed.  A
         failure is a construction bug and raises.
         """
         cols = self.columns
-        identity = [[(k, 1)] for k in range(self.dim)]
         for sa, sb, c, s in self.algebra.relations:
-            # (coefficient, left, right) of rho(a)rho(b) - rho(b)rho(a) - c rho(s)
-            terms = [(1, cols[sa], cols[sb]), (-1, cols[sb], cols[sa])]
-            if c:
-                terms.append((-c, cols[s], identity))
-            residual: dict[tuple[int, int], Fraction | int] = {}
-            for c, left, right in terms:
-                for j, col in enumerate(right):
-                    for k, f in col:
-                        for i, e in left[k]:
-                            residual[i, j] = residual.get((i, j), 0) + c * e * f
-            if any(residual.values()):
+            if s not in self._defined and any(
+                    any(col.values()) for col in _commutator(cols[sa], cols[sb], c, cols[s])):
                 raise StructuralError(
                     f"action is not a Lie homomorphism on ({sa}, {sb}) in {self.label}")
 
@@ -173,7 +173,7 @@ class Rep:
         p = Mat([list(row) for _, space in weight_decomposition(self)
                  for row in space.basis]).transpose()
         p_inv = p.inverse()
-        action = {s: p_inv * m * p for s, m in self.action.items()}
+        action = {s: p_inv * self.action[s] * p for s in self.algebra.chevalley}
         return Rep(self.algebra, self.label, action, _checked=True), _columns_of(p), p_inv
 
 
@@ -209,22 +209,37 @@ def _emit(accum: dict[int, Fraction | int]) -> list[tuple[int, Fraction | int]]:
     return sorted((i, e) for i, e in accum.items() if e)
 
 
+def _commutator(a, b, c=0, s=None):
+    """Column by column, the entries of rho(a) rho(b) - rho(b) rho(a) - c rho(s)
+    accumulated by row, zeros among them, from the sparse columns of rho(a),
+    rho(b) and rho(s)."""
+    for j in range(len(a)):
+        accum: dict[int, Fraction | int] = {}
+        for sign, left, right in ((1, a, b), (-1, b, a)):
+            for k, f in right[j]:
+                for i, e in left[k]:
+                    accum[i] = accum.get(i, 0) + sign * e * f
+        for i, e in s[j] if c else ():
+            accum[i] = accum.get(i, 0) - c * e
+        yield accum
+
+
 # ---------------------------------------------------------------------------
 # constructions, each from the parent's columns to the new module's columns
 
 def standard_rep(g: LieAlgebra) -> Rep:
     if g.n not in _REP_CACHE:
-        labels = [f"e{i + 1}" for i in range(g.n)]
-        _REP_CACHE[g.n] = Rep(g, "std", dict(g.generators), labels, _checked=True)
+        action = {s: g.generators[s] for s in g.chevalley}
+        _REP_CACHE[g.n] = Rep(g, "std", action, [f"e{i + 1}" for i in range(g.n)], _checked=True)
     return _REP_CACHE[g.n]
 
 
 def _dual_action(r: Rep):
     """-rho^t: column i of the dual lists row i of rho, negated."""
     action = {}
-    for sym, cols in r.columns.items():
+    for sym in r.algebra.chevalley:
         out = [[] for _ in range(r.dim)]
-        for k, col in enumerate(cols):
+        for k, col in enumerate(r.columns[sym]):
             for i, e in col:
                 out[i].append((k, -e))
         action[sym] = out
@@ -235,8 +250,8 @@ def _wedge_action(r: Rep, k: int):
     basis = list(itertools.combinations(range(r.dim), k))
     index = {b: i for i, b in enumerate(basis)}
     action = {}
-    for sym, cols in r.columns.items():
-        out = []
+    for sym in r.algebra.chevalley:
+        cols, out = r.columns[sym], []
         for cidx, subset in enumerate(basis):
             accum: dict[int, Fraction | int] = {}
             for pos, s in enumerate(subset):
@@ -261,8 +276,8 @@ def _sym_action(r: Rep, k: int):
     basis = list(itertools.combinations_with_replacement(range(r.dim), k))
     index = {b: i for i, b in enumerate(basis)}
     action = {}
-    for sym, cols in r.columns.items():
-        out = []
+    for sym in r.algebra.chevalley:
+        cols, out = r.columns[sym], []
         for mon in basis:
             accum: dict[int, Fraction | int] = {}
             for s in set(mon):
@@ -281,7 +296,7 @@ def _sym_action(r: Rep, k: int):
 def _tensor_action(r1: Rep, r2: Rep):
     n2 = r2.dim
     action = {}
-    for sym in r1.algebra.catalog:
+    for sym in r1.algebra.chevalley:
         a, b = r1.columns[sym], r2.columns[sym]
         out = []
         for i in range(r1.dim):
@@ -460,15 +475,15 @@ def weight_of(r: Rep, v) -> Weight:
 def highest_weight_vectors(r: Rep) -> list[tuple[Weight, Subspace]]:
     """For each weight, the subspace killed by every positive-root action.
 
-    Worked one weight block at a time in the weight basis of
-    ``Rep._weight_frame``, where X sends e_j to column j of its action: the
-    block's highest weight vectors are the annihilator of the rows of the
-    matrix of those columns over all X, mapped back through p if needed.
+    Killed by the simple e_i, as they generate n+.  Worked one weight block
+    at a time in the weight basis of ``Rep._weight_frame``, where e_i sends
+    coordinate j to column j of its action: the block's highest weight vectors
+    are the annihilator of those columns' rows, mapped back through p if needed.
     Only a dominant block (no negative coroot eigenvalue) is worked: a
     highest weight vector of a finite-dimensional module has dominant weight.
     """
     graded, p, _ = r._weight_frame
-    xs = [graded.columns[x] for x in r.algebra.x_symbols()]
+    xs = [graded.columns[e] for e in r.algebra.chevalley[: r.algebra.n - 1]]
     out = []
     for w, block in sorted(_weight_blocks(graded.weights).items(), reverse=True):
         if min(w) < 0:
@@ -611,7 +626,7 @@ def isotypic_decomposition(r: Rep) -> IsotypicDecomposition:
     """
     if r in _ISOTYPIC_CACHE:
         return _ISOTYPIC_CACHE[r]
-    lowering = [y_symbol(Root(i, i + 1)) for i in range(1, r.algebra.n)]
+    lowering = r.algebra.chevalley[r.algebra.n - 1: 2 * r.algebra.n - 2]
     comps = [IsotypicComponent(w, hw_space.dim,
                                _graded_closure(r, hw_space.basis, lowering)[0])
              for w, hw_space in highest_weight_vectors(r)]

@@ -239,3 +239,26 @@ def test_no_module_reads_the_environment():
     # the scan sees a read of either form
     assert environment_reads('import os\nx = os.environ.get("A")\n', "m.py") == ["m.py:2"]
     assert environment_reads('from os import getenv\n', "m.py") == ["m.py:1"]
+
+
+CONSTRUCTIONS = ("standard_rep", "_dual_action", "_wedge_action", "_sym_action",
+                 "_tensor_action", "_sym2_action")
+
+
+def test_constructions_build_the_chevalley_generators_only():
+    """Each construction reads ``LieAlgebra.chevalley``, or takes its columns
+    from one that does, and none reads the catalog, a list of root vectors
+    or every column of its parent: every other root vector is the bracket
+    its step relation defines, filled in by ``Rep``."""
+    offenders = []
+    for name in CONSTRUCTIONS:
+        fn = _definition("reps.py", name)
+        names = set(_identifiers(fn))
+        if "chevalley" not in names and not names & set(CONSTRUCTIONS):
+            offenders.append(f"{name} reads no chevalley")
+        offenders += [f"{name} reads {word}" for word in
+                      ("catalog", "x_symbols", "y_symbols", "xy_symbols") if word in names]
+        offenders += [f"{name} reads columns.items()" for node in ast.walk(fn)
+                      if isinstance(node, ast.Attribute) and node.attr == "items"
+                      and _mentions(node.value, "columns")]
+    assert offenders == []

@@ -52,7 +52,9 @@ def test_bracket_xy_is_coroot():
         for beta in g.positive_roots:
             x = g.generators[x_symbol(beta)]
             y = g.generators[y_symbol(beta)]
-            assert bracket(x, y) == g.coroot(beta)
+            h = Mat.zero(n, n)
+            h.data[beta.i - 1][beta.i - 1], h.data[beta.j - 1][beta.j - 1] = 1, -1
+            assert bracket(x, y) == h  # E_ii - E_jj
 
 
 def test_bracket_antisymmetry():

@@ -539,6 +539,63 @@ def test_rep_rejects_basis_labels_of_the_wrong_length(sl2, labels):
     assert Rep(sl2, "x", dict(sl2.generators), ["a", "b"]).basis_labels == ["a", "b"]
 
 
+# --- a module is its Chevalley generators ------------------------------------
+
+def test_chevalley_action_fills_every_catalog_column(sl4):
+    r = Rep(sl4, "std from e, f, h", {s: sl4.generators[s] for s in sl4.chevalley})
+    assert list(r.columns) == sl4.catalog
+    assert all(r.action[s] == sl4.generators[s] for s in sl4.catalog)
+    assert len(sl4.chevalley) == 9 and set(sl4.chevalley) <= set(sl4.catalog)
+
+
+@pytest.mark.parametrize("change", ["drop H(3)", "add Z(1,2)", "empty"])
+def test_rep_action_covers_the_chevalley_generators_within_the_catalog(sl4, change):
+    action = {s: sl4.generators[s] for s in sl4.chevalley}
+    if change == "drop H(3)":
+        del action["H(3)"]
+    elif change == "add Z(1,2)":
+        action["Z(1,2)"] = Mat.zero(4, 4)
+    else:
+        action = {}
+    # coverage is checked before sizes: an empty action has no size at all
+    with pytest.raises(ValueError, match="Chevalley generators within the catalog"):
+        Rep(sl4, "x", action)
+
+
+def test_chevalley_action_with_a_wrong_entry_is_caught(sl4):
+    action = {s: Mat([list(row) for row in sl4.generators[s].data]) for s in sl4.chevalley}
+    action["X(2,3)"].data[0][3] += 1
+    with pytest.raises(StructuralError, match="not a Lie homomorphism"):
+        Rep(sl4, "std with one wrong entry of e_2", action)
+
+
+def test_act_sparse_rejects_a_symbol_outside_the_catalog(sl4):
+    with pytest.raises(KeyError, match="unknown generator symbol"):
+        standard_rep(sl4).act_sparse("Z(1,2)", {0: 1})
+
+
+@pytest.mark.parametrize("n", [3, 5, 9])
+def test_construction_checks_the_chevalley_relations_and_brackets_the_rest(monkeypatch, n):
+    # a derived module is given on e_i, f_i, h_i: its check evaluates the
+    # 3(n-1)^2 + (n-1)(n-2)/2 Chevalley-Serre relations, and each of the
+    # (n-1)(n-2) non-simple root vectors is one bracket, not a checked one
+    calls = []
+    commutator = reps._commutator
+    monkeypatch.setattr(reps, "_commutator",
+                        lambda *args: calls.append(len(args)) or commutator(*args))
+    std = standard_rep(make_sl(n))
+    action, _ = reps._dual_action(std)
+    assert list(action) == std.algebra.chevalley
+    calls.clear()
+    r = Rep(std.algebra, "dual(std), built again", action)
+    checked, bracketed = calls.count(4), calls.count(2)
+    assert checked == 3 * (n - 1) ** 2 + (n - 1) * (n - 2) // 2
+    assert bracketed == (n - 1) * (n - 2)
+    assert len(std.algebra.relations) == checked + bracketed
+    assert (checked, len(std.algebra.relations)) == (220, 276) or n != 9
+    assert r.columns == derived_rep(std, "dual").columns
+
+
 def test_homomorphism_guard_catches_a_fault_on_a_non_simple_pair():
     # sym^2 of sl(7) has dim 28: a check of the simple pairs plus a sample
     # of the others lets this wrong entry of X(1,5) through
