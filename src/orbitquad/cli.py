@@ -26,7 +26,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import comb
 
@@ -398,18 +398,8 @@ _DISPATCH = {
 
 def run(spec: RunSpec) -> tuple[str, int]:
     """Run a parsed spec; returns the JSON document text and the exit code."""
-    echo = {
-        "command": spec.command,
-        "algebra": spec.algebra,
-        "rep": spec.rep,
-        "y": [[format_scalar(e) for e in v] for v in spec.y] if spec.y else None,
-        "seed": spec.seed,
-        "trials": spec.trials,
-        "n": spec.n,
-        "k": spec.k,
-        "p": spec.p,
-        "samples": spec.samples,
-    }
+    echo = {f.name: getattr(spec, f.name) for f in fields(RunSpec) if f.name != "output"}
+    echo["y"] = [[format_scalar(e) for e in v] for v in spec.y] if spec.y else None
     try:
         result, code = _DISPATCH[spec.command](spec)
         doc = {"schema_version": SCHEMA_VERSION, "spec": echo, "result": result}

@@ -4,14 +4,17 @@ subspaces of a box space, the conjugation phi_A, and projective rank-one
 factorization.
 
 A multi-vector on the box N is the coefficient table of a polynomial in r
-variables with per-variable degree bounds N_1..N_r; mu(f.g) is literally the
-coefficient table of the product polynomial f*g, so mu(v.v) is the square of
-v.
+variables with per-variable degree bounds N_1..N_r, held by its nonzero
+coefficients by position; mu(f.g) is literally the coefficient table of the
+product polynomial f*g, so mu(v.v) is the square of v.  ``convolve`` is the
+one product of coefficient tables: mu and certify's products of im A^t
+both read it.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
@@ -87,48 +90,55 @@ class Box:
 
 @dataclass(frozen=True)
 class MultiVector:
-    """A function from a box to QQ, stored in lexicographic index order."""
+    """A function from a box to QQ: its nonzero values by position, built by
+    ``from_sparse``, so two multi-vectors are equal when their values are."""
 
     box: Box
-    data: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.data) != self.box.size:
-            raise DimensionMismatch("data length != box size")
+    coeffs: dict[int, Fraction]
 
     @staticmethod
     def from_entries(box: Box, entries) -> "MultiVector":
-        return MultiVector(box, tuple(QQ(e) for e in entries))
+        entries = list(entries)
+        if len(entries) != box.size:
+            raise DimensionMismatch("data length != box size")
+        return MultiVector.from_sparse(box, dict(enumerate(entries)))
 
     @staticmethod
     def from_sparse(box: Box, entries: dict) -> "MultiVector":
         """The multi-vector with the given entries by position, zero elsewhere."""
-        return MultiVector(box, tuple(QQ(entries.get(p, 0)) for p in range(box.size)))
+        for p in entries:
+            if not 0 <= p < box.size:
+                raise IndexError(f"position {p} outside box {box.N}")
+        return MultiVector(box, {p: QQ(e) for p, e in entries.items() if e})
 
     @staticmethod
     def zero(box: Box) -> "MultiVector":
-        return MultiVector(box, tuple(QQ(0) for _ in range(box.size)))
+        return MultiVector.from_sparse(box, {})
 
     @staticmethod
     def basis(box: Box, idx) -> "MultiVector":
-        data = [QQ(0)] * box.size
-        data[box.position(idx)] = QQ(1)
-        return MultiVector(box, tuple(data))
+        return MultiVector.from_sparse(box, {box.position(idx): 1})
+
+    @property
+    def data(self) -> tuple[Fraction, ...]:
+        """Every value, in lexicographic index order."""
+        return tuple(self.coeffs.get(p, QQ(0)) for p in range(self.box.size))
 
     def __getitem__(self, idx) -> Fraction:
-        return self.data[self.box.position(idx)]
+        return self.coeffs.get(self.box.position(idx), QQ(0))
 
     def is_zero(self) -> bool:
-        return all(not e for e in self.data)
+        return not self.coeffs
 
     def __add__(self, other: "MultiVector") -> "MultiVector":
         if self.box != other.box:
             raise DimensionMismatch("multi-vector addition: box mismatch")
-        return MultiVector(self.box, tuple(a + b for a, b in zip(self.data, other.data)))
+        f, g = self.coeffs, other.coeffs
+        return MultiVector.from_sparse(self.box, {p: f.get(p, 0) + g.get(p, 0) for p in f | g})
 
     def scale(self, c) -> "MultiVector":
         c = QQ(c)
-        return MultiVector(self.box, tuple(c * a for a in self.data))
+        return MultiVector.from_sparse(self.box, {p: c * a for p, a in self.coeffs.items()})
 
     def to_json(self) -> dict:
         return {"N": list(self.box.N), "data": [format_scalar(e) for e in self.data]}
@@ -199,7 +209,8 @@ def catalecticant(b: MultiVector) -> MultiMatrix:
     box of the form 2N, and B on N x N."""
     box = b.box.halved()
     offsets = box.doubled_offsets()
-    return MultiMatrix([[b.data[p + q] for q in offsets] for p in offsets], box, box)
+    return MultiMatrix([[b.coeffs.get(p + q, QQ(0)) for q in offsets] for p in offsets],
+                       box, box)
 
 
 def catalecticant_to_vector(m: MultiMatrix) -> MultiVector:
@@ -217,35 +228,37 @@ def catalecticant_to_vector(m: MultiMatrix) -> MultiVector:
         for q, e in zip(offsets, row):
             if data.setdefault(p + q, e) != e:
                 raise ValueError("multi-matrix is not catalectic")
-    return MultiVector.from_entries(m.row_box.doubled(), [data[t] for t in sorted(data)])
+    return MultiVector.from_sparse(m.row_box.doubled(), data)
 
 
 # ---------------------------------------------------------------------------
 # the convolution mu and symmetric squares of box spaces
 
-def mu(f: MultiVector, g: MultiVector) -> MultiVector:
-    """Coefficient table of the product polynomial f*g, on the doubled box.
+def convolve(f: dict, g: dict, offset) -> dict:
+    """The product of two coefficient tables given by their nonzero entries
+    by position: the entries at p and q meet at offset[p] + offset[q], the
+    doubled position of i_p + i_q."""
+    out: defaultdict = defaultdict(int)
+    for p, a in f.items():
+        for q, c in g.items():
+            out[offset[p] + offset[q]] += a * c
+    return out
 
-    i + j sits at off(i) + off(j) under the doubled box's strides; only the
-    nonzero entries are convolved.
-    """
+
+def mu(f: MultiVector, g: MultiVector) -> MultiVector:
+    """Coefficient table of the product polynomial f*g, on the doubled box:
+    i + j sits at off(i) + off(j) under the doubled box's strides."""
     if f.box != g.box:
         raise DimensionMismatch("mu needs both factors on the same box")
-    offsets = f.box.doubled_offsets()
-    gs = [(offsets[q], c) for q, c in enumerate(g.data) if c]
-    out = [QQ(0)] * f.box.doubled().size
-    for p, a in enumerate(f.data):
-        if a:
-            for o, c in gs:
-                out[offsets[p] + o] += a * c
-    return MultiVector(f.box.doubled(), tuple(out))
+    return MultiVector.from_sparse(f.box.doubled(),
+                                   convolve(f.coeffs, g.coeffs, f.box.doubled_offsets()))
 
 
 def mu_image_span(box: Box, s1: Subspace, s2: Subspace) -> Subspace:
     """The span of mu(u.w) over the basis vectors u of s1 and w of s2."""
     if s1.ambient_dim != box.size or s2.ambient_dim != box.size:
         raise DimensionMismatch("subspaces must live on the box space")
-    rows = [list(mu(MultiVector(box, u), MultiVector(box, w)).data)
+    rows = [mu(MultiVector.from_entries(box, u), MultiVector.from_entries(box, w)).coeffs
             for u in s1.basis for w in s2.basis]
     return Subspace(box.doubled().size, rows)
 

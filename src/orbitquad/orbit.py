@@ -47,7 +47,7 @@ from .linalg import (
     vec_is_zero,
     yy_coords,
 )
-from .multimatrix import Box, MultiMatrix, MultiVector
+from .multimatrix import Box, MultiMatrix, MultiVector, convolve
 from .reps import ClosureResult, Rep, cyclic_closure, exp_act
 
 MAX_BOX = 2 ** 20  # on the box, not on what is allocated: each functional draws per box index
@@ -143,10 +143,11 @@ def my_membership(r: Rep, y, x) -> bool:
 class GenSeq:
     """Ordered generator symbols D with multi-degree box bound N.
 
-    The guarantee, validated on construction: D^m y = 0 whenever any exponent
-    exceeds its bound (with trailing exponents inside theirs), and the
-    monomials D^n(yy) for n in the doubled box span the orbit module.  The
-    symbols and the box are the whole value, so a sequence hashes by them.
+    The guarantee, which ``generator_sequence`` checks before it builds one:
+    D^m y = 0 whenever any exponent exceeds its bound (with trailing
+    exponents inside theirs), and the monomials D^n(yy) for n in the doubled
+    box span the orbit module.  The symbols and the box are the whole value,
+    so a sequence hashes by them.
     """
 
     symbols: tuple[str, ...]
@@ -482,13 +483,7 @@ class _Products:
         doubled = box.doubled()
         offset = {c: doubled.position(box.index(c)) for c in self.columns}
         self.pairs = sym_pairs(len(self.rows))
-        self.products = []
-        for a, b in self.pairs:
-            acc: defaultdict[int, int] = defaultdict(int)
-            for c, x in self.rows[a].items():
-                for d, z in self.rows[b].items():
-                    acc[offset[c] + offset[d]] += x * z
-            self.products.append(acc)
+        self.products = [convolve(self.rows[a], self.rows[b], offset) for a, b in self.pairs]
         n = doubled.size
         reduced = augmented_rref(self.products, n)
         self.kernel = [[(k * self.scale[a] * self.scale[b], a, b)
@@ -559,7 +554,7 @@ class ForwardOutcome:
     ok: bool
     kind: str  # "rank1" | "rank0" | "discrepancy"
     rank: int | None = None
-    b: MultiVector | None = None  # a dict by doubled position until returned
+    b: MultiVector | None = None
     factor: list[Fraction] | None = None
     membership: bool | None = None
     failure: str | None = None
@@ -569,21 +564,22 @@ class ForwardOutcome:
 @dataclass
 class ReverseOutcome:
     ok: bool
-    b: MultiVector | None = None  # a dict by doubled position until returned
+    b: MultiVector | None = None
     failure: str | None = None
 
 
 def _forward(data: _SeqData, prods: _Products, psi, v) -> ForwardOutcome:
     """The forward direction for W = ker psi (psi on the RREF basis of im A^t)
     and a complement v, once hyperplane_check has found codimension 1."""
-    b = prods.functional(psi, v)
-    if b is None:
+    coeffs = prods.functional(psi, v)
+    if coeffs is None:
         return ForwardOutcome(
             ok=False, kind="discrepancy",
             failure="the forward functional failed its exact check on mu(im A^t . im A^t)",
             witness={"v": [format_scalar(e) for e in v]},
         )
-    rk, factor = sym_rank_one(data.phi_of_coefficients(b)[0], data.rep.dim)
+    b = MultiVector.from_sparse(data.doubled, coeffs)
+    rk, factor = sym_rank_one(data.phi_of_coefficients(coeffs)[0], data.rep.dim)
     if rk > 1:
         return ForwardOutcome(
             ok=False, kind="discrepancy", rank=rk, b=b,
@@ -606,10 +602,11 @@ def _forward(data: _SeqData, prods: _Products, psi, v) -> ForwardOutcome:
 def _reverse(data: _SeqData, x) -> ReverseOutcome:
     """The reverse direction for a point x with x x^t in the orbit module."""
     xx = yy_coords(x)
-    b = data.solve_coefficients(sparse(xx))
-    if b is None:
+    coeffs = data.solve_coefficients(sparse(xx))
+    if coeffs is None:
         return ReverseOutcome(ok=False, failure="no catalecticant preimage: system inconsistent")
-    phi, q = data.phi_of_coefficients(b)
+    b = MultiVector.from_sparse(data.doubled, coeffs)
+    phi, q = data.phi_of_coefficients(coeffs)
     if any(c != q * e for c, e in zip(phi, xx)):
         return ReverseOutcome(ok=False, b=b, failure="preimage fails to reproduce x x^t")
     return ReverseOutcome(ok=True, b=b)
@@ -629,10 +626,7 @@ def forward_correspondence(r: Rep, y, gs: GenSeq, W: Subspace, v) -> ForwardOutc
         raise ValueError(f"forward direction needs a hyperplane W, got codimension {hyp.codim}")
     if not prods.u.contains(v) or W.contains(v):
         raise ValueError("v must span a complement of W in im A^t")
-    out = _forward(data, prods, psi, v)
-    if out.b is not None:
-        out.b = MultiVector.from_sparse(data.doubled, out.b)
-    return out
+    return _forward(data, prods, psi, v)
 
 
 def reverse_correspondence(r: Rep, y, gs: GenSeq, x) -> ReverseOutcome:
@@ -644,11 +638,7 @@ def reverse_correspondence(r: Rep, y, gs: GenSeq, x) -> ReverseOutcome:
     """
     if not my_membership(r, y, x):
         raise ValueError("reverse direction needs a point with x x^t in the orbit module")
-    data = _seq_data(r, y, gs)
-    out = _reverse(data, x)
-    if out.b is not None:
-        out.b = MultiVector.from_sparse(data.doubled, out.b)
-    return out
+    return _reverse(_seq_data(r, y, gs), x)
 
 
 # ---------------------------------------------------------------------------

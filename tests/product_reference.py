@@ -24,7 +24,7 @@ def mu_of_pair_coords(box: Box, coords) -> MultiVector:
     for (p, q), c in zip(sym_pairs(box.size), coords, strict=True):
         if c:
             out[offsets[p] + offsets[q]] += c
-    return MultiVector(box.doubled(), tuple(out))
+    return MultiVector.from_entries(box.doubled(), out)
 
 
 @dataclass

@@ -305,3 +305,23 @@ def test_multivector_json_round_trip():
     doc = v.to_json()
     assert doc == {"N": [1, 1], "data": ["1/2", "-3", "0", "7/5"]}
     assert MultiVector.from_json(doc) == v
+
+
+def test_multivector_holds_its_nonzero_values_by_position():
+    box = Box((1, 2))
+    assert box.size == 6
+    # a position outside the box is an error, never silently dropped
+    for p in (-1, box.size, box.size + 3):
+        with pytest.raises(IndexError):
+            MultiVector.from_sparse(box, {0: 1, p: 2})
+    # zeros are not stored, so equality is equality of values
+    dense = mv(box, [0, F(1, 2), 0, 0, -3, 0])
+    assert dense == MultiVector.from_sparse(box, {1: F(1, 2), 4: -3})
+    assert dense == MultiVector.from_sparse(box, {1: F(1, 2), 2: 0, 4: -3})
+    assert dense.coeffs == {1: F(1, 2), 4: F(-3)}
+    assert dense.data == (0, F(1, 2), 0, 0, F(-3), 0) and len(dense.data) == box.size
+    assert dense[(0, 1)] == F(1, 2) and dense[(1, 0)] == 0
+    assert (dense + dense.scale(-1)).coeffs == {} and (dense + dense.scale(-1)).is_zero()
+    assert MultiVector.zero(box) == mv(box, [0] * 6)
+    with pytest.raises(DimensionMismatch):
+        mv(box, [1, 2])

@@ -618,6 +618,34 @@ def test_reverse_rejects_nonmember():
         reverse_correspondence(r, E12, gs, E12_34)
 
 
+def test_public_correspondence_calls_build_nothing_over_the_doubled_box():
+    # wedge(2,std) at sl:7, y = E12 + E34: 3^14 doubled positions, one of
+    # them nonzero in each answer
+    import tracemalloc
+
+    r = derived_rep(standard_rep(make_sl(7)), "wedge", 2)
+    y = [F(int(p in ((0, 1), (2, 3)))) for p in combinations(range(7), 2)]
+    gs = generator_sequence(r, y)
+    certify_irreducibility(r, y, trials=1)
+    data = orbit._seq_data(r, y, gs)
+    assert data.doubled.size == 3 ** 14
+    word = ("Y(1,3)", "Y(2,4)")
+    for call, want in ((lambda: decompose_Q(r, y, gs, word), data.decompose(word)),
+                       (lambda: reverse_correspondence(r, y, gs, y).b,
+                        data.solve_coefficients(dict(enumerate(yy_coords(y)))))):
+        tracemalloc.start()
+        try:
+            b = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert b.box == data.doubled and b.coeffs == want
+    small = sl2_sym(3)
+    b = decompose_Q(small, unit(4, 0), generator_sequence(small, unit(4, 0)), ("Y(1,2)",))
+    assert len(b.data) == b.box.size
+
+
 def test_extension_independence():
     import random
 
