@@ -216,7 +216,8 @@ def _build_argparser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p, needs_y=True, repeat_y=False):
-        p.add_argument("--alg", required=True, help="algebra spec, e.g. sl:2")
+        p.add_argument("--alg", dest="algebra", metavar="ALG", required=True,
+                       help="algebra spec, e.g. sl:2")
         p.add_argument("--rep", required=True, help="module expression, e.g. sym(3,std)")
         if needs_y:
             p.add_argument("--y", required=True, action="append",
@@ -260,32 +261,22 @@ def parse_spec(argv) -> RunSpec:
         if exc.code in (0, None):
             raise
         raise SpecParseError("bad command line") from None
-    if getattr(ns, "trials", 0) < 0 or getattr(ns, "samples", 0) < 0:
+    spec = RunSpec(**vars(ns))
+    if spec.trials < 0 or spec.samples < 0:
         raise SpecParseError("--trials and --samples must be >= 0")
-    spec = RunSpec(command=ns.command)
-    if ns.command == "chordal":
-        if ns.n < 2:
+    if spec.command == "chordal":
+        if spec.n < 2:
             raise SpecParseError("need n >= 2")
         try:
-            ChordalSpec(ns.n, ns.k, ns.p)
+            ChordalSpec(spec.n, spec.k, spec.p)
         except ValueError as exc:
             raise SpecParseError(str(exc)) from None
-        spec.n, spec.k, spec.p = ns.n, ns.k, ns.p
-        spec.samples = ns.samples
-        spec.seed = ns.seed
-        spec.output = ns.output
-        return spec
-    spec.algebra = ns.alg
-    spec.rep = ns.rep
-    spec.seed = ns.seed
-    spec.trials = ns.trials
-    spec.output = ns.output
-    if getattr(ns, "y", None) is not None:
-        spec.y = [[parse_scalar(part) for part in t.split(",")] for t in ns.y]
+    elif spec.y is not None:
+        spec.y = [[parse_scalar(part) for part in t.split(",")] for t in spec.y]
         if any(vec_is_zero(v) for v in spec.y):
             raise SpecParseError("--y must be a nonzero vector")
-        if ns.command in ("ideal", "certify") and len(spec.y) != 1:
-            raise SpecParseError(f"{ns.command} takes exactly one --y")
+        if spec.command in ("ideal", "certify") and len(spec.y) != 1:
+            raise SpecParseError(f"{spec.command} takes exactly one --y")
     return spec
 
 

@@ -16,7 +16,9 @@ was given, and is its definition otherwise), with sparse products.  Dense
 ``Mat`` copies of the action are made only on request, through ``Rep.action``.
 
 Weights are plain tuples of integers: the eigenvalues of the simple coroot
-actions H_1, ..., H_{n-1}.  Cyclic closures are searched one weight space
+actions H_1, ..., H_{n-1}, read off the diagonal h columns of a constructed
+module; any other is moved to a weight basis first (``Rep._weight_frame``,
+bounded by the sl2-triples).  Cyclic closures are searched one weight space
 at a time, since a submodule is the direct sum of its weight spaces.  An
 isotypic component is the closure of its highest weight space under the
 simple Y(i,i+1) alone: U(g).v = U(n-).v for a highest weight vector v, and
@@ -165,13 +167,26 @@ class Rep:
         change to it, p given by its sparse columns.
 
         For a module whose coroots act diagonally this is (self, None, None).
-        Otherwise the columns of p are the bases of ``weight_decomposition``,
-        in order, and the module is this one conjugated by p.
+        Otherwise the joint eigenspaces are split off one coroot at a time,
+        each space cut by every ker(rho h_i - lam).  Each (rho e_i, rho f_i,
+        rho h_i) is an sl2-triple (``verify_homomorphism``), so on a module of
+        dimension d the eigenvalues of rho h_i are integers in [1 - d, d - 1]
+        (Humphreys, Lie Algebras, 7.2).  The columns of p are the bases of the
+        eigenspaces, and the module is this one conjugated by p.  Eigenspaces
+        that do not exhaust the module flag a bug loudly.
         """
         if self.weights is not None:
             return self, None, None
-        p = Mat([list(row) for _, space in weight_decomposition(self)
-                 for row in space.basis]).transpose()
+        d = self.dim
+        spaces, one = [Subspace.full(d)], Mat.identity(d)
+        for s in self.algebra.h_symbols():
+            kernels = [rref(self.action[s] - one.scale(lam))[2] for lam in range(1 - d, d)]
+            spaces = [piece for space in spaces for k in kernels
+                      if k.dim and (piece := space.intersect(k)).dim]
+        if sum(space.dim for space in spaces) != d:
+            raise StructuralError(f"coroot actions on {self.label} are not simultaneously "
+                                  "diagonalizable over QQ with integer spectrum")
+        p = Mat([list(row) for space in spaces for row in space.basis]).transpose()
         p_inv = p.inverse()
         action = {s: p_inv * self.action[s] * p for s in self.algebra.chevalley}
         return Rep(self.algebra, self.label, action, _checked=True), _columns_of(p), p_inv
@@ -372,66 +387,14 @@ def derived_rep(r: Rep, kind: str, k: int | None = None, other: "Rep | None" = N
 # ---------------------------------------------------------------------------
 # weights
 
-def _integer_eigenvalue_candidates(h: Mat) -> list[int]:
-    """All integers inside the Gershgorin discs of h."""
-    import math
-
-    lo, hi = None, None
-    for i, row in enumerate(h.data):
-        radius = sum((abs(e) for j, e in enumerate(row) if j != i), QQ(0))
-        center = row[i]
-        a, b = center - radius, center + radius
-        lo = a if lo is None or a < lo else lo
-        hi = b if hi is None or b > hi else hi
-    if lo is None:
-        return []
-    return list(range(math.ceil(lo), math.floor(hi) + 1))
-
-
 def weight_decomposition(r: Rep) -> list[tuple[Weight, Subspace]]:
-    """Joint eigenspaces of the simple coroot actions, sorted by weight.
-
-    The modules built here carry diagonal coroot actions, read off as one
-    weight per coordinate; otherwise the integer spectrum is searched inside the
-    Gershgorin bounds, refining the split one coroot at a time.  If the
-    eigenspaces do not exhaust the module the actions were not
-    simultaneously diagonalizable with integer spectrum, which flags a bug
-    loudly.
-    """
-    n = r.dim
-    spaces: list[tuple[Weight, Subspace]] = []
-    if r.weights is not None:
-        spaces = [(_as_int_weight(w, r), Subspace(n, [{j: 1} for j in block]))
-                  for w, block in _weight_blocks(r.weights).items()]
-    else:
-        partial: list[tuple[tuple[int, ...], Subspace]] = [((), Subspace.full(n))]
-        for h in (r.action[s] for s in r.algebra.h_symbols()):
-            candidates = _integer_eigenvalue_candidates(h)
-            refined = []
-            for prefix, space in partial:
-                covered = 0
-                for lam in candidates:
-                    if covered == space.dim:
-                        break
-                    shifted = Mat([[h.data[i][j] - (lam if i == j else 0)
-                                    for j in range(n)] for i in range(n)])
-                    piece = space.intersect(rref(shifted)[2])
-                    if piece.dim:
-                        covered += piece.dim
-                        refined.append((prefix + (lam,), piece))
-                if covered != space.dim:
-                    raise StructuralError(
-                        f"coroot action on {r.label} is not diagonalizable "
-                        "over QQ with integer spectrum")
-            partial = refined
-        spaces = [(_as_int_weight(w, r), s) for w, s in partial]
-    total = sum(s.dim for _, s in spaces)
-    if total != n:
-        raise StructuralError(
-            f"weight spaces of {r.label} cover dim {total} != {n}; "
-            "coroot actions are not simultaneously diagonalizable over QQ")
-    spaces.sort(key=lambda ws: ws[0], reverse=True)
-    return spaces
+    """Joint eigenspaces of the simple coroot actions, sorted by weight: the
+    coordinates of each weight block of ``Rep._weight_frame``, mapped back
+    through p (a diagonal coroot action gives one weight per coordinate)."""
+    graded, p, _ = r._weight_frame
+    return [(_as_int_weight(w, r),
+             Subspace(r.dim, [{j: 1} if p is None else dict(p[j]) for j in block]))
+            for w, block in sorted(_weight_blocks(graded.weights).items(), reverse=True)]
 
 
 def _weight_blocks(weights) -> dict[Weight, list[int]]:

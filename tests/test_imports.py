@@ -29,12 +29,13 @@ MOVED_ORACLES = {
 }
 
 
-# public names folded into others: a catalecticant is the ``MultiMatrix``
-# that ``catalecticant`` returns, the multi-matrix algebra is its operators,
-# each direction of the correspondence is its own function, and a word acts
-# through ``Rep.act_word``
+# names folded into others: a catalecticant is the ``MultiMatrix`` that
+# ``catalecticant`` returns, the multi-matrix algebra is its operators, each
+# direction of the correspondence is its own function, a word acts through
+# ``Rep.act_word``, and the eigenvalue search of ``Rep._weight_frame`` is
+# bounded by the sl2-triples, not by Gershgorin discs
 REMOVED = ("Catalecticant", "catalecticant_from_vector", "mm_algebra",
-           "rank1_correspondence", "act_word")
+           "rank1_correspondence", "act_word", "_integer_eigenvalue_candidates")
 
 # the one function allowed to branch on a string parameter: ``kind`` names a
 # constructor of the module expression grammar
@@ -245,20 +246,44 @@ CONSTRUCTIONS = ("standard_rep", "_dual_action", "_wedge_action", "_sym_action",
                  "_tensor_action", "_sym2_action")
 
 
+def construction_offenders(fn):
+    """What a construction's def node reads beyond the Chevalley generators:
+    no ``chevalley`` and no other construction to take columns from, the
+    catalog, a list of root vectors, or every column of its parent."""
+    names = set(_identifiers(fn)) - {fn.name}
+    offenders = []
+    if "chevalley" not in names and not names & set(CONSTRUCTIONS):
+        offenders.append(f"{fn.name} reads no chevalley")
+    offenders += [f"{fn.name} reads {word}" for word in
+                  ("catalog", "x_symbols", "y_symbols", "xy_symbols") if word in names]
+    offenders += [f"{fn.name} reads columns.items()" for node in ast.walk(fn)
+                  if isinstance(node, ast.Attribute) and node.attr == "items"
+                  and _mentions(node.value, "columns")]
+    return offenders
+
+
 def test_constructions_build_the_chevalley_generators_only():
     """Each construction reads ``LieAlgebra.chevalley``, or takes its columns
     from one that does, and none reads the catalog, a list of root vectors
     or every column of its parent: every other root vector is the bracket
     its step relation defines, filled in by ``Rep``."""
-    offenders = []
-    for name in CONSTRUCTIONS:
-        fn = _definition("reps.py", name)
-        names = set(_identifiers(fn))
-        if "chevalley" not in names and not names & set(CONSTRUCTIONS):
-            offenders.append(f"{name} reads no chevalley")
-        offenders += [f"{name} reads {word}" for word in
-                      ("catalog", "x_symbols", "y_symbols", "xy_symbols") if word in names]
-        offenders += [f"{name} reads columns.items()" for node in ast.walk(fn)
-                      if isinstance(node, ast.Attribute) and node.attr == "items"
-                      and _mentions(node.value, "columns")]
-    assert offenders == []
+    assert [o for name in CONSTRUCTIONS
+            for o in construction_offenders(_definition("reps.py", name))] == []
+    # the scan flags a construction reading the coroots only, though its own
+    # name is that of a construction
+    fake = ast.parse("def _dual_action(r):\n"
+                     "    return {s: r.columns[s] for s in r.algebra.h_symbols()}\n").body[0]
+    assert construction_offenders(fake) == ["_dual_action reads no chevalley"]
+
+
+def test_weights_are_searched_in_the_weight_frame_only():
+    """``weight_decomposition`` reads ``Rep._weight_frame`` and runs no
+    eigenvalue search of its own: in ``reps.py`` only the frame cuts
+    eigenspaces (``rref`` kernels and ``intersect``)."""
+    names = set(_identifiers(_definition("reps.py", "weight_decomposition")))
+    assert "_weight_frame" in names
+    assert names.isdisjoint({"rref", "intersect", "Mat", "h_symbols"})
+    searchers = {fn.name for fn in ast.walk(ast.parse((SRC / "reps.py").read_text()))
+                 if isinstance(fn, ast.FunctionDef)
+                 and {"rref", "intersect"} & set(_identifiers(fn)) - {fn.name}}
+    assert searchers == {"_weight_frame"}

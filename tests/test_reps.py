@@ -132,9 +132,11 @@ def test_weight_decomposition_wedge2(sl4):
 
 
 def twisted(base, label):
-    """A base change of a 4-dimensional module that makes its coroot action
-    not diagonal."""
-    p = Mat([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 2]])
+    """A base change of a module that makes its coroot action not diagonal:
+    p is 1 plus the superdiagonal, with last row (1, 0, ..., 0, 2)."""
+    d = base.dim
+    p = Mat([[int(j in (i, i + 1)) for j in range(d)] for i in range(d - 1)]
+            + [[1] + [0] * (d - 2) + [2]])
     p_inv = p.inverse()
     action = {sym: p * m * p_inv for sym, m in base.action.items()}
     return Rep(base.algebra, label, action)
@@ -144,18 +146,29 @@ def twisted_sym3(sl2):
     return twisted(derived_rep(standard_rep(sl2), "sym", 3), "twisted-sym3")
 
 
-def test_weight_decomposition_non_diagonal(sl2):
-    # base change of S^3 QQ^2: coroot actions stop being diagonal but the
-    # integer spectrum search must still find the same weights
-    twisted = twisted_sym3(sl2)
-    decomp = weight_decomposition(twisted)
-    assert [w for w, _ in decomp] == [(3,), (1,), (-1,), (-3,)]
-    assert all(s.dim == 1 for _, s in decomp)
+NON_DIAGONAL_BASES = {
+    "sym(3,std)@sl2": lambda: derived_rep(_std(2), "sym", 3),
+    # three coroots, and H(1) has eigenspaces of dimension 2 to split further
+    "wedge(2,std)@sl4": lambda: derived_rep(_std(4), "wedge", 2),
+    "sym(2,std)@sl3": lambda: derived_rep(_std(3), "sym", 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_DIAGONAL_BASES))
+def test_weight_decomposition_non_diagonal(name):
+    # a base change stops the coroot actions being diagonal, but the
+    # eigenvalue search of the weight frame must find the same weights
+    base = NON_DIAGONAL_BASES[name]()
+    r = twisted(base, f"twisted-{name}")
+    assert r.weights is None
+    decomp = weight_decomposition(r)
+    assert [w for w, _ in decomp] == sorted(weights_multiset(base), reverse=True)
+    assert weights_multiset(r) == weights_multiset(base)
     for w, s in decomp:
-        v = list(s.basis[0])
-        h = twisted.action["H(1)"]
-        assert h.apply(v) == [w[0] * e for e in v]
-    assert isotypic_decomposition(twisted).dims() == [4]
+        for row in s.basis:
+            for h, lam in zip(r.algebra.h_symbols(), w):
+                assert r.act(h, list(row)) == [lam * e for e in row]
+    assert isotypic_decomposition(r).dims() == isotypic_decomposition(base).dims()
 
 
 def test_weight_decomposition_rejects_non_integer_spectrum(sl2):
