@@ -20,7 +20,7 @@ from math import comb
 from .errors import (CapExceeded, GenericVectorError, StructuralError,
                      UnsupportedExpression)
 from .lie import make_sl
-from .linalg import (Coordinates, QQ, Subspace, integer_rows, rank, vec_is_zero,
+from .linalg import (QQ, Subspace, integer_rows, primitive, rank, sparse, vec_is_zero,
                      yy_coords)
 from .orbit import QuadraticIdeal, ideal_of_module
 from .reps import (
@@ -187,7 +187,7 @@ def chordal_ideal(spec: ChordalSpec, samples: int = 0, seed: int = 0) -> Chordal
     rng = random.Random(seed)
     met: set[int] = set()
     for used in range(1, budget + 1):
-        s = support(yy_coords(chordal_sample(spec, rng.randrange(1 << 30))))
+        s = support(chordal_sample(spec, rng.randrange(1 << 30)))
         if used > 1 and s <= met:
             break
         met |= s
@@ -207,19 +207,21 @@ def chordal_ideal(spec: ChordalSpec, samples: int = 0, seed: int = 0) -> Chordal
 # generic vectors and component analysis
 
 def _projection_flags(decomp: IsotypicDecomposition):
-    """The reader of the support of yy: the components onto which it projects
-    nonzero, the blocks of its nonzero coordinates on their integer rows (one
-    elimination, built here).  Multiplicity free, U(g).yy is then the sum of
-    the components in the support; otherwise UnsupportedExpression."""
+    """The reader of the support of yy for a point y: the components onto
+    which yy projects nonzero, the blocks of its nonzero coordinates on their
+    rows (``IsotypicDecomposition.coordinates``, one elimination per
+    decomposition).  The support is scale-invariant, so yy is read from the
+    primitive integer multiple of y, in ints.  Multiplicity free, U(g).yy is
+    then the sum of the components in the support; otherwise
+    UnsupportedExpression."""
     if not decomp.multiplicity_free:
         raise UnsupportedExpression("symmetric square is not multiplicity free")
-    components = decomp.components
-    owner = [i for i, comp in enumerate(components) for _ in range(comp.dim)]
-    rows = [row for comp in components for row in comp.subspace._rows.values()]
-    coords = Coordinates(rows, components[0].subspace.ambient_dim)
+    coords = decomp.coordinates
+    owner = [i for i, comp in enumerate(decomp.components) for _ in range(comp.dim)]
 
-    def support(yy) -> frozenset[int]:
-        b = coords.of(yy)
+    def support(y) -> frozenset[int]:
+        u = primitive(sparse(y)) or {}
+        b = coords.support(yy_coords([u.get(j, 0) for j in range(len(y))]))
         if b is None:
             raise StructuralError("components do not span the symmetric square")
         return frozenset(owner[k] for k in b)
@@ -240,7 +242,7 @@ def generic_vector(r: Rep, sampler, decomp: IsotypicDecomposition,
         y = sampler(t)
         if vec_is_zero(y):
             continue
-        support = projections(yy_coords(y))
+        support = projections(y)
         reachable |= support
         if len(support) == len(decomp.components):
             return list(map(QQ, y))
@@ -274,7 +276,7 @@ def component_analysis(r: Rep, points) -> ComponentReport:
     s2 = r.sym_square()
     decomp = isotypic_decomposition(s2)
     projections = _projection_flags(decomp)
-    sets = [projections(yy_coords(x)) for x in points]
+    sets = [projections(x) for x in points]
     groups: dict[frozenset[int], list[int]] = {}
     for i, s in enumerate(sets):
         groups.setdefault(s, []).append(i)

@@ -1,11 +1,13 @@
 """The special linear Lie algebra sl(n) with its Chevalley generator triples.
 
-For every positive root beta = (i, j) with i < j the catalog holds
-X_beta = E_ij and Y_beta = E_ji; the Cartan part is spanned by the simple
-coroots H_i = E_ii - E_{i+1,i+1}.  A module needs only the Chevalley
-generators e_i = X(i,i+1), f_i = Y(i,i+1) and h_i = H(i): the relations
-check them and build each other root vector from one of lower height, so
-another simple type needs only its catalog, Cartan matrix and those steps.
+For every positive root beta = (i, j) with i < j the catalog names X_beta
+= E_ij and Y_beta = E_ji; the Cartan part is spanned by the simple coroots
+H_i = E_ii - E_{i+1,i+1}.  The catalog is symbols, read off the root list;
+the dense matrices are built only when ``LieAlgebra.generators`` is read.
+A module needs only the Chevalley generators e_i = X(i,i+1), f_i =
+Y(i,i+1) and h_i = H(i): the relations check them and build each other
+root vector from one of lower height, so another simple type needs only
+its catalog, Cartan matrix and those steps.
 """
 
 from __future__ import annotations
@@ -63,17 +65,19 @@ class LieAlgebra:
         self.n = n
         self.positive_roots = [Root(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
         self.positive_roots.sort()
-        self.generators: dict[str, Mat] = {}
-        for beta in self.positive_roots:
-            self.generators[x_symbol(beta)] = _unit(n, beta.i, beta.j)
-        for beta in self.positive_roots:
-            self.generators[y_symbol(beta)] = _unit(n, beta.j, beta.i)
+        self.catalog = [*self.x_symbols(), *self.y_symbols(), *self.h_symbols()]
+
+    @cached_property
+    def generators(self) -> dict[str, Mat]:
+        """The catalog as dense n x n matrices, built on first read: X_beta =
+        E_ij, Y_beta = E_ji, H_i = E_ii - E_{i+1,i+1}; treat as read-only."""
+        n = self.n
+        out = {x_symbol(b): _unit(n, b.i, b.j) for b in self.positive_roots}
+        out |= {y_symbol(b): _unit(n, b.j, b.i) for b in self.positive_roots}
         for i in range(1, n):
-            h = Mat.zero(n, n)
-            h.data[i - 1][i - 1] = QQ(1)
+            out[h_symbol(i)] = h = _unit(n, i, i)
             h.data[i][i] = QQ(-1)
-            self.generators[h_symbol(i)] = h
-        self.catalog = list(self.generators)
+        return out
 
     def __repr__(self) -> str:
         return f"sl({self.n})"

@@ -37,7 +37,8 @@ answers ``PivotedSpan.add`` and the ``contains`` methods at once.
 
 Coordinates on fixed rows are read in one class, ``Coordinates``: one
 rank-limited ``augmented_rref`` of the rows, then each target's coordinates
-on the lex-earliest independent rows, or None.  ``solve`` (on m's columns),
+on the lex-earliest independent rows, or None (``support`` names the rows
+only, and makes no ``Fraction`` for an integer target).  ``solve`` (on m's columns),
 ``Mat.inverse`` (unit targets), the correspondence tables of ``orbit`` and
 the isotypic supports of ``chordal`` are built on it.
 
@@ -219,10 +220,11 @@ def sym_square(x) -> Mat:
     return Mat([[a * b for b in x] for a in x])
 
 
-def yy_coords(y) -> list[Fraction]:
-    """Matrix-entry coordinates of y y^t."""
-    y = list(map(QQ, y))
-    return [y[k] * y[l] for k, l in sym_pairs(len(y))]
+def yy_coords(y) -> list[Fraction | int]:
+    """Matrix-entry coordinates of y y^t, integral ones as ints, as in
+    ``sparse``: an all-int y makes no ``Fraction``."""
+    y = [e if type(e) is int else compact(QQ(e)) for e in y]
+    return [compact(y[k] * y[l]) for k, l in sym_pairs(len(y))]
 
 
 def sym_coords_to_mat(coords, n: int) -> Mat:
@@ -253,6 +255,11 @@ def sym_rank_one(coords, n: int) -> tuple[int, list[Fraction] | None]:
 # A row is a dict of its nonzero entries by column.  Inside the kernel every
 # row is primitive (integer entries with gcd 1), and echelon rows are held
 # in a dict by pivot column, each row zero before its pivot.
+
+def compact(x: Fraction | int) -> Fraction | int:
+    """x, as an int when integral: exact, and much cheaper to multiply."""
+    return x.numerator if x.denominator == 1 else x
+
 
 def sparse(v) -> dict[int, Fraction | int]:
     """The nonzero entries of a dense vector by coordinate, integral ones as ints."""
@@ -412,6 +419,17 @@ class Coordinates:
         """The nonzero coefficients x_i by row index with sum x_i row_i =
         target (dense or by its nonzero entries), checked on every
         coordinate, or None when the target is outside the span."""
+        found = self._scaled(target)
+        return None if found is None else {k: Fraction(e, found[1]) for k, e in found[0].items()}
+
+    def support(self, target) -> set[int] | None:
+        """The row indices of the nonzero coefficients that ``of`` reads, or
+        None; an integer target makes no ``Fraction``."""
+        found = self._scaled(target)
+        return None if found is None else set(found[0])
+
+    def _scaled(self, target) -> tuple[dict[int, int], int] | None:
+        """(S, L t): the nonzero entries of S by row index, x = S / (L t)."""
         (tgt,), t = integer_rows([{c: x for c, x in _row(target, self.ncols).items() if x}])
         n, big, rows = self.ncols, self._lcm, self._rows
         acc: defaultdict[int, int] = defaultdict(int)
@@ -422,7 +440,7 @@ class Coordinates:
                     acc[k] += f * e
         if {k: e for k, e in acc.items() if k < n and e} != {c: big * x for c, x in tgt.items()}:
             return None
-        return {k - n: Fraction(e, big * t) for k, e in acc.items() if k >= n and e}
+        return {k - n: e for k, e in acc.items() if k >= n and e}, big * t
 
 
 def _in_span(v, rows: dict[int, dict[int, int]], n: int) -> bool:

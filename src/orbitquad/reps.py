@@ -35,11 +35,13 @@ from functools import cached_property
 from .errors import DimensionMismatch, StructuralError
 from .lie import LieAlgebra
 from .linalg import (
+    Coordinates,
     Mat,
     PivotedSpan,
     QQ,
     Subspace,
     annihilator,
+    compact,
     primitive,
     rref,
     sparse,
@@ -200,13 +202,8 @@ def _columns_of(m: Mat) -> list[list[tuple[int, Fraction | int]]]:
     for i, row in enumerate(m.data):
         for j, e in enumerate(row):
             if e:
-                cols[j].append((i, _compact(e)))
+                cols[j].append((i, compact(e)))
     return cols
-
-
-def _compact(x: Fraction) -> Fraction | int:
-    """x, as an int when integral: exact, and much cheaper to multiply."""
-    return x.numerator if x.denominator == 1 else x
 
 
 def _apply(cols, v) -> dict[int, Fraction | int]:
@@ -243,10 +240,19 @@ def _commutator(a, b, c=0, s=None):
 # constructions, each from the parent's columns to the new module's columns
 
 def standard_rep(g: LieAlgebra) -> Rep:
-    if g.n not in _REP_CACHE:
-        action = {s: g.generators[s] for s in g.chevalley}
-        _REP_CACHE[g.n] = Rep(g, "std", action, [f"e{i + 1}" for i in range(g.n)], _checked=True)
-    return _REP_CACHE[g.n]
+    """QQ^n, its Chevalley columns written from the root indices: e_i = E_{i,i+1}
+    is 1 at (i, i+1), f_i = E_{i+1,i} at (i+1, i), h_i = E_ii - E_{i+1,i+1}."""
+    n = g.n
+    if n not in _REP_CACHE:
+        cols = {s: [[] for _ in range(n)] for s in g.chevalley}
+        e, f, h = (g.chevalley[k * (n - 1):(k + 1) * (n - 1)] for k in range(3))
+        for i in range(n - 1):
+            cols[e[i]][i + 1].append((i, 1))
+            cols[f[i]][i].append((i + 1, 1))
+            cols[h[i]][i].append((i, 1))
+            cols[h[i]][i + 1].append((i + 1, -1))
+        _REP_CACHE[n] = Rep(g, "std", cols, [f"e{i + 1}" for i in range(n)], _checked=True)
+    return _REP_CACHE[n]
 
 
 def _dual_action(r: Rep):
@@ -340,7 +346,7 @@ def _sym2_action(r: Rep):
     """
     action, labels = _sym_action(r, 2)
     c = [1 if k == m else 2 for k, m in sym_pairs(r.dim)]
-    return {sym: [[(i, e * c[j] // c[i] if type(e) is int else _compact(QQ(e * c[j], c[i])))
+    return {sym: [[(i, e * c[j] // c[i] if type(e) is int else compact(QQ(e * c[j], c[i])))
                    for i, e in col]
                   for j, col in enumerate(cols)]
             for sym, cols in action.items()}, labels
@@ -569,11 +575,22 @@ class IsotypicComponent:
 
 @dataclass
 class IsotypicDecomposition:
+    """Components from the dominant end down, and whether each occurs once.
+    ``coordinates``, the one elimination over their rows, lives and is
+    dropped with the decomposition's entry in the isotypic cache."""
+
     components: list[IsotypicComponent]
     multiplicity_free: bool
 
     def dims(self) -> list[int]:
         return [c.dim for c in self.components]
+
+    @cached_property
+    def coordinates(self) -> Coordinates:
+        """Coordinates on the integer RREF rows of the components, in order:
+        row k of component i is row dim(0) + ... + dim(i - 1) + k."""
+        return Coordinates([row for c in self.components for row in c.subspace._rows.values()],
+                           self.components[0].subspace.ambient_dim)
 
 
 def isotypic_decomposition(r: Rep) -> IsotypicDecomposition:

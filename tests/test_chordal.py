@@ -1,11 +1,12 @@
 import itertools
+import random
 from fractions import Fraction as F
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbitquad import chordal, orbit, reps
+from orbitquad import chordal, linalg, orbit, reps
 from orbitquad.chordal import (
     ChordalSpec,
     chordal_ideal,
@@ -20,7 +21,7 @@ from antichain_reference import antichain_brute_force
 from closure_reference import folded_chordal_span
 from orbitquad.errors import CapExceeded, GenericVectorError
 from orbitquad.lie import make_sl
-from orbitquad.linalg import annihilator
+from orbitquad.linalg import annihilator, yy_coords
 from orbitquad.orbit import my_membership, orbit_module, quadric_ideal
 from orbitquad.reps import derived_rep, isotypic_decomposition, standard_rep
 
@@ -234,10 +235,13 @@ def test_chordal_ideal_matched_tail_reads_prefix_supports(monkeypatch, support, 
 
 # seeded specs, compared with the span folded from orbit modules; S^2 V has
 # two components, which (6, 3, 2) meets both of and (6, 3, 1) only the first of
-@pytest.mark.parametrize("spec,seed", [
+SEEDED_SPECS = [
     ((4, 2, 1), 0), ((4, 2, 1), 7), ((4, 2, 2), 3), ((5, 2, 2), 0),
     ((6, 3, 1), 5), ((6, 3, 2), 1), ((7, 2, 2), 2),
-])
+]
+
+
+@pytest.mark.parametrize("spec,seed", SEEDED_SPECS)
 def test_chordal_ideal_matches_folded_closures(spec, seed):
     spec = ChordalSpec(*spec)
     span, used, matched = folded_chordal_span(spec, seed=seed)
@@ -245,6 +249,51 @@ def test_chordal_ideal_matches_folded_closures(spec, seed):
     assert (report.span_dim, report.samples_used, report.matched_tail) == (span.dim, used, matched)
     assert report.ideal.module == span
     assert report.ideal.dual_coords == annihilator(span)
+
+
+@pytest.mark.parametrize("spec,seed", SEEDED_SPECS)
+def test_support_of_the_integer_point_is_that_of_the_rational_square(spec, seed):
+    # the reader squares the primitive integer multiple of each sample; the
+    # reference reads the Fraction square of the sample itself, on a fresh
+    # elimination over the components' rows
+    spec = ChordalSpec(*spec)
+    s2 = spec.wedge_rep().sym_square()
+    decomp = isotypic_decomposition(s2)
+    rows = [row for c in decomp.components for row in c.subspace._rows.values()]
+    owner = [i for i, c in enumerate(decomp.components) for _ in range(c.dim)]
+    reference = linalg.Coordinates(rows, s2.dim)
+    support = chordal._projection_flags(decomp)
+    rng = random.Random(seed)
+    for x in [chordal_sample(spec, rng.randrange(1 << 30)) for _ in range(3)]:
+        assert support(x) == {owner[k] for k in reference.of(yy_coords(x))}
+
+
+def test_support_reads_on_a_warm_module_build_no_elimination(monkeypatch):
+    # the elimination lives on the decomposition: once it is built, later
+    # reads build no Coordinates, and a cleared isotypic cache builds one
+    built = []
+
+    class Counting(linalg.Coordinates):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    for module in (linalg, reps, orbit, chordal):
+        if hasattr(module, "Coordinates"):
+            monkeypatch.setattr(module, "Coordinates", Counting)
+    monkeypatch.setattr(reps, "_ISOTYPIC_CACHE", dict(reps._ISOTYPIC_CACHE))
+    r, spec = wedge2_sl4(), ChordalSpec(4, 2, 2)
+    chordal_ideal(spec, seed=0)
+    built.clear()
+    chordal_ideal(spec, seed=1)
+    component_analysis(r, [E12, E12_34])
+    generic_vector(r, lambda t: chordal_sample(spec, t), isotypic_decomposition(r.sym_square()))
+    assert built == []
+    reps._ISOTYPIC_CACHE.clear()
+    chordal_ideal(spec, seed=0)
+    assert len(built) == 1
 
 
 # values taken before the span was read off isotypic supports: one sample

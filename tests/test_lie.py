@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from orbitquad.lie import Root, bracket, make_sl, x_symbol, y_symbol
+from orbitquad import reps
+from orbitquad.lie import LieAlgebra, Root, bracket, make_sl, x_symbol, y_symbol
 from orbitquad.linalg import Mat, PivotedSpan
 
 
@@ -137,3 +138,29 @@ def test_expand_rejects_trace():
 def test_root_validation():
     with pytest.raises(ValueError):
         Root(2, 2)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_the_catalog_builds_no_matrix_until_generators_are_read(monkeypatch, n):
+    built = []
+    init = Mat.__init__
+
+    def counting(self, data):
+        built.append(self)
+        init(self, data)
+
+    monkeypatch.setattr(Mat, "__init__", counting)
+    g = LieAlgebra(n)
+    assert (g.chevalley, g.relations) and built == []
+    assert g.catalog == list(g.generators)
+    assert len(built) == len(g.catalog)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_standard_rep_columns_match_the_dense_generators(n):
+    # the columns are written from the root indices; the matrices are the oracle
+    g = make_sl(n)
+    r = reps.standard_rep(g)
+    assert list(r.columns) == g.catalog
+    for s in g.catalog:
+        assert r.columns[s] == reps._columns_of(g.generators[s]), s

@@ -19,6 +19,8 @@ from orbitquad.linalg import (
     rank,
     rref,
     solve,
+    sym_pairs,
+    yy_coords,
 )
 
 small_fracs = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -220,6 +222,8 @@ def test_coordinates_match_dense_reference(case, coeffs, probe, as_dicts, rank_k
         got = coords.of(linalg.sparse(target) if as_dicts else target)
         assert _dense_or_none(got, len(rows)) == want
         assert got is None or all(got.values())
+        # support names the rows that of gives a coefficient
+        assert coords.support(target) == (None if got is None else set(got))
 
 
 def test_rref_identity():
@@ -447,3 +451,15 @@ def test_scalar_round_trip():
     assert parse_scalar("007/014") == F(1, 2)
     assert format_scalar(F(-2)) == "-2"
     assert format_scalar(F(6, -4)) == "-3/2"
+
+
+@given(st.lists(st.one_of(st.integers(-9, 9), st.integers(-9, 9).map(F), small_fracs),
+                max_size=6))
+def test_yy_coords_matches_fraction_reference(y):
+    # ints, integral Fractions and proper Fractions, against the products of
+    # the Fractions; every entry from an integral y is an int
+    got = yy_coords(y)
+    assert got == [F(y[k]) * F(y[l]) for k, l in sym_pairs(len(y))]
+    assert all(type(e) is int or e.denominator > 1 for e in got)
+    if all(F(e).denominator == 1 for e in y):
+        assert all(type(e) is int for e in got)
