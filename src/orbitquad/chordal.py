@@ -221,7 +221,7 @@ def _projection_flags(decomp: IsotypicDecomposition):
 
     def support(y) -> frozenset[int]:
         u = primitive(sparse(y)) or {}
-        b = coords.support(yy_coords([u.get(j, 0) for j in range(len(y))]))
+        b = coords.of(yy_coords([u.get(j, 0) for j in range(len(y))]))
         if b is None:
             raise StructuralError("components do not span the symmetric square")
         return frozenset(owner[k] for k in b)

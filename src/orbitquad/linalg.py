@@ -37,8 +37,7 @@ answers ``PivotedSpan.add`` and the ``contains`` methods at once.
 
 Coordinates on fixed rows are read in one class, ``Coordinates``: one
 rank-limited ``augmented_rref`` of the rows, then each target's coordinates
-on the lex-earliest independent rows, or None (``support`` names the rows
-only, and makes no ``Fraction`` for an integer target).  ``solve`` (on m's columns),
+on the lex-earliest independent rows, or None.  ``solve`` (on m's columns),
 ``Mat.inverse`` (unit targets), the correspondence tables of ``orbit`` and
 the isotypic supports of ``chordal`` are built on it.
 
@@ -263,7 +262,7 @@ def compact(x: Fraction | int) -> Fraction | int:
 
 def sparse(v) -> dict[int, Fraction | int]:
     """The nonzero entries of a dense vector by coordinate, integral ones as ints."""
-    return {j: x.numerator if x.denominator == 1 else x for j, x in enumerate(v) if x}
+    return {j: compact(x) for j, x in enumerate(v) if x}
 
 
 def _row(v, n: int) -> dict:
@@ -419,17 +418,6 @@ class Coordinates:
         """The nonzero coefficients x_i by row index with sum x_i row_i =
         target (dense or by its nonzero entries), checked on every
         coordinate, or None when the target is outside the span."""
-        found = self._scaled(target)
-        return None if found is None else {k: Fraction(e, found[1]) for k, e in found[0].items()}
-
-    def support(self, target) -> set[int] | None:
-        """The row indices of the nonzero coefficients that ``of`` reads, or
-        None; an integer target makes no ``Fraction``."""
-        found = self._scaled(target)
-        return None if found is None else set(found[0])
-
-    def _scaled(self, target) -> tuple[dict[int, int], int] | None:
-        """(S, L t): the nonzero entries of S by row index, x = S / (L t)."""
         (tgt,), t = integer_rows([{c: x for c, x in _row(target, self.ncols).items() if x}])
         n, big, rows = self.ncols, self._lcm, self._rows
         acc: defaultdict[int, int] = defaultdict(int)
@@ -440,7 +428,7 @@ class Coordinates:
                     acc[k] += f * e
         if {k: e for k, e in acc.items() if k < n and e} != {c: big * x for c, x in tgt.items()}:
             return None
-        return {k - n: e for k, e in acc.items() if k >= n and e}, big * t
+        return {k - n: Fraction(e, big * t) for k, e in acc.items() if k >= n and e}
 
 
 def _in_span(v, rows: dict[int, dict[int, int]], n: int) -> bool:

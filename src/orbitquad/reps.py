@@ -240,19 +240,10 @@ def _commutator(a, b, c=0, s=None):
 # constructions, each from the parent's columns to the new module's columns
 
 def standard_rep(g: LieAlgebra) -> Rep:
-    """QQ^n, its Chevalley columns written from the root indices: e_i = E_{i,i+1}
-    is 1 at (i, i+1), f_i = E_{i+1,i} at (i+1, i), h_i = E_ii - E_{i+1,i+1}."""
-    n = g.n
-    if n not in _REP_CACHE:
-        cols = {s: [[] for _ in range(n)] for s in g.chevalley}
-        e, f, h = (g.chevalley[k * (n - 1):(k + 1) * (n - 1)] for k in range(3))
-        for i in range(n - 1):
-            cols[e[i]][i + 1].append((i, 1))
-            cols[f[i]][i].append((i + 1, 1))
-            cols[h[i]][i].append((i, 1))
-            cols[h[i]][i + 1].append((i + 1, -1))
-        _REP_CACHE[n] = Rep(g, "std", cols, [f"e{i + 1}" for i in range(n)], _checked=True)
-    return _REP_CACHE[n]
+    if g.n not in _REP_CACHE:
+        action = {s: g.generators[s] for s in g.chevalley}
+        _REP_CACHE[g.n] = Rep(g, "std", action, [f"e{i + 1}" for i in range(g.n)], _checked=True)
+    return _REP_CACHE[g.n]
 
 
 def _dual_action(r: Rep):

@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from orbitquad import reps
 from orbitquad.lie import LieAlgebra, Root, bracket, make_sl, x_symbol, y_symbol
 from orbitquad.linalg import Mat, PivotedSpan
 
@@ -155,12 +154,3 @@ def test_the_catalog_builds_no_matrix_until_generators_are_read(monkeypatch, n):
     assert g.catalog == list(g.generators)
     assert len(built) == len(g.catalog)
 
-
-@pytest.mark.parametrize("n", range(2, 7))
-def test_standard_rep_columns_match_the_dense_generators(n):
-    # the columns are written from the root indices; the matrices are the oracle
-    g = make_sl(n)
-    r = reps.standard_rep(g)
-    assert list(r.columns) == g.catalog
-    for s in g.catalog:
-        assert r.columns[s] == reps._columns_of(g.generators[s]), s

@@ -222,8 +222,6 @@ def test_coordinates_match_dense_reference(case, coeffs, probe, as_dicts, rank_k
         got = coords.of(linalg.sparse(target) if as_dicts else target)
         assert _dense_or_none(got, len(rows)) == want
         assert got is None or all(got.values())
-        # support names the rows that of gives a coefficient
-        assert coords.support(target) == (None if got is None else set(got))
 
 
 def test_rref_identity():
