@@ -13,7 +13,7 @@ and an --output path that cannot be written), 3 dimension mismatch, 4 unsupporte
 expression (including a wedge or sym degree outside its range, and a
 chordal or components module whose symmetric square is not multiplicity
 free), 5 discrepancy verdict or a StructuralError or RankOneError (one
-``error:`` line on stderr, empty stdout), 6 caps or inconclusive.
+``error:`` line on stderr, empty stdout), 6 caps.
 Before anything is built, n is checked against MAX_N, certify's --trials
 against MAX_TRIALS, every sym degree of --rep and the dimension of every
 module a command would build against MAX_DIM (kinds ``n``, ``trials``,
@@ -249,14 +249,16 @@ def _build_argparser() -> argparse.ArgumentParser:
     return top
 
 
+_PARSER = _build_argparser()  # built once: parse_args keeps no state in it
+
+
 def parse_spec(argv) -> RunSpec:
     """Parse an argument vector; raises typed errors mapped to exit codes."""
-    parser = _build_argparser()
     # argparse takes the "-1,0" of "--y -1,0" for an option; "--y=-1,0" is one word
     words = iter(argv)
     argv = [w + "=" + next(words, "") if w == "--y" else w for w in words]
     try:
-        ns = parser.parse_args(argv)
+        ns = _PARSER.parse_args(argv)
     except SystemExit as exc:
         if exc.code in (0, None):
             raise
@@ -338,8 +340,7 @@ def _cmd_certify(spec: RunSpec) -> tuple[dict, int]:
     _capped("trials", spec.trials, MAX_TRIALS)
     rep, (y,) = _rep_and_vectors(spec)
     report = certify_irreducibility(rep, y, trials=spec.trials, seed=spec.seed)
-    code = {"consistent": EXIT_OK, "discrepancy": EXIT_DISCREPANCY,
-            "inconclusive": EXIT_INCONCLUSIVE}[report.verdict]
+    code = {"consistent": EXIT_OK, "discrepancy": EXIT_DISCREPANCY}[report.verdict]
     return report.to_json_dict(), code
 
 

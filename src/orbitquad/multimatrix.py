@@ -7,8 +7,9 @@ A multi-vector on the box N is the coefficient table of a polynomial in r
 variables with per-variable degree bounds N_1..N_r, held by its nonzero
 coefficients by position; mu(f.g) is literally the coefficient table of the
 product polynomial f*g, so mu(v.v) is the square of v.  ``convolve`` is the
-one product of coefficient tables: mu and certify's products of im A^t
-both read it.
+one product of coefficient tables, over one offset map
+(``Box.doubled_offsets``): mu, certify's products of im A^t and its pair
+sums sum_{i+j=n} (D^i y/i!)(D^j y/j!), which convolve A's rows, all read it.
 """
 
 from __future__ import annotations
@@ -62,13 +63,11 @@ class Box:
         idx = tuple(idx)
         return len(idx) == self.r and all(0 <= i <= n for i, n in zip(idx, self.N))
 
-    def doubled_offsets(self) -> list[int]:
-        """The position of each index, in lexicographic order, under the
-        doubled box's strides: i + j sits at off(i) + off(j) in the doubled box."""
-        offsets = [0]
-        for n, s in zip(self.N, self.doubled().strides):
-            offsets = [o + e * s for o in offsets for e in range(n + 1)]
-        return offsets
+    def doubled_offsets(self, positions) -> dict[int, int]:
+        """The doubled box's position of the index at each given position:
+        i + j sits at off(i) + off(j) in the doubled box."""
+        strides = self.doubled().strides
+        return {p: sum(i * s for i, s in zip(self.index(p), strides)) for p in positions}
 
     def doubled(self) -> "Box":
         return Box(tuple(2 * b for b in self.N))
@@ -208,7 +207,7 @@ def catalecticant(b: MultiVector) -> MultiMatrix:
     """The box-square multi-matrix B with B_ij = b_(i+j); b must live on a
     box of the form 2N, and B on N x N."""
     box = b.box.halved()
-    offsets = box.doubled_offsets()
+    offsets = box.doubled_offsets(range(box.size)).values()
     return MultiMatrix([[b.coeffs.get(p + q, QQ(0)) for q in offsets] for p in offsets],
                        box, box)
 
@@ -222,7 +221,7 @@ def catalecticant_to_vector(m: MultiMatrix) -> MultiVector:
     """
     if m.row_box is None or m.row_box != m.col_box:
         raise DimensionMismatch("not a box-square multi-matrix")
-    offsets = m.row_box.doubled_offsets()
+    offsets = m.row_box.doubled_offsets(range(m.row_box.size)).values()
     data = {}
     for p, row in zip(offsets, m.data):
         for q, e in zip(offsets, row):
@@ -250,8 +249,8 @@ def mu(f: MultiVector, g: MultiVector) -> MultiVector:
     i + j sits at off(i) + off(j) under the doubled box's strides."""
     if f.box != g.box:
         raise DimensionMismatch("mu needs both factors on the same box")
-    return MultiVector.from_sparse(f.box.doubled(),
-                                   convolve(f.coeffs, g.coeffs, f.box.doubled_offsets()))
+    offset = f.box.doubled_offsets(f.coeffs.keys() | g.coeffs.keys())
+    return MultiVector.from_sparse(f.box.doubled(), convolve(f.coeffs, g.coeffs, offset))
 
 
 def mu_image_span(box: Box, s1: Subspace, s2: Subspace) -> Subspace:

@@ -1,26 +1,32 @@
-"""Products of subspaces of a box space through the symmetric square, used
-only by tests.
+"""Products of tables on a box space, used only by tests.
 
-The certifier convolves integer rows keyed by reached doubled position and
-reads the kernel of mu off them (``orbit._Products``).  These oracles take
-the long way: every symmetrized product in monomial coordinates on the
-symmetric square of the whole box space, then its image under mu, by dense
-elimination.
+The certifier convolves integer rows keyed by reached doubled position over
+``Box.doubled_offsets``: the products of im A^t, from which it reads the
+kernel of mu (``orbit._Products``), and the pair sums, from A's rows
+(``orbit._SeqData``).  These oracles take the long way: every symmetrized
+product in monomial coordinates on the symmetric square of the whole box
+space, then its image under mu, by dense elimination; and the pair sums
+from A's columns, each applied letter by letter, in a loop over ordered
+pairs of columns.  Doubled positions are composed from ``Box.index`` and
+``Box.position``, so the offset map is checked, not shared.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass
+from math import factorial, prod
 
 from kernel_reference import kernel_combinations
 from orbitquad.errors import DimensionMismatch
-from orbitquad.linalg import QQ, Subspace, sym_pairs
+from orbitquad.linalg import QQ, Subspace, integer_rows, sparse, sym_pairs
 from orbitquad.multimatrix import Box, MultiVector
 from sym_coords_reference import pair_coords
 
 
 def mu_of_pair_coords(box: Box, coords) -> MultiVector:
     """Linear extension of z_p z_q -> basis vector at i_p + i_q."""
-    offsets = box.doubled_offsets()
-    out = [QQ(0)] * box.doubled().size
+    doubled = box.doubled()
+    offsets = [doubled.position(box.index(p)) for p in range(box.size)]
+    out = [QQ(0)] * doubled.size
     for (p, q), c in zip(sym_pairs(box.size), coords, strict=True):
         if c:
             out[offsets[p] + offsets[q]] += c
@@ -69,3 +75,36 @@ def mu_kernel(box: Box, s: Subspace) -> Subspace:
     products = [pair_coords(basis[p], basis[q]) for p, q in sym_pairs(len(basis))]
     images = [mu_of_pair_coords(box, c).data for c in products]
     return Subspace(box.size * (box.size + 1) // 2, kernel_combinations(products, images))
+
+
+def pair_sums(r, y, gs) -> tuple[dict[int, dict[int, int]], int]:
+    """The pair sums sum_{i+j=n} (D^i y/i!)(D^j y/j!) by doubled position n,
+    each an integer row over the returned denominator on the symmetric slots
+    k <= l, with a row wherever some pair of nonzero columns meets.
+
+    Column i of A is D^i y / i!, its letters applied from the last axis
+    back; each ordered pair of columns (i, j) adds col_i[k] col_j[l] to
+    slot (k, l), k <= l, at the doubled position of i + j."""
+    box, doubled = gs.box, gs.box.doubled()
+    columns = {}
+    for idx in box.indices():
+        v = sparse(map(QQ, y))
+        for sym, e in reversed(list(zip(gs.symbols, idx))):
+            for _ in range(e):
+                v = r.act_sparse(sym, v)
+        if v:
+            columns[box.position(idx)] = {k: QQ(x) / prod(map(factorial, idx))
+                                          for k, x in v.items()}
+    ints, den = integer_rows(list(columns.values()))
+    slot = {kl: t for t, kl in enumerate(sym_pairs(r.dim))}
+    nonzero = [(doubled.position(box.index(p)), list(col.items()))
+               for p, col in zip(columns, ints)]
+    sums: defaultdict = defaultdict(lambda: defaultdict(int))
+    for o_i, col_i in nonzero:
+        for o_j, col_j in nonzero:
+            acc = sums[o_i + o_j]
+            for k, x in col_i:
+                for l, z in col_j:
+                    if k <= l:
+                        acc[slot[k, l]] += x * z
+    return {n: {t: x for t, x in acc.items() if x} for n, acc in sums.items()}, den * den

@@ -238,8 +238,7 @@ def test_certify_discrepancy_maps_to_exit_5(monkeypatch):
     from orbitquad.orbit import CertReport
 
     fake = CertReport(rep_label="std", dims={}, rank_A=0, symbols=[], N=[],
-                      seed=0, trials=0, verdict="discrepancy",
-                      witnesses=[{"check": "fake"}])
+                      seed=0, trials=0, witnesses=[{"check": "fake"}])
     monkeypatch.setattr(cli, "certify_irreducibility",
                         lambda *a, **k: fake)
     code, out, _ = invoke(["certify", "--alg", "sl:2", "--rep", "std", "--y", "1,0"])

@@ -37,7 +37,8 @@ def test_box_enumeration_is_lexicographic(bounds, data):
     assert all(i in box for i in idxs)
     doubled = box.doubled()
     assert doubled.N == tuple(2 * b for b in bounds) and doubled.halved() == box
-    assert box.doubled_offsets() == [doubled.position(i) for i in idxs]
+    offsets = {p: doubled.position(i) for p, i in enumerate(idxs)}
+    assert box.doubled_offsets(range(box.size)) == offsets
     # an index of the wrong length, or one axis past its bound or below zero
     r = len(bounds)
     bad = [(0,) * (r + 1)] + ([(0,) * (r - 1)] if r else [])

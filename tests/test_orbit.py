@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 import kernel_reference
+import product_reference
 import sym_coords_reference
 from orbitquad import orbit
 from orbitquad.errors import CapExceeded, RankOneError
@@ -486,6 +487,20 @@ def test_leibniz_reads_false_where_no_pair_reaches(r, y):
         want = data._pair_sums.pop(data.doubled.position(n))
         assert not data.leibniz(n)
         data._pair_sums[data.doubled.position(n)] = want
+
+
+@pytest.mark.parametrize("r,y", [
+    (sl2_sym(3), [F(1), F(-1), F(1), F(1)]),
+    (wedge2_sl4(), E12_34),
+    (derived_rep(standard_rep(make_sl(3)), "sym", 2), [F(1), F(0), F(0), F(1), F(0), F(0)]),
+    (sl2_sym(4), [F(1), F(0), F(0), F(-1), F(0)]),  # the certify_sym4_sl2 golden
+], ids=["sym3@sl2", "wedge2@sl4", "conic@sl3", "sym4@sl2"])
+def test_pair_sums_match_the_column_pair_loop(r, y):
+    gs = generator_sequence(r, y)
+    data = orbit._SeqData(r, y, gs)
+    want, den = product_reference.pair_sums(r, y, gs)
+    # the same reached positions, each with the same nonzero entries
+    assert data.den == den and data._pair_sums == want
 
 
 def test_decompose_Q_base_cases():
